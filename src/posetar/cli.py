@@ -36,17 +36,32 @@ from .witness import is_fractionally_cy, not_fcy_witness
 
 def _load_poset(source: str) -> Poset:
     if source.startswith("corpus:"):
-        return corpus_mod.corpus_poset(source[len("corpus:"):])
+        cid = source[len("corpus:"):]
+        try:
+            return corpus_mod.corpus_poset(cid)
+        except KeyError:
+            raise PosetarError(f"unknown corpus id {cid!r} (see `posetar corpus`)") from None
     return parse_poset(Path(source).read_text(), name=Path(source).stem)
 
 
-def _field(args) -> Field:
-    text = args.field
+def _field(text: str) -> Field:
+    """argparse type of --field: `rationals` or `gf:<p>` for a prime p."""
     if text == "rationals":
         return QQ
-    if text.startswith("gf:"):
-        return Field(int(text[3:]))
-    raise PosetarError(f"unknown field {text!r} (use rationals or gf:<p>)")
+    digits = text[3:] if text.startswith("gf:") else ""
+    if digits.isdigit() and int(digits) >= 2:
+        try:
+            return Field(int(digits))
+        except ValueError:
+            pass
+    raise argparse.ArgumentTypeError(f"unknown field {text!r} (use rationals or gf:<p>, p prime)")
+
+
+def _degree(text: str) -> int:
+    """argparse type of the Ext degree: a nonnegative integer."""
+    if not text.isdigit():
+        raise argparse.ArgumentTypeError(f"degree must be a nonnegative integer, not {text!r}")
+    return int(text)
 
 
 def _decompose(P: Poset):
@@ -109,23 +124,22 @@ def cmd_fromtree(args, out) -> None:
 
 def cmd_resolve(args, out) -> None:
     P = _load_poset(args.poset)
-    M = parse_module(P, args.module, _field(args))
+    M = parse_module(P, args.module, args.field)
     C, _ = min_projective_resolution(M)
     print(C.describe(), file=out)
 
 
 def cmd_ext(args, out) -> None:
     P = _load_poset(args.poset)
-    field = _field(args)
-    M = parse_module(P, args.module_m, field)
-    N = parse_module(P, args.module_n, field)
+    M = parse_module(P, args.module_m, args.field)
+    N = parse_module(P, args.module_n, args.field)
     print(ext_dim(M, N, args.degree), file=out)
 
 
 def cmd_tau(args, out) -> None:
     P = _load_poset(args.poset)
     rng = random.Random(args.seed)
-    M = parse_module(P, args.module, _field(args))
+    M = parse_module(P, args.module, args.field)
     if not is_indecomposable(M, rng):
         raise PosetarError("tau expects an indecomposable module")
     t = tau_op(M)
@@ -135,7 +149,7 @@ def cmd_tau(args, out) -> None:
 def cmd_mesh(args, out) -> None:
     P = _load_poset(args.poset)
     rng = random.Random(args.seed)
-    M = parse_module(P, args.module, _field(args))
+    M = parse_module(P, args.module, args.field)
     seq = ar_sequence_end(M, rng)
     mids = "  +  ".join(
         describe_module(P, rep) + (f" x{mult}" if mult > 1 else "")
@@ -146,7 +160,7 @@ def cmd_mesh(args, out) -> None:
 
 def cmd_slice(args, out) -> None:
     P = _load_poset(args.poset)
-    sl = standard_slice(P, _decompose(P), _field(args))
+    sl = standard_slice(P, _decompose(P), args.field)
     for v in sl.ordered_vertices():
         mark = " *" if v == sl.marked else ""
         print(f"{v}: {describe_module(P, sl.modules[v])}{mark}", file=out)
@@ -154,7 +168,7 @@ def cmd_slice(args, out) -> None:
 
 def cmd_verify_slice(args, out) -> None:
     P = _load_poset(args.poset)
-    sl = standard_slice(P, _decompose(P), _field(args))
+    sl = standard_slice(P, _decompose(P), args.field)
     report = verify_slice(sl)
     print(report.describe(), file=out)
     if not report.ok:
@@ -163,7 +177,7 @@ def cmd_verify_slice(args, out) -> None:
 
 def cmd_knit(args, out) -> None:
     P = _load_poset(args.poset)
-    comp = knit(P, _field(args), max_meshes=args.max_meshes, max_total_dim=args.max_dim)
+    comp = knit(P, args.field, max_meshes=args.max_meshes, max_total_dim=args.max_dim)
     print(f"status: {comp.status}", file=out)
     print(f"vertices: {len(comp.vertices)}  meshes: {comp.meshes}", file=out)
     print(
@@ -175,7 +189,7 @@ def cmd_knit(args, out) -> None:
     node = ic_plus_decompose(P)
     if node is not None:
         try:
-            embedding = embed_in_ZT(comp, standard_slice(P, node, _field(args)))
+            embedding = embed_in_ZT(comp, standard_slice(P, node, args.field))
         except PosetarError:
             embedding = None
     if embedding is not None:
@@ -226,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="posetar",
         description="Exact Auslander-Reiten theory for finite poset incidence algebras",
     )
-    ap.add_argument("--field", default="rationals", help="rationals (default) or gf:<p>")
+    ap.add_argument("--field", type=_field, default="rationals", help="rationals (default) or gf:<p>")
     ap.add_argument(
         "--seed",
         type=int,
@@ -257,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("poset")
     p.add_argument("module_m")
     p.add_argument("module_n")
-    p.add_argument("degree", type=int)
+    p.add_argument("degree", type=_degree)
     p = add("tau", cmd_tau)
     p.add_argument("poset")
     p.add_argument("module")
@@ -289,7 +303,7 @@ def main(argv=None) -> int:
     except PosetarError as exc:
         print(f"error ({exc.code}): {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -49,18 +49,6 @@ class LabeledComplex:
     def term(self, i: int) -> Representation:
         return realize_labels(self.poset, self.field, self.kind, self.labels[i])
 
-    def diff(self, i: int) -> Morphism:
-        """Realized differential mats[i] as a Morphism."""
-        if self.kind == "proj":
-            return realize_scalar_map(
-                self.poset, self.field, self.kind,
-                self.labels[i + 1], self.labels[i], self.mats[i],
-            )
-        return realize_scalar_map(
-            self.poset, self.field, self.kind,
-            self.labels[i], self.labels[i + 1], self.mats[i],
-        )
-
     def describe(self) -> str:
         P = self.poset
         sym = "P" if self.kind == "proj" else "I"
@@ -161,7 +149,6 @@ def min_projective_resolution(M: Representation, max_length: int | None = None):
     global-dimension safety bound of |P| + 1.
     """
     P = M.poset
-    bound = max_length if max_length is not None else P.n + 1
     labels_list = []
     mats = []
     cur = M
@@ -177,13 +164,13 @@ def min_projective_resolution(M: Representation, max_length: int | None = None):
             # scalar matrix of realize(labels) -> cur -> prev term
             comp = incl_to_prev.compose(cover)
             mats.append(_scalars_from_morphism(P, "proj", labels, labels_list[-2], comp))
+        if step == max_length:
+            break  # truncated: the next syzygy would go unread
         K, incl = cover.kernel()
         if K.is_zero():
             break
-        if step == bound:
-            if max_length is None:
-                raise PosetarError("resolution exceeded the global-dimension safety bound")
-            break
+        if step == P.n + 1:
+            raise PosetarError("resolution exceeded the global-dimension safety bound")
         cur = K
         incl_to_prev = incl
         step += 1
@@ -262,12 +249,6 @@ def nakayama(C: LabeledComplex) -> LabeledComplex:
     if C.kind != "proj":
         raise UnlabeledComplex("nakayama acts on projective-labeled complexes")
     return LabeledComplex(C.poset, C.field, "inj", C.labels, C.mats, C.shift)
-
-
-def nakayama_inverse(C: LabeledComplex) -> LabeledComplex:
-    if C.kind != "inj":
-        raise UnlabeledComplex("nakayama inverse acts on injective-labeled complexes")
-    return LabeledComplex(C.poset, C.field, "proj", C.labels, C.mats, C.shift)
 
 
 def tau(M: Representation) -> Representation | None:

@@ -212,9 +212,6 @@ class ARComponent:
     def in_arrows(self, vid: int) -> list[int]:
         return [a for a, b in self.arrows if b == vid]
 
-    def out_arrows(self, vid: int) -> list[int]:
-        return [b for a, b in self.arrows if a == vid]
-
     def tau_inv_map(self) -> dict[int, int]:
         return {u: v for v, u in self.tau_map.items()}
 

@@ -225,14 +225,6 @@ class Mat:
     def columns(self):
         return [self.column(j) for j in range(self.c)]
 
-    def submatrix(self, rows_idx, cols_idx) -> "Mat":
-        return Mat(
-            self.field,
-            [[self.rows[i][j] for j in cols_idx] for i in rows_idx],
-            len(rows_idx),
-            len(cols_idx),
-        )
-
     # -- elimination -------------------------------------------------------
 
     def rref(self) -> tuple["Mat", tuple[int, ...]]:
@@ -331,8 +323,3 @@ def span_basis(field: Field, vectors, dim: int) -> Mat:
     A = Mat.from_columns(field, list(vectors), dim)
     R, pivots = A.rref()
     return Mat.from_columns(field, [A.column(j) for j in pivots], dim)
-
-
-def coordinates_in(basis: Mat, vectors: Mat) -> Mat | None:
-    """Express columns of `vectors` in the given column basis (or None)."""
-    return basis.solve(vectors)

@@ -92,10 +92,6 @@ class Representation:
                 return False
         return True
 
-    def relabel(self, name: str) -> "Representation":
-        self.name = name
-        return self
-
     def __repr__(self) -> str:
         label = self.name or "module"
         return f"{label}{list(self.dims)}"
@@ -386,13 +382,6 @@ def socle(M: Representation) -> tuple[Representation, Morphism]:
 def top(M: Representation) -> tuple[Representation, Morphism]:
     """M / rad M with the projection."""
     _, incl = radical(M)
-    return incl.cokernel()
-
-
-def quotient_by(M: Representation, incl: Morphism) -> tuple[Representation, Morphism]:
-    """Quotient of M by the image of an inclusion into M."""
-    if incl.target is not M:
-        raise ValueError("inclusion does not land in M")
     return incl.cokernel()
 
 

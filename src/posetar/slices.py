@@ -29,9 +29,6 @@ class SliceData:
     def ordered_vertices(self) -> list[int]:
         return list(range(self.tree.n))
 
-    def module_names(self) -> dict[int, str]:
-        return {v: self.modules[v].name for v in self.ordered_vertices()}
-
 
 def standard_slice(P: Poset, node: ICNode, field: Field = QQ) -> SliceData:
     tree = build_tree(node, P)

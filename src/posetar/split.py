@@ -2,8 +2,8 @@
 
 Strategy: compute End(M), find its radical via the trace bilinear form (valid
 in characteristic 0), and conclude indecomposability when End/rad is one
-dimensional.  Otherwise obtain a nontrivial idempotent, either from the
-factored minimal polynomial of a suitable endomorphism (Chinese remainder
+dimensional.  Otherwise obtain a nontrivial idempotent, either from a rational
+root of the minimal polynomial of a suitable endomorphism (Chinese remainder
 inside k[f]) or from a Fitting decomposition of a non-invertible one, and
 recurse on the two image summands.  Over a prime field the trace form is not
 trusted and the search alone decides, with SplitFailure as the honest out.
@@ -11,10 +11,9 @@ trusted and the search alone decides, with SplitFailure as the honest out.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
-
-import sympy
 
 from .errors import SplitFailure
 from .linalg import Mat
@@ -87,12 +86,6 @@ def _min_poly_coeffs(B: Mat, f: Morphism, basis: list[Morphism]):
         powers.append(vec)
 
 
-def _poly_from_coeffs(coeffs):
-    t = sympy.Symbol("t")
-    expr = sum(sympy.Rational(c.numerator, c.denominator) * t**i for i, c in enumerate(coeffs))
-    return sympy.Poly(expr, t, domain="QQ")
-
-
 def _endo_poly(f: Morphism, coeffs) -> Morphism:
     """Evaluate a polynomial (low-first Fraction coefficients) at f."""
     M = f.source
@@ -102,20 +95,117 @@ def _endo_poly(f: Morphism, coeffs) -> Morphism:
     return acc
 
 
-def _idempotent_from_factor(f: Morphism, poly: "sympy.Poly") -> Morphism | None:
-    """CRT idempotent of k[f] from a nontrivial coprime factor split."""
-    factors = poly.factor_list()[1]
-    if len(factors) < 2:
+# -- exact polynomials over Q: Fraction coefficients, lowest degree first ----
+
+
+def _trim(p):
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def _psub(a, b):
+    n = max(len(a), len(b))
+    return _trim([(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0) for i in range(n)])
+
+
+def _pmul(a, b):
+    if not a or not b:
+        return []
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _pdivmod(a, b):
+    """Quotient and remainder of a by the nonzero b; [] is the zero polynomial."""
+    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    r = list(a)
+    while len(r) >= len(b):
+        c = r[-1] / b[-1]
+        k = len(r) - len(b)
+        q[k] = c
+        for i, y in enumerate(b):
+            r[k + i] -= c * y
+        _trim(r)
+    return q, r
+
+
+def _inverse_mod(g, h):
+    """s with s*g = 1 mod h, for coprime g and h (extended Euclid)."""
+    r0, s0, r1, s1 = g, [Fraction(1)], h, []
+    while r1:
+        q, r = _pdivmod(r0, r1)
+        r0, s0, r1, s1 = r1, s1, r, _psub(s0, _pmul(q, s1))
+    return [c / r0[0] for c in s0]
+
+
+def _rational_roots(p):
+    """The distinct rational roots of the monic p.
+
+    With D the lcm of the denominators, q(u) = D^n p(u/D) is monic over Z, so
+    its rational roots are integers dividing its lowest nonzero coefficient;
+    they are searched up to the Fujiwara bound 2 max_k |q_(n-k)|^(1/k).
+    """
+    n = len(p) - 1
+    den = math.lcm(*(c.denominator for c in p))
+    q = [int(c * den ** (n - i)) for i, c in enumerate(p)]
+    low = next(c for c in q if c)
+    bound = 2 * max(2 ** -(-abs(c).bit_length() // (n - i)) for i, c in enumerate(q[:-1]))
+    roots = [Fraction(0)] if q[0] == 0 else []
+    for u in range(1, bound + 1):
+        if low % u == 0:
+            for z in (u, -u):
+                acc = 0
+                for c in reversed(q):
+                    acc = acc * z + c
+                if acc == 0:
+                    roots.append(Fraction(z, den))
+    return roots
+
+
+def _crt_idempotent_poly(p):
+    """The CRT idempotent e of Q[t]/(p) that kills the first linear factor of p.
+
+    g = (t - n/d)^m is the first factor of p when irreducible factors are
+    ordered by degree, then multiplicity, then primitive integer coefficients
+    ascending: among linear factors, lowest m first, then [d, -n].  That is
+    the order of the factoring library this routine replaces, so the splits
+    are unchanged.  e is the polynomial of degree < deg p with e = 0 mod g and
+    e = 1 mod p/g.
+
+    Returns None when p is a power of one linear factor, and when p has no
+    rational root.  A rootless p with two or more irreducible factors does
+    split k[f], but finding those factors needs a factoring algorithm, so the
+    caller tries the Fitting route and further candidates instead, and raises
+    SplitFailure if none of them splits.
+    """
+    mult = {}
+    for r in _rational_roots(p):
+        rest, m = p, 0
+        while True:
+            quo, rem = _pdivmod(rest, [-r, Fraction(1)])
+            if rem:
+                break
+            rest, m = quo, m + 1
+        mult[r] = m
+    if not mult:
         return None
-    g = factors[0][0] ** factors[0][1]
-    h = poly.quo(g)
-    s, t_, one = g.gcdex(h)
-    if one.degree() != 0:
+    r = min(mult, key=lambda r: (mult[r], r.denominator, -r.numerator))
+    g = [Fraction(1)]
+    for _ in range(mult[r]):
+        g = _pmul(g, [-r, Fraction(1)])
+    if len(g) == len(p):
         return None
-    s = s.quo(one)
-    # e = s*g evaluated at f is the idempotent supported on the h-part
-    e_poly = (s * g).rem(poly)
-    coeffs = [Fraction(str(c)) for c in reversed(sympy.Poly(e_poly, poly.gen, domain="QQ").all_coeffs())]
+    h = _pdivmod(p, g)[0]
+    return _pdivmod(_pmul(_inverse_mod(g, h), g), p)[1]
+
+
+def _idempotent_from_roots(f: Morphism, min_poly) -> Morphism | None:
+    """Nontrivial idempotent of k[f] from a rational root of its minimal polynomial."""
+    coeffs = _crt_idempotent_poly(min_poly)
     if not coeffs:
         return None
     e = _endo_poly(f, coeffs)
@@ -164,9 +254,8 @@ def split_once(M: Representation, rng: random.Random):
             continue
         if field.is_rationals:
             coeffs = _min_poly_coeffs(B, f, basis)
-            poly = _poly_from_coeffs(coeffs)
-            if poly.degree() >= 2:
-                e = _idempotent_from_factor(f, poly)
+            if len(coeffs) >= 3:
+                e = _idempotent_from_roots(f, coeffs)
                 if e is not None:
                     A, _ = e.image()
                     Kc, _ = e.kernel()

@@ -161,3 +161,72 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["not-a-command"])
     assert exc.value.code == 2
+
+
+def exit_code(argv) -> int:
+    """main's exit code; argparse usage errors surface as SystemExit."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def contract_calls(cid):
+    from posetar.corpus import corpus_poset
+
+    names = corpus_poset(cid).names
+    src, a, b = f"corpus:{cid}", f"S({names[0]})", f"S({names[-1]})"
+    return [
+        [cmd, src]
+        for cmd in ("parse", "hasse", "clamped", "ic", "tree", "fcy", "fintype", "slice", "verify-slice")
+    ] + [
+        ["resolve", src, a],
+        ["ext", src, a, b, "1"],
+        ["tau", src, b],
+        ["mesh", src, b],
+        ["knit", src, "--max-meshes", "5"],
+        ["witness", src, "--max-meshes", "5"],
+    ]
+
+
+MALFORMED = [
+    ["--field", "gf:4", "tau", "corpus:star-2-2", "S(c2_2)"],
+    ["--field", "gf:abc", "fcy", "corpus:star-2-2"],
+    ["--field", "gf:4", "fcy", "corpus:star-2-2"],
+    ["--field", "gf:0", "knit", "corpus:ex25-chain4"],
+    ["parse", "corpus:no-such-id"],
+    ["parse", "no-such-file.poset"],
+    ["tau", "corpus:star-2-2", "S("],
+    ["tau", "corpus:star-2-2", "S(no-such-element)"],
+    ["tau", "corpus:ex25-chain4", "sum(S(1),S(2))"],
+    ["ext", "corpus:ex25-chain4", "S(1)", "S(2)", "-1"],
+    ["ext", "corpus:ex25-chain4", "S(1)", "S(2)", "one"],
+    ["knit", "corpus:ex25-chain4", "--max-meshes", "x"],
+    ["not-a-command"],
+]
+
+
+@pytest.mark.parametrize("cid", ["ex25-chain4", "star-2-2", "ex33-poset2"])
+def test_cli_contract_on_corpus(cid, capsys):
+    calls = contract_calls(cid)
+    calls.append(["--field", "gf:5", *calls[-4]])  # tau over a prime field
+    for argv in calls:
+        assert exit_code(argv) in (0, 1, 2), argv
+    capsys.readouterr()
+
+
+def test_cli_contract_on_malformed_input(tmp_path, capsys):
+    bad_tree = tmp_path / "bad.tree"
+    bad_tree.write_text("vertices a b\nedges a-c\n")
+    calls = MALFORMED + [
+        ["parse", str(tmp_path)],
+        ["fromtree", str(bad_tree)],
+        ["corpus", "--write", str(bad_tree)],
+        ["knit", "corpus:ex25-chain4", "--json", str(tmp_path)],
+    ]
+    codes = {tuple(argv): exit_code(argv) for argv in calls}
+    assert all(code in (1, 2) for code in codes.values()), codes
+    for argv in calls[:4]:
+        assert codes[tuple(argv)] == 2, argv
+    assert codes[("parse", str(tmp_path))] == 1
+    capsys.readouterr()

@@ -1,5 +1,13 @@
+import os
 import random
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
+import sympy
+
+import posetar
 from posetar.corpus import corpus_poset
 from posetar.poset import chain
 from posetar.rep import (
@@ -10,7 +18,11 @@ from posetar.rep import (
     radical,
     simple,
 )
-from posetar.split import is_indecomposable, split_indecomposables
+from posetar.split import _crt_idempotent_poly, is_indecomposable, split_indecomposables
+
+T = sympy.Symbol("t")
+LINEAR = [T, T - 1, T + 1, T - 2, T + 3, 2 * T - 1, 3 * T - 2, 3 * T + 1, 2 * T + 3]
+QUADRATIC = [T**2 + 1, T**2 - 2, T**2 + T + 1, 2 * T**2 - 3]
 
 
 def test_projectives_indecomposable():
@@ -72,3 +84,49 @@ def test_dimension_accounting():
         for x in P.elements():
             total[x] += mult * rep.dims[x]
     assert tuple(total) == S.dims
+
+
+def monic(expr):
+    """sympy's monic Poly of expr and its Fraction coefficients, lowest degree first."""
+    poly = sympy.Poly(expr, T, domain="QQ").monic()
+    return poly, [Fraction(str(c)) for c in reversed(poly.all_coeffs())]
+
+
+def test_crt_idempotent_matches_sympy_factor_list():
+    rng = random.Random(7)
+    for _ in range(200):
+        factors = rng.sample(LINEAR, rng.randint(1, 3)) + rng.sample(QUADRATIC, rng.randint(0, 2))
+        poly, coeffs = monic(sympy.Mul(*(f ** rng.randint(1, 3) for f in factors)))
+        found = poly.factor_list()[1]
+        assert found[0][0].degree() == 1
+        got = _crt_idempotent_poly(coeffs)
+        if len(found) == 1:
+            assert got is None
+            continue
+        g = found[0][0] ** found[0][1]
+        s, _, one = g.gcdex(poly.quo(g))
+        want = (s.quo(one) * g).rem(poly)
+        assert got == [Fraction(str(c)) for c in reversed(want.all_coeffs())], poly
+
+
+def test_crt_idempotent_factor_order():
+    # t - 1 precedes t, so e vanishes at 1 and is 1 at 0: e = 1 - t
+    assert _crt_idempotent_poly(monic(T**2 - T)[1]) == [1, -1]
+    # t + 1 (once) precedes (t - 2)^2, so e(-1) = 0 and e(2) = 1
+    e = _crt_idempotent_poly(monic((T + 1) * (T - 2) ** 2)[1])
+    assert [sum(c * x**i for i, c in enumerate(e)) for x in (-1, 2)] == [0, 1]
+
+
+def test_crt_idempotent_rootless_is_none():
+    rng = random.Random(8)
+    for _ in range(20):
+        factors = rng.sample(QUADRATIC, rng.randint(1, 3))
+        _, coeffs = monic(sympy.Mul(*(f ** rng.randint(1, 2) for f in factors)))
+        assert _crt_idempotent_poly(coeffs) is None
+
+
+def test_import_does_not_load_sympy():
+    src = str(Path(posetar.__file__).resolve().parents[1])
+    code = "import sys, posetar, posetar.cli; sys.exit('sympy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0
