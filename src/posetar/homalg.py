@@ -22,7 +22,6 @@ from .rep import (
     dualize,
     injective,
     projective,
-    top,
     zero_rep,
 )
 
@@ -110,35 +109,28 @@ def realize_scalar_map(P: Poset, field, kind: str, src_labels, dst_labels, scala
 
 
 def _cover_by_projectives(M: Representation):
-    """Minimal projective cover: labels plus the covering morphism."""
+    """Minimal projective cover: labels plus the covering morphism.
+
+    The radical of M at x is spanned by the images of the covers into x.
+    Row reducing [those images | I] makes a pivot of each unit vector outside
+    the span of the radical and of the unit vectors before it, so the pivot
+    unit vectors span a complement of the radical: they lift a basis of the
+    top at x.  Each one generates a summand P(x) of the cover and is carried
+    along path_map to every element above x.
+    """
     P, field = M.poset, M.field
-    T, q = top(M)
-    labels: list[int] = []
-    lift_cols: dict[int, list] = {x: [] for x in P.elements()}
-    for x in P.sorted_ids(P.elements()):
-        t = T.dims[x]
-        if t == 0:
-            continue
-        target = Mat.identity(field, t)
-        pre = q.block(x).solve(target)
-        if pre is None:
-            raise PosetarError("top projection not surjective")
-        for j in range(t):
-            labels.append(x)
-            lift_cols[x].append(pre.column(j))
-    cover = realize_labels(P, field, "proj", labels)
-    sup = _supports(P, "proj", labels)
+    gens: list[tuple[int, int]] = []
+    for x in P.linear_extension():
+        rad = [c for z in P.covers_below(x) for c in M.maps[(z, x)].columns()]
+        cols = rad + Mat.identity(field, M.dims[x]).columns()
+        _, pivots = Mat.from_columns(field, cols, M.dims[x]).rref()
+        gens += [(x, p - len(rad)) for p in pivots if p >= len(rad)]
+    labels = [x for x, _ in gens]
     blocks = []
     for w in P.elements():
-        cols = []
-        for j, x in enumerate(labels):
-            if w not in sup[j]:
-                continue
-            idx = sum(1 for t2 in labels[:j] if t2 == x)
-            v = lift_cols[x][idx]
-            cols.append(M.path_map(x, w).apply(v))
+        cols = [M.path_map(x, w).column(i) for x, i in gens if P.leq(x, w)]
         blocks.append(Mat.from_columns(field, cols, M.dims[w]))
-    return labels, Morphism(cover, M, blocks)
+    return labels, Morphism(realize_labels(P, field, "proj", labels), M, blocks)
 
 
 def min_projective_resolution(M: Representation, max_length: int | None = None):
@@ -357,7 +349,6 @@ def _ext_from_resolution(C: LabeledComplex, N: Representation, i: int) -> int:
     dim_i = _hom_space_dim(N, C.labels[i])
     if dim_i == 0:
         return 0
-    out_rank = 0
     if i < C.length():
         out = _hom_complex_map(C, N, i)
         ker_dim = dim_i - out.rank()

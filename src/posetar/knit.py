@@ -14,18 +14,23 @@ from dataclasses import dataclass, field
 
 from .errors import IsProjective, MeshMismatch, NotEmbeddable, NotIndecomposable, PosetarError
 from .homalg import _cover_by_projectives, is_projective, tau, tau_inverse
-from .linalg import Field, Mat, QQ
+from .ictree import ic_decompose
+from .linalg import Field, Mat, QQ, span_basis
 from .poset import Poset
 from .rep import (
     Morphism,
     Representation,
+    _quotient_projection,
     constant_on,
     direct_sum,
     hom,
     is_isomorphic,
+    linear_combination,
+    radical,
+    socle,
 )
 from .slices import SliceData
-from .split import end_basis, is_indecomposable, split_indecomposables
+from .split import end_basis, end_radical_basis, is_indecomposable, split_indecomposables
 
 
 # -- AR sequence ending at a module ------------------------------------------------
@@ -58,7 +63,7 @@ def ar_sequence_end(M: Representation, rng: random.Random | None = None,
     if check_indecomposable and not is_indecomposable(M, rng):
         raise NotIndecomposable("almost split sequences end at indecomposables")
     field = M.field
-    labels0, cover = _cover_by_projectives(M)
+    _, cover = _cover_by_projectives(M)
     P0rep = cover.source
     K, incl = cover.kernel()
     tM = tau(M)
@@ -77,11 +82,7 @@ def ar_sequence_end(M: Representation, rng: random.Random | None = None,
         if coords is None:
             raise PosetarError("restriction left the extension space")
         image_cols.append(coords.column(0))
-    from .linalg import span_basis
-
     R = span_basis(field, image_cols, len(ext_basis))
-    from .rep import _quotient_projection
-
     Qproj = _quotient_projection(field, R, len(ext_basis))
     if Qproj.r == 0:
         raise PosetarError("Ext^1(M, tau M) vanished unexpectedly")
@@ -90,9 +91,8 @@ def ar_sequence_end(M: Representation, rng: random.Random | None = None,
     constraints: list[Mat] = []
     ends = end_basis(M)
     if len(ends) > 1:
-        rad_vectors = _end_radical_basis(M, ends)
-        for rv in rad_vectors:
-            r = _combine(ends, rv)
+        for rv in end_radical_basis(M, ends):
+            r = linear_combination(ends, rv)
             omega_r = _restrict_endo(cover, incl, r)
             cols = []
             for e in ext_basis:
@@ -118,17 +118,17 @@ def ar_sequence_end(M: Representation, rng: random.Random | None = None,
             break
     if chosen is None:
         raise PosetarError("socle of the extension space is trivial")
-    psi = _combine(ext_basis, chosen)
+    psi = linear_combination(ext_basis, chosen)
 
     # pushout along psi: E = (tM + P0) / {(psi w, -w)}
-    S, incls, projs = direct_sum([tM, P0rep])
+    S, incls, _ = direct_sum([tM, P0rep])
     g_blocks = []
     for x in M.poset.elements():
         top_part = incls[0].block(x).mul(psi.block(x))
         bot_part = incls[1].block(x).mul(incl.block(x))
         g_blocks.append(top_part.sub(bot_part))
     g = Morphism(K, S, g_blocks)
-    E, q = g.cokernel()
+    E, _ = g.cokernel()
     middles = split_indecomposables(E, rng)
     seq = ARSequence(tM, middles, M)
     if seq.middle_dims() != tuple(
@@ -136,22 +136,6 @@ def ar_sequence_end(M: Representation, rng: random.Random | None = None,
     ):
         raise MeshMismatch("middle of the almost split sequence has wrong dimensions")
     return seq
-
-
-def _end_radical_basis(M: Representation, ends) -> list[tuple]:
-    field = M.field
-    n = len(ends)
-    if field.is_rationals:
-        gram = [[ends[i].compose(ends[j]).trace() for j in range(n)] for i in range(n)]
-        return Mat(field, gram, n, n).nullspace()
-    raise PosetarError("end radical needs characteristic 0")
-
-
-def _combine(basis, coeffs) -> Morphism:
-    out = basis[0].scale(coeffs[0])
-    for f, c in zip(basis[1:], coeffs[1:]):
-        out = out.add(f.scale(c))
-    return out
 
 
 def _restrict_endo(cover: Morphism, incl: Morphism, r: Morphism) -> Morphism:
@@ -166,7 +150,7 @@ def _restrict_endo(cover: Morphism, incl: Morphism, r: Morphism) -> Morphism:
     sol = A.solve(Mat.from_columns(field, [target.flat()], flat_dim))
     if sol is None:
         raise PosetarError("projective lifting failed")
-    f0 = _combine(lift_space, sol.column(0))
+    f0 = linear_combination(lift_space, sol.column(0))
     K = incl.source
     blocks = []
     for x in P0rep.poset.elements():
@@ -539,9 +523,6 @@ def _expected_middles(parts: list[Representation], rng) -> list[tuple[tuple[int,
 
 def glue_meshes_check(P: Poset, field: Field = QQ, rng: random.Random | None = None) -> GlueReport:
     """Verify the boundary meshes at the largest projective and each clamp."""
-    from .ictree import ic_decompose
-    from .rep import radical, socle
-
     rng = rng or random.Random(0)
     node = ic_decompose(P)
     mm = P.unique_min_max()

@@ -19,7 +19,9 @@ class Poset:
     covers is the transitive reduction as a sorted tuple of (x, y) pairs.
     """
 
-    __slots__ = ("n", "names", "up", "down", "covers", "name", "_linext", "_index")
+    __slots__ = (
+        "n", "names", "up", "down", "covers", "name", "_linext", "_index", "_above", "_below"
+    )
 
     def __init__(self, names: list[str], relations, name: str = ""):
         n = len(names)
@@ -63,6 +65,8 @@ class Poset:
                     if between == 0:
                         covers.append((x, y))
         self.covers = tuple(sorted(covers))
+        self._above = tuple(tuple(y for a, y in self.covers if a == x) for x in range(n))
+        self._below = tuple(tuple(x for x, b in self.covers if b == y) for y in range(n))
         self._linext = None
 
     # -- queries -----------------------------------------------------------
@@ -94,11 +98,11 @@ class Poset:
     def strict_down(self, x: int) -> frozenset[int]:
         return _bits(self.down[x] & ~(1 << x), self.n)
 
-    def covers_above(self, x: int) -> list[int]:
-        return [y for (a, y) in self.covers if a == x]
+    def covers_above(self, x: int) -> tuple[int, ...]:
+        return self._above[x]
 
-    def covers_below(self, y: int) -> list[int]:
-        return [x for (x, b) in self.covers if b == y]
+    def covers_below(self, y: int) -> tuple[int, ...]:
+        return self._below[y]
 
     def minimal_elements(self) -> list[int]:
         return [x for x in range(self.n) if self.down[x] == (1 << x)]

@@ -8,6 +8,8 @@ images, Hom spaces, duality and (co)induction all live here.
 
 from __future__ import annotations
 
+import random
+
 from .errors import NotConvex, PosetarError
 from .linalg import Field, Mat, QQ, span_basis
 from .poset import Poset
@@ -197,7 +199,6 @@ class Morphism:
     def image(self) -> tuple[Representation, "Morphism"]:
         """Image subrepresentation of the target, with its inclusion."""
         N = self.target
-        field = N.field
         bases = [self.blocks[x].column_space_basis() for x in N.poset.elements()]
         return _subrep_from_bases(N, bases)
 
@@ -243,32 +244,22 @@ def _factor_through_projection(field: Field, q: Mat, m: Mat) -> Mat:
 
 
 def _subrep_from_bases(M: Representation, bases: list[Mat]):
-    """Close the given per-element spans under the structure maps."""
+    """Close the given per-element spans under the structure maps.
+
+    One pass in linear-extension order is exact: covers point upward, so the
+    span at every element below y is final before a cover leaves it for y,
+    and the span at y is final once the images along its covers are added.
+    """
     P, field = M.poset, M.field
-    spans = [list(b.columns()) for b in bases]
-    changed = True
-    while changed:
-        changed = False
-        for (x, y) in P.covers:
-            if not spans[x]:
-                continue
-            bx = span_basis(field, spans[x], M.dims[x])
-            img = M.maps[(x, y)].mul(bx)
-            by = span_basis(field, spans[y], M.dims[y])
-            combined = span_basis(field, spans[y] + img.columns(), M.dims[y])
-            if combined.c > by.c:
-                spans[y] = combined.columns()
-                changed = True
-    incl_blocks = [span_basis(field, spans[x], M.dims[x]) for x in P.elements()]
-    dims = [b.c for b in incl_blocks]
+    incl_blocks: list[Mat] = [None] * P.n
     maps = {}
-    for (x, y) in P.covers:
-        img = M.maps[(x, y)].mul(incl_blocks[x])
-        sol = incl_blocks[y].solve(img)
-        if sol is None:
-            raise PosetarError("span closure failed")
-        maps[(x, y)] = sol
-    S = Representation(P, field, dims, maps, check=False)
+    for y in P.linear_extension():
+        imgs = {x: M.maps[(x, y)].mul(incl_blocks[x]) for x in P.covers_below(y)}
+        cols = bases[y].columns() + [c for img in imgs.values() for c in img.columns()]
+        incl_blocks[y] = span_basis(field, cols, M.dims[y])
+        for x, img in imgs.items():
+            maps[(x, y)] = incl_blocks[y].solve(img)
+    S = Representation(P, field, [b.c for b in incl_blocks], maps, check=False)
     return S, Morphism(S, M, incl_blocks)
 
 
@@ -452,17 +443,20 @@ def is_isomorphic(M: Representation, N: Representation, rng=None) -> bool:
         if f.is_isomorphism():
             return True
     field = M.field
-    import random as _random
-
-    rng = rng or _random.Random(0)
+    rng = rng or random.Random(0)
     for _ in range(30):
-        coeffs = [field.of_int(rng.randint(-3, 3)) for _ in basis]
-        f = basis[0].scale(coeffs[0])
-        for g, c in zip(basis[1:], coeffs[1:]):
-            f = f.add(g.scale(c))
+        f = linear_combination(basis, [field.of_int(rng.randint(-3, 3)) for _ in basis])
         if f.is_isomorphism():
             return True
     return False
+
+
+def linear_combination(basis: list[Morphism], coeffs) -> Morphism:
+    """The morphism sum of c * f over a nonempty basis and its coefficients."""
+    out = basis[0].scale(coeffs[0])
+    for f, c in zip(basis[1:], coeffs[1:]):
+        out = out.add(f.scale(c))
+    return out
 
 
 # -- restriction / induction / duality ------------------------------------------

@@ -17,18 +17,20 @@ from fractions import Fraction
 
 from .errors import SplitFailure
 from .linalg import Mat
-from .rep import Morphism, Representation, hom, hom_dim, is_isomorphic
+from .rep import (
+    Morphism,
+    Representation,
+    hom,
+    hom_dim,
+    is_isomorphic,
+    linear_combination,
+    projective,
+    simple,
+)
 
 
 def end_basis(M: Representation) -> list[Morphism]:
     return hom(M, M)
-
-
-def _coords_setup(basis: list[Morphism]):
-    field = basis[0].source.field
-    cols = [f.flat() for f in basis]
-    B = Mat.from_columns(field, cols, len(cols[0]) if cols else 0)
-    return B
 
 
 def _express(B: Mat, f: Morphism):
@@ -43,17 +45,18 @@ def _identity_endo(M: Representation) -> Morphism:
     return Morphism(M, M, [Mat.identity(M.field, d) for d in M.dims])
 
 
-def end_radical_dim(M: Representation, basis: list[Morphism] | None = None) -> int:
-    """dim rad End(M) via the trace form; characteristic 0 only."""
-    if basis is None:
-        basis = end_basis(M)
+def end_radical_basis(M: Representation, basis: list[Morphism]) -> list[tuple]:
+    """Coordinates of a basis of rad End(M) in the given basis of End(M).
+
+    In characteristic 0 the radical is the null space of the trace form
+    (f, g) -> tr(f g), so this is the null space of its Gram matrix.
+    """
     field = M.field
     if not field.is_rationals:
         raise SplitFailure("trace-form radical needs characteristic 0")
     n = len(basis)
     gram = [[basis[i].compose(basis[j]).trace() for j in range(n)] for i in range(n)]
-    G = Mat(field, gram, n, n)
-    return n - G.rank()
+    return Mat(field, gram, n, n).nullspace()
 
 
 def is_indecomposable(M: Representation, rng: random.Random | None = None) -> bool:
@@ -63,7 +66,7 @@ def is_indecomposable(M: Representation, rng: random.Random | None = None) -> bo
     if len(basis) == 1:
         return True
     if M.field.is_rationals:
-        return len(basis) - end_radical_dim(M, basis) == 1
+        return len(basis) - len(end_radical_basis(M, basis)) == 1
     return split_once(M, rng or random.Random(0)) is None
 
 
@@ -235,19 +238,14 @@ def split_once(M: Representation, rng: random.Random):
     if len(basis) <= 1:
         return None
     field = M.field
-    if field.is_rationals and len(basis) - end_radical_dim(M, basis) == 1:
+    if field.is_rationals and len(basis) - len(end_radical_basis(M, basis)) == 1:
         return None
-    B = _coords_setup(basis)
+    B = Mat.from_columns(field, [f.flat() for f in basis], len(basis[0].flat()))
 
     def candidates():
-        for f in basis:
-            yield f
+        yield from basis
         for _ in range(40):
-            coeffs = [field.of_int(rng.randint(-4, 4)) for _ in basis]
-            g = basis[0].scale(coeffs[0])
-            for h, c in zip(basis[1:], coeffs[1:]):
-                g = g.add(h.scale(c))
-            yield g
+            yield linear_combination(basis, [field.of_int(rng.randint(-4, 4)) for _ in basis])
 
     for f in candidates():
         if f.is_zero():
@@ -309,8 +307,6 @@ def split_indecomposables(M: Representation, rng: random.Random | None = None):
         )
         return (dimvec, finger)
 
-    from .rep import projective as _projective, simple as _simple
-
-    proj_cache = {x: _projective(P, x, M.field) for x in order}
-    simple_cache = {x: _simple(P, x, M.field) for x in order}
+    proj_cache = {x: projective(P, x, M.field) for x in order}
+    simple_cache = {x: simple(P, x, M.field) for x in order}
     return [(g[0], len(g)) for g in sorted(grouped, key=key)]

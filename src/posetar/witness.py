@@ -31,32 +31,17 @@ from .split import is_indecomposable
 def derived_translate_is_module(M: Representation) -> bool:
     """True when the Nakayama image of the minimal resolution has homology
     concentrated in degree 1, so the derived translate is again a module and
-    the module-category mesh ending at M is also the derived mesh."""
-    C, _ = min_projective_resolution(M)
-    if C.length() == 0:
-        return False
-    P, field = M.poset, M.field
-    diffs = [
-        realize_scalar_map(P, field, "inj", C.labels[i + 1], C.labels[i], C.mats[i])
-        for i in range(C.length())
-    ]
-    # degree 0: the first differential must be onto
-    if not diffs[0].is_surjective():
-        return False
-    # degree 1 must be the plain kernel: the next differential vanishes
-    if len(diffs) > 1 and not diffs[1].is_zero():
-        return False
-    # higher homology must vanish: each further differential is onto the
-    # kernel of the previous one, which with diffs[1] == 0 forces zero terms
-    for i in range(2, len(diffs)):
-        if not diffs[i].is_zero():
-            return False
-    if len(diffs) > 1:
-        # terms beyond degree 1 must then be zero outright
-        for lab in C.labels[2:]:
-            if lab:
-                return False
-    return True
+    the module-category mesh ending at M is also the derived mesh.
+
+    The test asks that the Nakayama image of d1 be onto and that no term sit
+    beyond degree 1, so that degree 1 carries the whole kernel.  A minimal
+    resolution has no zero terms, so this is exactly pd M == 1 with nu(d1)
+    onto, and resolving two steps tells pd M == 1 from pd M >= 2.
+    """
+    C, _ = min_projective_resolution(M, max_length=2)
+    return C.length() == 1 and realize_scalar_map(
+        M.poset, M.field, "inj", C.labels[1], C.labels[0], C.mats[0]
+    ).is_surjective()
 
 
 @dataclass

@@ -1,7 +1,9 @@
 import pytest
+from conftest import random_ic_family
 
 from posetar.corpus import corpus_poset, star_poset
 from posetar.homalg import (
+    _cover_by_projectives,
     coinduce,
     ext,
     ext_all,
@@ -15,6 +17,7 @@ from posetar.homalg import (
     tau_inverse,
     transpose_dual_tau,
 )
+from posetar.knit import knit
 from posetar.poset import chain
 from posetar.rep import (
     constant_on,
@@ -27,6 +30,20 @@ from posetar.rep import (
     simple,
     top,
 )
+
+
+@pytest.mark.parametrize("source", ["star-2-2", "ex57", 4, 5])
+def test_projective_cover_matches_top(source):
+    # every indecomposable of a knitted component: one label per dimension of
+    # the top, a surjective cover, and a kernel of the complementary dimension
+    P = corpus_poset(source) if isinstance(source, str) else random_ic_family()[source]
+    for v in knit(P).vertices:
+        M = v.rep
+        labels, cover = _cover_by_projectives(M)
+        assert tuple(labels.count(x) for x in P.elements()) == top(M)[0].dims
+        assert cover.is_surjective()
+        K, _ = cover.kernel()
+        assert K.total_dim() == cover.source.total_dim() - M.total_dim()
 
 
 def test_resolution_of_projective_has_length_zero():
