@@ -15,15 +15,7 @@ from dataclasses import dataclass
 from .errors import PosetarError, UnlabeledComplex
 from .linalg import Mat
 from .poset import Poset
-from .rep import (
-    Morphism,
-    Representation,
-    direct_sum,
-    dualize,
-    injective,
-    projective,
-    zero_rep,
-)
+from .rep import Morphism, Representation, dualize, zero_rep
 
 
 @dataclass(frozen=True)
@@ -67,21 +59,33 @@ class LabeledComplex:
         return arrow.join(parts)
 
 
-def summand_rep(P: Poset, field, kind: str, x: int) -> Representation:
-    return projective(P, x, field) if kind == "proj" else injective(P, x, field)
+def _layout(P: Poset, kind: str, labels) -> list[list[int]]:
+    """For each element w, the summands of the labeled sum nonzero at w.
+
+    Summand j is P(labels[j]) for 'proj' and I(labels[j]) for 'inj'; each is
+    one-dimensional on its support, and the basis of the sum at w lists the
+    summands nonzero there in label order.
+    """
+    if kind == "proj":
+        return [[j for j, x in enumerate(labels) if P.leq(x, w)] for w in P.elements()]
+    return [[j for j, x in enumerate(labels) if P.leq(w, x)] for w in P.elements()]
 
 
 def realize_labels(P: Poset, field, kind: str, labels) -> Representation:
+    """The labeled sum as a representation.
+
+    The cover map x -> y has entry (i, j) one exactly when row i at y and
+    column j at x are the same summand.
+    """
     if not labels:
         return zero_rep(P, field)
-    S, _, _ = direct_sum([summand_rep(P, field, kind, x) for x in labels])
-    return S
-
-
-def _supports(P: Poset, kind: str, labels):
-    if kind == "proj":
-        return [P.up_set(x) for x in labels]
-    return [P.down_set(x) for x in labels]
+    lay = _layout(P, kind, labels)
+    z, o = field.zero, field.one
+    maps = {
+        (x, y): Mat(field, [[o if i == j else z for j in lay[x]] for i in lay[y]], len(lay[y]), len(lay[x]))
+        for (x, y) in P.covers
+    }
+    return Representation(P, field, [len(js) for js in lay], maps, check=False)
 
 
 def realize_scalar_map(P: Poset, field, kind: str, src_labels, dst_labels, scalar: Mat) -> Morphism:
@@ -97,14 +101,12 @@ def realize_scalar_map(P: Poset, field, kind: str, src_labels, dst_labels, scala
                 raise PosetarError("scalar entry on a non-existent canonical map")
     src = realize_labels(P, field, kind, src_labels)
     dst = realize_labels(P, field, kind, dst_labels)
-    ssup = _supports(P, kind, src_labels)
-    dsup = _supports(P, kind, dst_labels)
-    blocks = []
-    for w in P.elements():
-        scols = [j for j in range(len(src_labels)) if w in ssup[j]]
-        drows = [k for k in range(len(dst_labels)) if w in dsup[k]]
-        data = [[scalar.rows[k][j] for j in scols] for k in drows]
-        blocks.append(Mat(field, data, len(drows), len(scols)))
+    slay = _layout(P, kind, src_labels)
+    dlay = _layout(P, kind, dst_labels)
+    blocks = [
+        Mat(field, [[scalar.rows[k][j] for j in slay[w]] for k in dlay[w]], len(dlay[w]), len(slay[w]))
+        for w in P.elements()
+    ]
     return Morphism(src, dst, blocks)
 
 
@@ -155,7 +157,7 @@ def min_projective_resolution(M: Representation, max_length: int | None = None):
         else:
             # scalar matrix of realize(labels) -> cur -> prev term
             comp = incl_to_prev.compose(cover)
-            mats.append(_scalars_from_morphism(P, "proj", labels, labels_list[-2], comp))
+            mats.append(_scalars_from_morphism(P, labels, labels_list[-2], comp))
         if step == max_length:
             break  # truncated: the next syzygy would go unread
         K, incl = cover.kernel()
@@ -171,22 +173,20 @@ def min_projective_resolution(M: Representation, max_length: int | None = None):
     return C, aug
 
 
-def _scalars_from_morphism(P: Poset, kind: str, src_labels, dst_labels, f: Morphism) -> Mat:
-    """Recover the scalar matrix of a morphism between labeled sums."""
+def _scalars_from_morphism(P: Poset, src_labels, dst_labels, f: Morphism) -> Mat:
+    """Recover the scalar matrix of a morphism between labeled sums of projectives.
+
+    Summand j's canonical generator sits at its own label x; its image there
+    holds the scalars of every dst summand nonzero at x.
+    """
     field = f.source.field
-    z = field.zero
-    ssup = _supports(P, kind, src_labels)
-    dsup = _supports(P, kind, dst_labels)
-    rows = [[z] * len(src_labels) for _ in range(len(dst_labels))]
+    slay = _layout(P, "proj", src_labels)
+    dlay = _layout(P, "proj", dst_labels)
+    rows = [[field.zero] * len(src_labels) for _ in dst_labels]
     for j, x in enumerate(src_labels):
-        # evaluate on the canonical generator of summand j, at element x itself
-        w = x
-        scols = [jj for jj in range(len(src_labels)) if w in ssup[jj]]
-        drows = [kk for kk in range(len(dst_labels)) if w in dsup[kk]]
-        col = scols.index(j)
-        vec = f.block(w).column(col)
-        for pos, k in enumerate(drows):
-            rows[k][j] = vec[pos]
+        vec = f.block(x).column(slay[x].index(j))
+        for k, v in zip(dlay[x], vec):
+            rows[k][j] = v
     return Mat(field, rows, len(dst_labels), len(src_labels))
 
 

@@ -80,26 +80,8 @@ class TreeShape:
         self.edges = tuple(tuple(sorted(e)) for e in self.edges)
         if len(self.edges) != self.n - 1:
             raise PosetarError("edge count does not match a tree")
-        if self.n > 0 and len(self._components()) != 1:
+        if self.n > 0 and len(self.distances_from(0)) != self.n:
             raise PosetarError("tree is not connected")
-
-    def _components(self) -> list[set[int]]:
-        seen: set[int] = set()
-        comps = []
-        for s in range(self.n):
-            if s in seen:
-                continue
-            comp = {s}
-            stack = [s]
-            while stack:
-                v = stack.pop()
-                for u in self.neighbors(v):
-                    if u not in comp:
-                        comp.add(u)
-                        stack.append(u)
-            seen |= comp
-            comps.append(comp)
-        return comps
 
     def neighbors(self, v: int) -> list[int]:
         out = []
@@ -143,29 +125,33 @@ class TreeShape:
         return self.without_vertices({self.marked})
 
     def without_vertices(self, kill: set[int]) -> list["TreeShape"]:
-        keep = [v for v in range(self.n) if v not in kill]
         comps: list[TreeShape] = []
         seen: set[int] = set()
-        for s in keep:
-            if s in seen:
+        for s in range(self.n):
+            if s in kill or s in seen:
                 continue
-            comp = {s}
-            stack = [s]
-            while stack:
-                v = stack.pop()
-                for u in self.neighbors(v):
-                    if u in kill or u in comp:
-                        continue
+            comp = self.component(s, kill)
+            seen |= comp
+            comps.append(self.induced(comp)[0])
+        return comps
+
+    def component(self, start: int, kill: set[int]) -> set[int]:
+        """Vertices reachable from start without passing through kill."""
+        comp = {start}
+        stack = [start]
+        while stack:
+            v = stack.pop()
+            for u in self.neighbors(v):
+                if u not in kill and u not in comp:
                     comp.add(u)
                     stack.append(u)
-            seen |= comp
-            order = sorted(comp)
-            back = {v: i for i, v in enumerate(order)}
-            edges = [
-                (back[a], back[b]) for a, b in self.edges if a in comp and b in comp
-            ]
-            comps.append(TreeShape(len(order), tuple(edges), 0))
-        return comps
+        return comp
+
+    def induced(self, comp: set[int]) -> tuple["TreeShape", dict[int, int]]:
+        """Subtree on comp, relabeled in sorted order and marked at 0, with the relabeling."""
+        back = {v: i for i, v in enumerate(sorted(comp))}
+        edges = [(back[a], back[b]) for a, b in self.edges if a in comp and b in comp]
+        return TreeShape(len(back), tuple(edges), 0), back
 
     def to_dot(self) -> str:
         lines = ["graph tree {", "  node [shape=circle];"]
@@ -490,12 +476,12 @@ def tree_to_poset(T: TreeShape, p: int) -> Poset:
         sub_infos = []
         kill = {x} | {v for v in range(tree.n) if dist_to_p[v] < dist_to_p[x]}
         for u in other:
-            comp = _component_of(tree, u, kill)
+            comp = tree.component(u, kill)
             sub_infos.append((comp, u))
         alpha = new_el()
         omega = new_el()
         for comp_vertices, u in sub_infos:
-            sub, back = _induced_tree(tree, comp_vertices)
+            sub, back = tree.induced(comp_vertices)
             smin, smax = go(sub, back[u])
             relations.append((alpha, smin))
             relations.append((smax, omega))
@@ -509,24 +495,6 @@ def tree_to_poset(T: TreeShape, p: int) -> Poset:
             relations.append((c, lowest))
             lowest = c
         return lowest, omega
-
-    def _component_of(tree: TreeShape, start: int, kill: set[int]) -> set[int]:
-        comp = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for u in tree.neighbors(v):
-                if u in kill or u in comp:
-                    continue
-                comp.add(u)
-                stack.append(u)
-        return comp
-
-    def _induced_tree(tree: TreeShape, comp: set[int]):
-        order = sorted(comp)
-        back = {v: i for i, v in enumerate(order)}
-        edges = [(back[a], back[b]) for a, b in tree.edges if a in comp and b in comp]
-        return TreeShape(len(order), tuple(edges), 0), back
 
     go(T, p)
     idx = {nm: i for i, nm in enumerate(names)}

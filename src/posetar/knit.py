@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from .errors import IsProjective, MeshMismatch, NotEmbeddable, NotIndecomposable, PosetarError
 from .homalg import _cover_by_projectives, is_projective, tau, tau_inverse
 from .ictree import ic_decompose
-from .linalg import Field, Mat, QQ, span_basis
+from .linalg import Field, Mat, QQ
 from .poset import Poset
 from .rep import (
     Morphism,
@@ -82,8 +82,7 @@ def ar_sequence_end(M: Representation, rng: random.Random | None = None,
         if coords is None:
             raise PosetarError("restriction left the extension space")
         image_cols.append(coords.column(0))
-    R = span_basis(field, image_cols, len(ext_basis))
-    Qproj = _quotient_projection(field, R, len(ext_basis))
+    Qproj, _ = _quotient_projection(field, Mat.from_columns(field, image_cols, len(ext_basis)), len(ext_basis))
     if Qproj.r == 0:
         raise PosetarError("Ext^1(M, tau M) vanished unexpectedly")
 
@@ -257,26 +256,6 @@ def _thin_support(rep: Representation) -> frozenset[int] | None:
     return None
 
 
-def _injective_label(P: Poset, rep: Representation) -> int | None:
-    sup = _thin_support(rep)
-    if sup is None or not sup:
-        return None
-    maxs = [x for x in sup if not any(P.lt(x, y) for y in sup)]
-    if len(maxs) == 1 and sup == P.down_set(maxs[0]):
-        return maxs[0]
-    return None
-
-
-def _projective_label(P: Poset, rep: Representation) -> int | None:
-    sup = _thin_support(rep)
-    if sup is None or not sup:
-        return None
-    mins = [x for x in sup if not any(P.lt(y, x) for y in sup)]
-    if len(mins) == 1 and sup == P.up_set(mins[0]):
-        return mins[0]
-    return None
-
-
 def knit(
     P: Poset,
     field: Field = QQ,
@@ -317,8 +296,8 @@ def knit(
             rep,
             rep.dims[omega],
             rep.dims[alpha],
-            _projective_label(P, rep),
-            _injective_label(P, rep),
+            rep.thin_label("proj"),
+            rep.thin_label("inj"),
         )
         vertices.append(v)
         in_srcs[vid] = list(srcs)

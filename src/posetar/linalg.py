@@ -303,11 +303,6 @@ class Mat:
     def is_invertible(self) -> bool:
         return self.r == self.c and self.rank() == self.r
 
-    def column_space_basis(self) -> "Mat":
-        """Matrix whose columns are a basis of the column space."""
-        _, pivots = self.rref()
-        return Mat.from_columns(self.field, [self.column(j) for j in pivots], self.r)
-
     def trace(self):
         f = self.field
         acc = f.zero

@@ -128,12 +128,10 @@ def describe_module(P: Poset, M: Representation) -> str:
         return "0"
     sup = M.support()
     if M.is_thin_constant():
-        mins = [x for x in sup if not any(P.lt(y, x) for y in sup)]
-        maxs = [x for x in sup if not any(P.lt(x, y) for y in sup)]
-        if len(mins) == 1 and sup == P.up_set(mins[0]):
-            return f"P({P.names[mins[0]]})"
-        if len(maxs) == 1 and sup == P.down_set(maxs[0]):
-            return f"I({P.names[maxs[0]]})"
+        for kind, sym in (("proj", "P"), ("inj", "I")):
+            x = M.thin_label(kind)
+            if x is not None:
+                return f"{sym}({P.names[x]})"
         if len(sup) == 1:
             return f"S({P.names[next(iter(sup))]})"
         body = ",".join(P.names[x] for x in P.sorted_ids(sup))

@@ -94,6 +94,14 @@ class Representation:
                 return False
         return True
 
+    def thin_label(self, kind: str) -> int | None:
+        """x when this is P(x) (kind 'proj') or I(x) (kind 'inj'), else None."""
+        if not self.is_thin_constant():
+            return None
+        sup = self.support()
+        cone = self.poset.up_set if kind == "proj" else self.poset.down_set
+        return next((x for x in sup if cone(x) == sup), None)
+
     def __repr__(self) -> str:
         label = self.name or "module"
         return f"{label}{list(self.dims)}"
@@ -192,59 +200,53 @@ class Morphism:
     def kernel(self) -> tuple[Representation, "Morphism"]:
         """Kernel subrepresentation with its inclusion."""
         M = self.source
-        field = M.field
-        bases = [span_basis(field, self.blocks[x].nullspace(), M.dims[x]) for x in M.poset.elements()]
+        bases = [Mat.from_columns(M.field, self.blocks[x].nullspace(), M.dims[x]) for x in M.poset.elements()]
         return _subrep_from_bases(M, bases)
 
     def image(self) -> tuple[Representation, "Morphism"]:
         """Image subrepresentation of the target, with its inclusion."""
-        N = self.target
-        bases = [self.blocks[x].column_space_basis() for x in N.poset.elements()]
-        return _subrep_from_bases(N, bases)
+        return _subrep_from_bases(self.target, self.blocks)
 
     def cokernel(self) -> tuple[Representation, "Morphism"]:
-        """Cokernel representation with the projection from the target."""
+        """Cokernel representation with the projection from the target.
+
+        q_x is in reduced echelon form, so the induced map A with
+        A q_x = q_y N(x->y) is the right side read at the pivots of q_x.
+        """
         N = self.target
-        field = N.field
         P = N.poset
-        projs: list[Mat] = []
-        dims = []
-        for x in P.elements():
-            im = self.blocks[x].column_space_basis()
-            projs.append(_quotient_projection(field, im, N.dims[x]))
-            dims.append(projs[-1].r)
+        quots = [_quotient_projection(N.field, self.blocks[x], N.dims[x]) for x in P.elements()]
         maps = {}
         for (x, y) in P.covers:
-            # Induced map: solve proj_y lifts through the quotient.
-            # q_y * N(x->y) factors through q_x because im is a subrep image.
-            lift = _factor_through_projection(field, projs[x], projs[y].mul(N.maps[(x, y)]))
-            maps[(x, y)] = lift
-        C = Representation(P, field, dims, maps, check=False)
+            q_x, pivots = quots[x]
+            m = quots[y][0].mul(N.maps[(x, y)])
+            A = Mat(N.field, [[row[p] for p in pivots] for row in m.rows], m.r, len(pivots))
+            if A.mul(q_x) != m:
+                raise PosetarError("map does not factor through quotient")
+            maps[(x, y)] = A
+        projs = [q for q, _ in quots]
+        C = Representation(P, N.field, [q.r for q in projs], maps, check=False)
         return C, Morphism(N, C, projs)
 
 
-def _quotient_projection(field: Field, subspace_basis: Mat, dim: int) -> Mat:
-    """Projection k^dim -> k^dim/subspace, rows spanning the quotient."""
-    # Row-reduce [B | I]; rows whose B-part vanished are functionals killing B,
-    # i.e. coordinates of a complement.
-    aug = subspace_basis.hstack(Mat.identity(field, dim))
-    R, _ = aug.rref()
-    z = field.zero
-    rows = [list(row[subspace_basis.c:]) for row in R.rows if all(v == z for v in row[:subspace_basis.c])]
-    return Mat(field, rows, len(rows), dim)
+def _quotient_projection(field: Field, gens: Mat, dim: int) -> tuple[Mat, tuple[int, ...]]:
+    """Projection k^dim -> k^dim / span(gens) in reduced echelon form, with its pivots.
 
-
-def _factor_through_projection(field: Field, q: Mat, m: Mat) -> Mat:
-    """Find A with A*q = m (q surjective rows)."""
-    # Transpose: q^T * A^T = m^T.
-    At = q.transpose().solve(m.transpose())
-    if At is None:
-        raise PosetarError("map does not factor through quotient")
-    return At.transpose()
+    The rows of rref[gens | I] whose gens-part vanished are the echelon basis
+    of the functionals killing gens, so they depend only on the span of gens.
+    """
+    R, pivots = gens.hstack(Mat.identity(field, dim)).rref()
+    k = sum(p < gens.c for p in pivots)  # the I-part gives full row rank: every row has a pivot
+    rows = [row[gens.c:] for row in R.rows[k:]]
+    return Mat(field, rows, len(rows), dim), tuple(p - gens.c for p in pivots[k:])
 
 
 def _subrep_from_bases(M: Representation, bases: list[Mat]):
     """Close the given per-element spans under the structure maps.
+
+    bases[y] may be any spanning set: span_basis keeps the leftmost
+    independent columns, so it picks the same basis of [bases[y] | images]
+    that reducing bases[y] first would.
 
     One pass in linear-extension order is exact: covers point upward, so the
     span at every element below y is final before a cover leaves it for y,
@@ -350,7 +352,7 @@ def radical(M: Representation) -> tuple[Representation, Morphism]:
         cols = []
         for x in P.covers_below(y):
             cols.extend(M.maps[(x, y)].columns())
-        bases.append(span_basis(field, cols, M.dims[y]))
+        bases.append(Mat.from_columns(field, cols, M.dims[y]))
     return _subrep_from_bases(M, bases)
 
 
@@ -366,7 +368,7 @@ def socle(M: Representation) -> tuple[Representation, Morphism]:
         stacked = M.maps[(x, ups[0])]
         for y in ups[1:]:
             stacked = stacked.vstack(M.maps[(x, y)])
-        bases.append(span_basis(field, stacked.nullspace(), M.dims[x]))
+        bases.append(Mat.from_columns(field, stacked.nullspace(), M.dims[x]))
     return _subrep_from_bases(M, bases)
 
 

@@ -4,6 +4,7 @@ from conftest import random_ic_family
 from posetar.corpus import corpus_poset, star_poset
 from posetar.homalg import (
     _cover_by_projectives,
+    _scalars_from_morphism,
     coinduce,
     ext,
     ext_all,
@@ -13,14 +14,18 @@ from posetar.homalg import (
     min_injective_resolution,
     min_projective_resolution,
     nakayama,
+    realize_labels,
+    realize_scalar_map,
     tau,
     tau_inverse,
     transpose_dual_tau,
 )
 from posetar.knit import knit
+from posetar.linalg import QQ, Field, Mat
 from posetar.poset import chain
 from posetar.rep import (
     constant_on,
+    direct_sum,
     dualize,
     injective,
     is_isomorphic,
@@ -44,6 +49,59 @@ def test_projective_cover_matches_top(source):
         assert cover.is_surjective()
         K, _ = cover.kernel()
         assert K.total_dim() == cover.source.total_dim() - M.total_dim()
+
+
+def _label_multisets(P):
+    # every element once, plus repeats of the minimum, the maximum and a middle element
+    lo, hi = P.unique_min_max()
+    mid = P.linear_extension()[P.n // 2]
+    return [(lo,), tuple(P.elements()), (mid, hi, mid, lo, mid), (hi, hi, lo, lo)]
+
+
+@pytest.mark.parametrize("source", ["ex57", "star-2-2"])
+@pytest.mark.parametrize("field", [QQ, Field(5)], ids=str)
+@pytest.mark.parametrize("kind", ["proj", "inj"])
+def test_realize_labels_matches_direct_sum(source, field, kind):
+    P = corpus_poset(source)
+    summand = projective if kind == "proj" else injective
+    for labels in _label_multisets(P):
+        S = realize_labels(P, field, kind, labels)
+        oracle, _, _ = direct_sum([summand(P, x, field) for x in labels])
+        assert S.dims == oracle.dims
+        assert S.maps == oracle.maps
+
+
+@pytest.mark.parametrize("source", ["ex57", "star-2-2"])
+@pytest.mark.parametrize("field", [QQ, Field(5)], ids=str)
+def test_scalars_round_trip_through_realize_scalar_map(source, field):
+    # legal entries get varied scalars (zero where 5 divides them over GF(5)); illegal ones stay zero
+    P = corpus_poset(source)
+    for src in _label_multisets(P):
+        for dst in _label_multisets(P):
+            rows = [
+                [field.of_int(1 + k + 2 * j) if P.leq(y, x) else field.zero for j, x in enumerate(src)]
+                for k, y in enumerate(dst)
+            ]
+            S = Mat(field, rows, len(dst), len(src))
+            f = realize_scalar_map(P, field, "proj", src, dst, S)
+            f.assert_natural()
+            assert _scalars_from_morphism(P, src, dst, f) == S
+
+
+def test_tau_inverse_cokernel_projection_is_natural_and_onto():
+    P = corpus_poset("star-2-2")
+    checked = 0
+    for v in knit(P).vertices:
+        C, _ = min_injective_resolution(v.rep, max_length=1)
+        if C.length() == 0:
+            continue
+        nu_inv = realize_scalar_map(P, v.rep.field, "proj", C.labels[0], C.labels[1], C.mats[0])
+        Q, proj = nu_inv.cokernel()
+        proj.assert_natural()
+        assert proj.is_surjective()
+        assert Q.dims == tau_inverse(v.rep).dims
+        checked += 1
+    assert checked > 0
 
 
 def test_resolution_of_projective_has_length_zero():

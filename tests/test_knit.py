@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -12,6 +14,7 @@ from posetar.knit import (
     knit,
     wing_window,
 )
+from posetar.linalg import Field
 from posetar.poset import chain
 from posetar.rep import is_isomorphic, projective, radical, simple, socle
 from posetar.slices import standard_slice
@@ -192,3 +195,31 @@ def test_single_point_component():
     assert v.proj is not None and v.inj is not None
     emb = embed_in_ZT(comp, slice_of(P))
     assert emb.coords[0] == (0, 0)
+
+
+@pytest.mark.parametrize("source", ["star-2-2", "ex57", "ex33-poset3"])
+def test_knit_over_gf5_matches_rationals(source):
+    P = corpus_poset(source)
+    assert knit(P, Field(5)).to_json() == knit(P).to_json()
+
+
+# sha256 of the default knit's JSON plus every vertex module's JSON, cover maps
+# included.  These pin the bases, not just the dimensions: re-record them only
+# in a change that means to change the bases the algebra layers pick.
+KNIT_DIGESTS = {
+    "star-2-2": "a2d053071dec8f7e2f915b9177ceea7a7363af7025bdcea02d0f23f4ac2c10e6",
+    "ex57": "508e1681b194744f5374372f2605084a1b7239ced2130295ce20ab60234a5ce8",
+    "ex33-poset3": "1d9284d412bafc10de8a9745f151b6b7075e40668a24d55c98a3042a99b99474",
+    "ex58-poset1": "fdf485a67980da9a694e413321cdcf25adf594d5c7c66482a5a7173a52ea99d8",
+    "sec2-right": "abe868b4a26ed5c5efa67d865c3f3b026ae58c76f1ca54eaa8e64e6b5697c841",
+}
+
+
+@pytest.mark.parametrize("source", sorted(KNIT_DIGESTS))
+def test_knit_bases_are_pinned(source):
+    comp = knit(corpus_poset(source))
+    blob = json.dumps(
+        {"knit": comp.to_json(), "reps": [v.rep.to_json() for v in comp.vertices]},
+        sort_keys=True,
+    )
+    assert hashlib.sha256(blob.encode()).hexdigest() == KNIT_DIGESTS[source]
