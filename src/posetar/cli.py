@@ -106,7 +106,9 @@ def cmd_tree(args, out) -> None:
 
 def cmd_fcy(args, out) -> None:
     P = _load_poset(args.poset)
-    decision = is_fractionally_cy(P, assume_infinite_type=args.assume_infinite_type)
+    decision = is_fractionally_cy(
+        P, assume_infinite_type=args.assume_infinite_type, field=args.field
+    )
     print(decision.render(), file=out)
 
 
@@ -214,6 +216,7 @@ def cmd_witness(args, out) -> None:
     w = not_fcy_witness(
         P,
         assume_infinite_type=args.assume_infinite_type,
+        field=args.field,
         mesh_budget=args.max_meshes,
         rng=random.Random(args.seed),
     )

@@ -325,19 +325,19 @@ def _hom_complex_map(C: LabeledComplex, N: Representation, i: int) -> Mat:
     scalar = C.mats[i]  # dst_labels -> src_labels direction for proj complexes
     rows_dim = _hom_space_dim(N, dst_labels)
     cols_dim = _hom_space_dim(N, src_labels)
+    p = field.p
     data = [[field.zero] * cols_dim for _ in range(rows_dim)]
     roff = 0
     for j, x in enumerate(dst_labels):
         coff = 0
         for k, y in enumerate(src_labels):
             c = scalar.rows[k][j]
-            if c != field.zero:
+            if c:
                 pm = N.path_map(y, x)  # y <= x guaranteed by scalar legality
-                for a in range(N.dims[x]):
-                    for b in range(N.dims[y]):
-                        data[roff + a][coff + b] = field.add(
-                            data[roff + a][coff + b], field.mul(c, pm.rows[a][b])
-                        )
+                # block (j, k) is c * pm; no other pair of labels writes there
+                for a, pm_row in enumerate(pm.rows):
+                    block = [c * v for v in pm_row]
+                    data[roff + a][coff: coff + N.dims[y]] = [v % p for v in block] if p else block
             coff += N.dims[y]
         roff += N.dims[x]
     return Mat(field, data, rows_dim, cols_dim)

@@ -285,6 +285,7 @@ def knit(
     in_srcs: dict[int, list[int]] = {}
     arrows: list[tuple[int, int]] = []
     tau_map: dict[int, int] = {}
+    tau_inv: dict[int, int] = {}
     emitted: set[int] = set()
     attached: set[int] = set()
     notes: list[str] = []
@@ -312,24 +313,23 @@ def knit(
 
     meshes = 0
     while True:
-        ready = [
-            v.vid
-            for v in vertices
-            if v.vid not in emitted
-            and v.inj is None
-            and all(processed(w) for w in in_srcs[v.vid])
-        ]
-        if not ready:
+        u = next(
+            (
+                v.vid
+                for v in vertices
+                if v.vid not in emitted
+                and v.inj is None
+                and all(processed(w) for w in in_srcs[v.vid])
+            ),
+            None,
+        )
+        if u is None or meshes >= max_meshes:
             break
-        if meshes >= max_meshes:
-            break
-        u = ready[0]
         urep = vertices[u].rep
         outs: list[int] = []
         for w in in_srcs[u]:
             if vertices[w].inj is None:
-                target = next(v2 for v2, u2 in tau_map.items() if u2 == w)
-                outs.append(target)
+                outs.append(tau_inv[w])
         sup = _thin_support(urep)
         if sup is not None and sup in attach_by_support:
             for x in attach_by_support[sup]:
@@ -356,6 +356,7 @@ def knit(
             )
         vnew = add_vertex(tv, outs)
         tau_map[vnew] = u
+        tau_inv[u] = vnew
         for o in outs:
             arrows.append((o, vnew))
         emitted.add(u)

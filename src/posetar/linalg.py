@@ -4,12 +4,26 @@ Everything downstream (representations, resolutions, knitting) reduces to
 rank/kernel/solve questions on small dense matrices, so this module keeps the
 arithmetic exact and the interface minimal.  Matrices are immutable; rows are
 tuples of field elements (Fraction for the rationals, reduced ints mod p).
+
+The kernels make no Field method call and no Fraction comparison per entry:
+they skip zeros by truthiness and use plain `+`/`*`, reducing mod p once per
+entry.  Elimination over the rationals runs on Python ints and stays exact:
+each row is scaled to integers by the lcm of its denominators, a row
+operation is row <- a*row - b*pivot_row followed by division by the gcd of
+the row's entries, and each pivot row is divided by its pivot once, at the
+end.  The reduced row echelon form is unique, so this gives the same matrix
+as elimination over Fraction.  Over GF(p) the same loop reduces mod p in
+place of the gcd step and finishes with the inverse of the pivot.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
+
+ZERO = Fraction(0)
+ONE = Fraction(1)
 
 
 def _is_prime(p: int) -> bool:
@@ -39,11 +53,11 @@ class Field:
 
     @property
     def zero(self):
-        return Fraction(0) if self.p == 0 else 0
+        return ZERO if self.p == 0 else 0
 
     @property
     def one(self):
-        return Fraction(1) if self.p == 0 else 1
+        return ONE if self.p == 0 else 1
 
     def of_int(self, n: int):
         return Fraction(n) if self.p == 0 else n % self.p
@@ -62,7 +76,7 @@ class Field:
 
     def inv(self, a):
         if self.p == 0:
-            return Fraction(1) / a
+            return ONE / a
         return pow(a, self.p - 2, self.p)
 
     def parse(self, text: str):
@@ -84,12 +98,12 @@ class Mat:
     __slots__ = ("field", "r", "c", "rows")
 
     def __init__(self, field: Field, rows, r: int | None = None, c: int | None = None):
-        rows = tuple(tuple(row) for row in rows)
+        rows = tuple(map(tuple, rows))
         if r is None:
             r = len(rows)
         if c is None:
             c = len(rows[0]) if rows else 0
-        if len(rows) != r or any(len(row) != c for row in rows):
+        if len(rows) != r or (r and set(map(len, rows)) != {c}):
             raise ValueError("inconsistent matrix shape")
         self.field = field
         self.r = r
@@ -135,74 +149,35 @@ class Mat:
         return f"Mat({self.r}x{self.c})"
 
     def is_zero(self) -> bool:
-        z = self.field.zero
-        return all(v == z for row in self.rows for v in row)
+        return not any(map(any, self.rows))
 
     def add(self, other: "Mat") -> "Mat":
-        f = self.field
-        return Mat(
-            f,
-            [
-                [f.add(a, b) for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ],
-            self.r,
-            self.c,
-        )
+        rows = [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)]
+        return Mat(self.field, _reduce(self.field.p, rows), self.r, self.c)
 
     def sub(self, other: "Mat") -> "Mat":
-        f = self.field
-        return Mat(
-            f,
-            [
-                [f.sub(a, b) for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ],
-            self.r,
-            self.c,
-        )
+        rows = [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)]
+        return Mat(self.field, _reduce(self.field.p, rows), self.r, self.c)
 
     def scale(self, s) -> "Mat":
-        f = self.field
-        return Mat(f, [[f.mul(s, v) for v in row] for row in self.rows], self.r, self.c)
+        rows = [[s * v for v in row] for row in self.rows]
+        return Mat(self.field, _reduce(self.field.p, rows), self.r, self.c)
 
     def mul(self, other: "Mat") -> "Mat":
         if self.c != other.r:
             raise ValueError(f"shape mismatch {self.r}x{self.c} @ {other.r}x{other.c}")
         f = self.field
-        z = f.zero
-        out = []
         bt = other.transpose().rows
-        for row in self.rows:
-            orow = []
-            for col in bt:
-                acc = z
-                for a, b in zip(row, col):
-                    if a != z and b != z:
-                        acc = f.add(acc, f.mul(a, b))
-                orow.append(acc)
-            out.append(orow)
+        out = [_dots(row, bt, f) for row in self.rows]
         return Mat(f, out, self.r, other.c)
 
     def apply(self, vec):
         """Matrix times column vector (a plain tuple)."""
-        f, z = self.field, self.field.zero
-        out = []
-        for row in self.rows:
-            acc = z
-            for a, b in zip(row, vec):
-                if a != z and b != z:
-                    acc = f.add(acc, f.mul(a, b))
-            out.append(acc)
-        return tuple(out)
+        return tuple(_dots(vec, self.rows, self.field))
 
     def transpose(self) -> "Mat":
-        return Mat(
-            self.field,
-            [[self.rows[i][j] for i in range(self.r)] for j in range(self.c)],
-            self.c,
-            self.r,
-        )
+        cols = list(zip(*self.rows)) if self.r else [()] * self.c
+        return Mat(self.field, cols, self.c, self.r)
 
     def hstack(self, other: "Mat") -> "Mat":
         if self.r != other.r:
@@ -230,30 +205,45 @@ class Mat:
     def rref(self) -> tuple["Mat", tuple[int, ...]]:
         """Reduced row echelon form and pivot column indices."""
         f = self.field
-        z = f.zero
-        rows = [list(r) for r in self.rows]
+        p = f.p
+        if p:
+            rows = [list(row) for row in self.rows]
+
+            def normalise(row):
+                return [v % p for v in row]
+        else:
+            rows = [_integer_row(row) for row in self.rows]
+            normalise = _primitive
         pivots = []
         pr = 0
         for col in range(self.c):
-            piv = None
             for i in range(pr, self.r):
-                if rows[i][col] != z:
-                    piv = i
+                if rows[i][col]:
                     break
-            if piv is None:
+            else:
                 continue
-            rows[pr], rows[piv] = rows[piv], rows[pr]
-            inv = f.inv(rows[pr][col])
-            rows[pr] = [f.mul(inv, v) for v in rows[pr]]
-            for i in range(self.r):
-                if i != pr and rows[i][col] != z:
-                    factor = rows[i][col]
-                    rows[i] = [f.sub(a, f.mul(factor, b)) for a, b in zip(rows[i], rows[pr])]
+            prow = rows[i]
+            rows[i] = rows[pr]
+            rows[pr] = prow
+            a = prow[col]
+            for i, row in enumerate(rows):
+                b = row[col]
+                if b and i != pr:
+                    rows[i] = normalise([a * x - b * y for x, y in zip(row, prow)])
             pivots.append(col)
             pr += 1
             if pr == self.r:
                 break
-        return Mat(f, rows, self.r, self.c), tuple(pivots)
+        out = []
+        for row, col in zip(rows, pivots):
+            piv = row[col]
+            if p:
+                inv = pow(piv, p - 2, p)
+                out.append([v * inv % p for v in row])
+            else:
+                out.append([ONE if v == piv else Fraction(v, piv) if v else ZERO for v in row])
+        out.extend([(f.zero,) * self.c] * (self.r - pr))
+        return Mat(f, out, self.r, self.c), tuple(pivots)
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -261,7 +251,7 @@ class Mat:
     def nullspace(self) -> list[tuple]:
         """Basis of the right kernel, as column vectors."""
         f = self.field
-        z, o = f.zero, f.one
+        z, o, p = f.zero, f.one, f.p
         R, pivots = self.rref()
         pivset = set(pivots)
         free = [j for j in range(self.c) if j not in pivset]
@@ -270,7 +260,8 @@ class Mat:
             vec = [z] * self.c
             vec[j] = o
             for pi, pc in enumerate(pivots):
-                vec[pc] = f.neg(R.rows[pi][j])
+                v = R.rows[pi][j]
+                vec[pc] = -v % p if p else -v
             basis.append(tuple(vec))
         return basis
 
@@ -304,11 +295,42 @@ class Mat:
         return self.r == self.c and self.rank() == self.r
 
     def trace(self):
-        f = self.field
-        acc = f.zero
-        for i in range(min(self.r, self.c)):
-            acc = f.add(acc, self.rows[i][i])
-        return acc
+        acc = sum((self.rows[i][i] for i in range(min(self.r, self.c))), self.field.zero)
+        return acc % self.field.p if self.field.p else acc
+
+
+def _reduce(p: int, rows):
+    """Rows reduced mod p; over the rationals (p == 0) unchanged."""
+    return [[v % p for v in row] for row in rows] if p else rows
+
+
+def _dots(vec, rows, field: Field) -> list:
+    """Dot products of `vec` with each of `rows`, skipping zeros of `vec`."""
+    z, p = field.zero, field.p
+    nz = [(k, a) for k, a in enumerate(vec) if a]
+    out = []
+    for row in rows:
+        acc = z
+        for k, a in nz:
+            b = row[k]
+            if b:
+                acc += a * b
+        out.append(acc % p if p else acc)
+    return out
+
+
+def _primitive(row: list[int]) -> list[int]:
+    """The integer row divided by the gcd of its entries."""
+    g = gcd(*row)
+    return row if g < 2 else [v // g for v in row]
+
+
+def _integer_row(row) -> list[int]:
+    """A row of rationals scaled to coprime integers, a nonzero multiple of it."""
+    d = lcm(*[v.denominator for v in row])
+    if d == 1:
+        return _primitive([v.numerator for v in row])
+    return _primitive([v.numerator * (d // v.denominator) for v in row])
 
 
 def span_basis(field: Field, vectors, dim: int) -> Mat:

@@ -394,21 +394,21 @@ def hom(M: Representation, N: Representation) -> list[Morphism]:
     if total == 0:
         return []
     rows = []
-    z = field.zero
+    z, p = field.zero, field.p
     for (x, y) in P.covers:
-        A = N.maps[(x, y)]  # N(x)->N(y)
-        B = M.maps[(x, y)]  # M(x)->M(y)
-        # constraint: A * f_x - f_y * B = 0, entries indexed by (i in N(y), j in M(x))
+        A = N.maps[(x, y)].rows  # N(x)->N(y)
+        B = M.maps[(x, y)].rows  # M(x)->M(y)
+        nx, mx, my = N.dims[x], M.dims[x], M.dims[y]
+        # constraint: A * f_x - f_y * B = 0, entries indexed by (i in N(y), j in M(x));
+        # f_x[t][j] sits at offsets[x] + t*mx + j and f_y[i][s] at offsets[y] + i*my + s,
+        # so each row holds row i of A and minus column j of B, in disjoint places.
+        neg_cols = [[-b % p if p else -b for b in col] for col in zip(*B)] if my else [()] * mx
         for i in range(N.dims[y]):
-            for j in range(M.dims[x]):
+            fy = offsets[y] + i * my
+            for j in range(mx):
                 row = [z] * total
-                for t in range(N.dims[x]):
-                    row[offsets[x] + t * M.dims[x] + j] = field.add(
-                        row[offsets[x] + t * M.dims[x] + j], A.rows[i][t]
-                    )
-                for s in range(M.dims[y]):
-                    idx = offsets[y] + i * M.dims[y] + s
-                    row[idx] = field.sub(row[idx], B.rows[s][j])
+                row[offsets[x] + j: offsets[x] + nx * mx: mx] = A[i]
+                row[fy: fy + my] = neg_cols[j]
                 rows.append(row)
     if rows:
         system = Mat(field, rows, len(rows), total)

@@ -230,3 +230,24 @@ def test_cli_contract_on_malformed_input(tmp_path, capsys):
         assert codes[tuple(argv)] == 2, argv
     assert codes[("parse", str(tmp_path))] == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("cmd", ["fcy", "witness"])
+def test_field_reaches_the_knits_of_fcy_and_witness(cmd, monkeypatch, capsys):
+    import posetar.witness as witness_mod
+    from posetar.linalg import Field
+
+    fields = []
+    real_knit = witness_mod.knit
+
+    def recording_knit(P, field, **kwargs):
+        fields.append(field)
+        return real_knit(P, field, **kwargs)
+
+    monkeypatch.setattr(witness_mod, "knit", recording_knit)
+    argv = ["--field", "gf:5", cmd, "corpus:ex33-poset2"]
+    if cmd == "witness":
+        argv += ["--max-meshes", "5"]
+    assert exit_code(argv) in (0, 1, 2)
+    capsys.readouterr()
+    assert fields and set(fields) == {Field(5)}

@@ -1,4 +1,7 @@
+import random
 from fractions import Fraction
+
+import pytest
 
 from posetar.linalg import Field, Mat, QQ, span_basis
 
@@ -54,3 +57,175 @@ def test_prime_field():
 def test_span_basis():
     b = span_basis(QQ, [(Fraction(1), Fraction(0)), (Fraction(2), Fraction(0))], 2)
     assert b.c == 1
+
+
+# -- reference kernels ---------------------------------------------------------
+#
+# The generic loops over Field methods that linalg used before its kernels
+# moved to integer elimination and plain arithmetic.  They define the results
+# the kernels must reproduce exactly.
+
+
+def ref_mul(A, B):
+    f, z = A.field, A.field.zero
+    out = []
+    for row in A.rows:
+        orow = []
+        for col in B.transpose().rows:
+            acc = z
+            for a, b in zip(row, col):
+                if a != z and b != z:
+                    acc = f.add(acc, f.mul(a, b))
+            orow.append(acc)
+        out.append(orow)
+    return Mat(f, out, A.r, B.c)
+
+
+def ref_apply(A, vec):
+    f, z = A.field, A.field.zero
+    out = []
+    for row in A.rows:
+        acc = z
+        for a, b in zip(row, vec):
+            if a != z and b != z:
+                acc = f.add(acc, f.mul(a, b))
+        out.append(acc)
+    return tuple(out)
+
+
+def ref_rref(A):
+    f, z = A.field, A.field.zero
+    rows = [list(r) for r in A.rows]
+    pivots = []
+    pr = 0
+    for col in range(A.c):
+        piv = next((i for i in range(pr, A.r) if rows[i][col] != z), None)
+        if piv is None:
+            continue
+        rows[pr], rows[piv] = rows[piv], rows[pr]
+        inv = f.inv(rows[pr][col])
+        rows[pr] = [f.mul(inv, v) for v in rows[pr]]
+        for i in range(A.r):
+            if i != pr and rows[i][col] != z:
+                factor = rows[i][col]
+                rows[i] = [f.sub(a, f.mul(factor, b)) for a, b in zip(rows[i], rows[pr])]
+        pivots.append(col)
+        pr += 1
+        if pr == A.r:
+            break
+    return Mat(f, rows, A.r, A.c), tuple(pivots)
+
+
+def ref_nullspace(A):
+    f = A.field
+    R, pivots = ref_rref(A)
+    basis = []
+    for j in range(A.c):
+        if j in pivots:
+            continue
+        vec = [f.zero] * A.c
+        vec[j] = f.one
+        for pi, pc in enumerate(pivots):
+            vec[pc] = f.neg(R.rows[pi][j])
+        basis.append(tuple(vec))
+    return basis
+
+
+def ref_solve(A, B):
+    f = A.field
+    R, pivots = ref_rref(A.hstack(B))
+    if any(p >= A.c for p in pivots):
+        return None
+    X = [[f.zero] * B.c for _ in range(A.c)]
+    for pi, pc in enumerate(pivots):
+        for j in range(B.c):
+            X[pc][j] = R.rows[pi][A.c + j]
+    return Mat(f, X, A.c, B.c)
+
+
+FIELDS = [QQ, Field(2), Field(5), Field(2**31 - 1)]
+SHAPES = [(0, 0), (0, 3), (3, 0), (1, 1), (1, 4), (4, 1), (3, 3), (4, 4), (2, 6), (6, 2), (5, 7), (8, 5)]
+
+
+def random_entry(rng, field, density):
+    if rng.random() > density:
+        return field.zero
+    if field.p:
+        return rng.randrange(field.p)
+    return Fraction(rng.randint(-9, 9), rng.choice([1, 1, 2, 3, 4, 6, 7]))
+
+
+def random_mat(rng, field, r, c, density):
+    return Mat(field, [[random_entry(rng, field, density) for _ in range(c)] for _ in range(r)], r, c)
+
+
+def sample_matrices(field, seed=20240):
+    """Seeded matrices of every shape: dense, sparse, low rank, with zero lines."""
+    rng = random.Random(seed)
+    out = []
+    for r, c in SHAPES:
+        for density in (1.0, 0.4):
+            out.append(random_mat(rng, field, r, c, density))
+        if r and c:
+            k = rng.randint(1, min(r, c))
+            low = ref_mul(random_mat(rng, field, r, k, 0.8), random_mat(rng, field, k, c, 0.8))
+            rows = [list(row) for row in low.rows]
+            rows[rng.randrange(r)] = [field.zero] * c  # a zero row
+            j = rng.randrange(c)
+            for row in rows:
+                row[j] = field.zero  # and a zero column
+            out.append(low)
+            out.append(Mat(field, rows, r, c))
+    return out
+
+
+def assert_canonical(M):
+    """Entries are Fractions over Q and reduced residues over GF(p)."""
+    p = M.field.p
+    for row in M.rows:
+        for v in row:
+            if p:
+                assert type(v) is int and 0 <= v < p
+            else:
+                assert type(v) is Fraction
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_rref_rank_and_nullspace_match_the_reference(field):
+    for A in sample_matrices(field):
+        R, pivots = A.rref()
+        R_ref, pivots_ref = ref_rref(A)
+        assert (R.rows, pivots) == (R_ref.rows, pivots_ref)
+        assert_canonical(R)
+        assert A.rank() == len(pivots)
+        kernel = A.nullspace()
+        assert kernel == ref_nullspace(A)
+        assert all(not any(A.apply(v)) for v in kernel)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_mul_and_apply_match_the_reference(field):
+    rng = random.Random(7)
+    for A in sample_matrices(field):
+        for n in (0, 1, 3):
+            B = random_mat(rng, field, A.c, n, rng.choice([1.0, 0.5]))
+            AB = A.mul(B)
+            assert AB.rows == ref_mul(A, B).rows
+            assert_canonical(AB)
+        vec = tuple(random_entry(rng, field, 0.6) for _ in range(A.c))
+        assert A.apply(vec) == ref_apply(A, vec)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_solve_matches_the_reference(field):
+    rng = random.Random(11)
+    for A in sample_matrices(field):
+        consistent = A.mul(random_mat(rng, field, A.c, 2, 0.7))
+        arbitrary = random_mat(rng, field, A.r, 2, 0.7)
+        for B in (consistent, arbitrary):
+            X, ref = A.solve(B), ref_solve(A, B)
+            assert (X is None) == (ref is None)
+            if X is not None:
+                assert X.rows == ref.rows
+                assert A.mul(X) == B
+        assert A.solve(consistent) is not None
