@@ -107,7 +107,7 @@ def cmd_tree(args, out) -> None:
 def cmd_fcy(args, out) -> None:
     P = _load_poset(args.poset)
     decision = is_fractionally_cy(
-        P, assume_infinite_type=args.assume_infinite_type, field=args.field
+        P, assume_infinite_type=args.assume_infinite_type, field=args.field, mesh_budget=args.max_meshes
     )
     print(decision.render(), file=out)
 
@@ -265,6 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("fcy", cmd_fcy)
     p.add_argument("poset")
     p.add_argument("--assume-infinite-type", action="store_true")
+    p.add_argument("--max-meshes", type=int, default=200)
     add("fintype", cmd_fintype).add_argument("poset")
     add("fromtree", cmd_fromtree).add_argument("treefile")
     p = add("resolve", cmd_resolve)

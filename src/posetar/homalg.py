@@ -6,6 +6,16 @@ injectives) at those elements.  Differentials are stored as scalar matrices
 with respect to the canonical one-dimensional hom spaces between labeled
 summands, which is exactly what makes the Nakayama functor a relabeling:
 replace each projective label by the injective one and keep the scalars.
+
+A minimal projective resolution realizes one morphism, the projective cover
+of the module.  Every later step stays in labeled coordinates: the basis of
+a labeled sum at w is its summands nonzero at w, in label order, and its
+structure maps are 0/1 re-indexings.  A step takes the syzygy basis at each
+element as a nullspace of the last block, reads the generators of the next
+term off one echelon form of [radical | syzygy basis] per element, and
+writes their vectors as the next scalar matrix and, pushed upward, as the
+next block.  No syzygy module is built.  Injective resolutions, and so the
+inverse translate, are projective resolutions over the opposite poset.
 """
 
 from __future__ import annotations
@@ -117,21 +127,29 @@ def _cover_by_projectives(M: Representation):
     Row reducing [those images | I] makes a pivot of each unit vector outside
     the span of the radical and of the unit vectors before it, so the pivot
     unit vectors span a complement of the radical: they lift a basis of the
-    top at x.  Each one generates a summand P(x) of the cover and is carried
-    along path_map to every element above x.
+    top at x.  Each one generates a summand P(x) of the cover and is walked
+    up the covers once, so its image at w is path_map(x, w) applied to it.
     """
     P, field = M.poset, M.field
+    z, o = field.zero, field.one
     gens: list[tuple[int, int]] = []
     for x in P.linear_extension():
-        rad = [c for z in P.covers_below(x) for c in M.maps[(z, x)].columns()]
-        cols = rad + Mat.identity(field, M.dims[x]).columns()
-        _, pivots = Mat.from_columns(field, cols, M.dims[x]).rref()
-        gens += [(x, p - len(rad)) for p in pivots if p >= len(rad)]
+        d = M.dims[x]
+        below = [M.maps[(y, x)].rows for y in P.covers_below(x)]
+        nrad = sum(M.dims[y] for y in P.covers_below(x))
+        rows = [[v for m in below for v in m[r]] + [o if c == r else z for c in range(d)] for r in range(d)]
+        _, pivots = Mat(field, rows, d, nrad + d).rref()
+        gens += [(x, p - nrad) for p in pivots if p >= nrad]
     labels = [x for x, _ in gens]
-    blocks = []
-    for w in P.elements():
-        cols = [M.path_map(x, w).column(i) for x, i in gens if P.leq(x, w)]
-        blocks.append(Mat.from_columns(field, cols, M.dims[w]))
+    at: list[dict[int, tuple]] = [{} for _ in P.elements()]  # at[w][g]: generator g at w
+    for w in P.linear_extension():
+        for g, (x, i) in enumerate(gens):
+            if x == w:
+                at[w][g] = tuple(o if c == i else z for c in range(M.dims[x]))
+            elif P.leq(x, w):
+                y = next(y for y in P.covers_below(w) if P.leq(x, y))
+                at[w][g] = M.maps[(y, w)].apply(at[y][g])
+    blocks = [Mat.from_columns(field, list(at[w].values()), M.dims[w]) for w in P.elements()]
     return labels, Morphism(realize_labels(P, field, "proj", labels), M, blocks)
 
 
@@ -141,53 +159,78 @@ def min_projective_resolution(M: Representation, max_length: int | None = None):
     With max_length set, the complex is truncated after that many syzygy
     steps (enough for presentations); otherwise it runs to exactness with a
     global-dimension safety bound of |P| + 1.
+
+    Only step 0 realizes anything: the cover of M, which is the augmentation.
+    Every later step works in the labeled coordinates of the previous term
+    T, whose basis at w lists the summands nonzero there in label order.
+    With d(w): T(w) -> (previous space)(w) the block of the last map:
+
+    - the syzygy basis at w is nullspace(d(w));
+    - the radical at y is the syzygy basis at each cover z of y pushed up to
+      y by re-indexing, since the structure maps of a labeled sum are 0/1;
+    - the generators at y are the syzygy columns that are pivots of
+      rref([radical | syzygy basis]);
+    - the next scalar matrix has generator j's vector at its label in
+      column j, and the next block at w has every generator pushed up to w.
+
+    This gives the complex that covering the realized syzygy K would give:
+
+    - the kernel's basis at y is exactly the nullspace columns, because
+      span_basis keeps them and the images from below already lie in K;
+    - K(y) -> T(y) is injective, so the pivots of [rad | I] in K-coordinates
+      are those of [rad | basis] in T-coordinates;
+    - an injective map on the left leaves the row space of the next block
+      unchanged, so its rref, and hence the next nullspace, is unchanged;
+    - the scalar of generator j read off at its label is the basis vector
+      it lifts, written in T-coordinates.
     """
-    P = M.poset
-    labels_list = []
-    mats = []
-    cur = M
-    incl_to_prev: Morphism | None = None
-    aug: Morphism | None = None
+    P, field = M.poset, M.field
+    labels, aug = _cover_by_projectives(M)
+    labels_list = [tuple(labels)]
+    mats: list[Mat] = []
+    blocks = aug.blocks
+    lay = _layout(P, "proj", labels)
     step = 0
-    while True:
-        labels, cover = _cover_by_projectives(cur)
-        labels_list.append(tuple(labels))
-        if step == 0:
-            aug = cover
-        else:
-            # scalar matrix of realize(labels) -> cur -> prev term
-            comp = incl_to_prev.compose(cover)
-            mats.append(_scalars_from_morphism(P, labels, labels_list[-2], comp))
-        if step == max_length:
-            break  # truncated: the next syzygy would go unread
-        K, incl = cover.kernel()
-        if K.is_zero():
+    while step != max_length:  # at max_length the next syzygy would go unread
+        syz = [b.nullspace() for b in blocks]
+        if not any(syz):
             break
         if step == P.n + 1:
             raise PosetarError("resolution exceeded the global-dimension safety bound")
-        cur = K
-        incl_to_prev = incl
+        pos = [{j: k for k, j in enumerate(js)} for js in lay]
+        gens: list[tuple[int, tuple]] = []
+        for y in P.linear_extension():
+            if not syz[y]:
+                continue
+            rad = [_push(v, lay[x], pos[y], field.zero) for x in P.covers_below(y) for v in syz[x]]
+            _, pivots = Mat.from_columns(field, rad + syz[y], len(lay[y])).rref()
+            gens += [(y, syz[y][p - len(rad)]) for p in pivots if p >= len(rad)]
+        rows = [[field.zero] * len(gens) for _ in labels]
+        for j, (x, vec) in enumerate(gens):
+            for k, v in zip(lay[x], vec):
+                rows[k][j] = v
+        mats.append(Mat(field, rows, len(labels), len(gens)))
+        blocks = [
+            Mat.from_columns(
+                field, [_push(v, lay[x], pos[w], field.zero) for x, v in gens if P.leq(x, w)], len(lay[w])
+            )
+            for w in P.elements()
+        ]
+        labels = tuple(x for x, _ in gens)
+        labels_list.append(labels)
+        lay = _layout(P, "proj", labels)
         step += 1
-    C = LabeledComplex(P, M.field, "proj", tuple(labels_list), tuple(mats))
+    C = LabeledComplex(P, field, "proj", tuple(labels_list), tuple(mats))
     _assert_min_resolution(C)
     return C, aug
 
 
-def _scalars_from_morphism(P: Poset, src_labels, dst_labels, f: Morphism) -> Mat:
-    """Recover the scalar matrix of a morphism between labeled sums of projectives.
-
-    Summand j's canonical generator sits at its own label x; its image there
-    holds the scalars of every dst summand nonzero at x.
-    """
-    field = f.source.field
-    slay = _layout(P, "proj", src_labels)
-    dlay = _layout(P, "proj", dst_labels)
-    rows = [[field.zero] * len(src_labels) for _ in dst_labels]
-    for j, x in enumerate(src_labels):
-        vec = f.block(x).column(slay[x].index(j))
-        for k, v in zip(dlay[x], vec):
-            rows[k][j] = v
-    return Mat(field, rows, len(dst_labels), len(src_labels))
+def _push(vec, src: list[int], dst: dict[int, int], zero) -> tuple:
+    """A vector on the summands src, carried to where summand j is coordinate dst[j]."""
+    out = [zero] * len(dst)
+    for j, v in zip(src, vec):
+        out[dst[j]] = v
+    return tuple(out)
 
 
 def _assert_min_resolution(C: LabeledComplex) -> None:
@@ -201,18 +244,20 @@ def _assert_min_resolution(C: LabeledComplex) -> None:
                     raise PosetarError("resolution is not minimal")
 
 
+def _injective_complex(N: Representation, max_length: int | None = None):
+    """Minimal injective resolution via duality, plus the dual augmentation."""
+    D, _ = dualize(N)
+    C, aug = min_projective_resolution(D, max_length=max_length)
+    mats = tuple(m.transpose() for m in C.mats)
+    return LabeledComplex(N.poset, N.field, "inj", C.labels, mats), aug
+
+
 def min_injective_resolution(N: Representation, max_length: int | None = None):
     """Minimal injective resolution via duality, plus the coaugmentation."""
-    D, Pop = dualize(N)
-    C, aug = min_projective_resolution(D, max_length=max_length)
-    P = N.poset
-    mats = tuple(m.transpose() for m in C.mats)
-    out = LabeledComplex(P, N.field, "inj", C.labels, mats)
+    C, aug = _injective_complex(N, max_length)
     # coaugmentation: dual of aug, transported back to P
-    coaug_blocks = [aug.block(x).transpose() for x in range(P.n)]
-    I0 = realize_labels(P, N.field, "inj", C.labels[0])
-    coaug = Morphism(N, I0, coaug_blocks)
-    return out, coaug
+    coaug = Morphism(N, C.term(0), [b.transpose() for b in aug.blocks])
+    return C, coaug
 
 
 def projective_presentation(M: Representation):
@@ -224,11 +269,9 @@ def projective_presentation(M: Representation):
 
 
 def is_projective(M: Representation) -> bool:
-    if M.is_zero():
-        return True
+    """The projective cover is onto, so M is projective iff it has M's dimension."""
     _, cover = _cover_by_projectives(M)
-    K, _ = cover.kernel()
-    return K.is_zero()
+    return cover.source.total_dim() == M.total_dim()
 
 
 def is_injective_module(M: Representation) -> bool:
@@ -255,7 +298,7 @@ def tau(M: Representation) -> Representation | None:
 
 def tau_inverse(M: Representation) -> Representation | None:
     """Inverse translate via the minimal injective copresentation."""
-    C, _ = min_injective_resolution(M, max_length=1)
+    C, _ = _injective_complex(M, max_length=1)
     if C.length() == 0:
         return None
     nu_inv = realize_scalar_map(M.poset, M.field, "proj", C.labels[0], C.labels[1], C.mats[0])
@@ -271,9 +314,8 @@ def transpose_dual_tau(M: Representation) -> Representation | None:
     Pop = M.poset.opposite()
     tr_map = realize_scalar_map(Pop, M.field, "proj", L0, L1, d.transpose())
     TrM, _ = tr_map.cokernel()
-    DTr, _ = dualize(TrM)
-    # transport back onto the original poset object
-    return Representation(M.poset, M.field, DTr.dims, DTr.maps, check=False)
+    DTr, _ = dualize(TrM)  # over Pop.opposite(), which is M.poset
+    return DTr
 
 
 def tau_commutes_with_restriction_check(P: Poset, a: int, b: int, M: Representation) -> bool:
@@ -377,7 +419,7 @@ def induce(U: Representation, P: Poset, ids: list[int]) -> Representation:
 
 def coinduce(U: Representation, P: Poset, ids: list[int]) -> Representation:
     """Right adjoint of restriction, via the injective copresentation."""
-    C, _ = min_injective_resolution(U, max_length=1)
+    C, _ = _injective_complex(U, max_length=1)
     amb0 = tuple(ids[x] for x in C.labels[0])
     if C.length() == 0:
         return realize_labels(P, U.field, "inj", amb0)

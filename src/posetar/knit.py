@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass, field
 
 from .errors import IsProjective, MeshMismatch, NotEmbeddable, NotIndecomposable, PosetarError
-from .homalg import _cover_by_projectives, is_projective, tau, tau_inverse
+from .homalg import _cover_by_projectives, tau, tau_inverse
 from .ictree import ic_decompose
 from .linalg import Field, Mat, QQ
 from .poset import Poset
@@ -58,14 +58,14 @@ def ar_sequence_end(M: Representation, rng: random.Random | None = None,
                     check_indecomposable: bool = True) -> ARSequence:
     """The almost split sequence ending at M, with its middle split exactly."""
     rng = rng or random.Random(0)
-    if is_projective(M):
+    _, cover = _cover_by_projectives(M)
+    K, incl = cover.kernel()
+    if K.is_zero():
         raise IsProjective("no almost split sequence ends at a projective")
     if check_indecomposable and not is_indecomposable(M, rng):
         raise NotIndecomposable("almost split sequences end at indecomposables")
     field = M.field
-    _, cover = _cover_by_projectives(M)
     P0rep = cover.source
-    K, incl = cover.kernel()
     tM = tau(M)
     if tM is None or tM.is_zero():
         raise PosetarError("translate vanished for a non-projective module")

@@ -167,8 +167,8 @@ class Mat:
         if self.c != other.r:
             raise ValueError(f"shape mismatch {self.r}x{self.c} @ {other.r}x{other.c}")
         f = self.field
-        bt = other.transpose().rows
-        out = [_dots(row, bt, f) for row in self.rows]
+        cols = list(zip(*other.rows)) if other.r else [()] * other.c
+        out = [_dots(row, cols, f) for row in self.rows]
         return Mat(f, out, self.r, other.c)
 
     def apply(self, vec):

@@ -20,7 +20,8 @@ class Poset:
     """
 
     __slots__ = (
-        "n", "names", "up", "down", "covers", "name", "_linext", "_index", "_above", "_below"
+        "n", "names", "up", "down", "covers", "name", "_linext", "_index", "_above", "_below",
+        "_opposite",
     )
 
     def __init__(self, names: list[str], relations, name: str = ""):
@@ -68,6 +69,7 @@ class Poset:
         self._above = tuple(tuple(y for a, y in self.covers if a == x) for x in range(n))
         self._below = tuple(tuple(x for x, b in self.covers if b == y) for y in range(n))
         self._linext = None
+        self._opposite = None
 
     # -- queries -----------------------------------------------------------
 
@@ -191,8 +193,13 @@ class Poset:
     # -- derived posets ------------------------------------------------------
 
     def opposite(self) -> "Poset":
-        rels = [(y, x) for (x, y) in self.covers]
-        return Poset(list(self.names), rels, name=f"{self.name}^op" if self.name else "")
+        """The opposite poset, built once: P.opposite().opposite() is P."""
+        if self._opposite is None:
+            rels = [(y, x) for (x, y) in self.covers]
+            op = Poset(list(self.names), rels, name=f"{self.name}^op" if self.name else "")
+            op._opposite = self
+            self._opposite = op
+        return self._opposite
 
     def induced(self, subset) -> tuple["Poset", list[int]]:
         """Subposet on the given elements; returns it plus the id map sub->parent."""

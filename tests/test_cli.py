@@ -232,6 +232,28 @@ def test_cli_contract_on_malformed_input(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_fcy_max_meshes_contract(monkeypatch, capsys):
+    # the budget reaches the witness search's knits; a bad value is a usage error
+    import posetar.witness as witness_mod
+
+    budgets = []
+    real_knit = witness_mod.knit
+
+    def recording_knit(P, field, **kwargs):
+        budgets.append(kwargs["max_meshes"])
+        return real_knit(P, field, **kwargs)
+
+    monkeypatch.setattr(witness_mod, "knit", recording_knit)
+    for cid in ("ex25-chain4", "star-2-2", "ex33-poset2"):
+        assert exit_code(["fcy", f"corpus:{cid}", "--max-meshes", "5"]) in (0, 1, 2)
+    assert budgets and set(budgets) == {5}
+    budgets.clear()
+    assert exit_code(["fcy", "corpus:ex33-poset2"]) in (0, 1)
+    assert budgets and set(budgets) == {200}
+    assert exit_code(["fcy", "corpus:star-2-2", "--max-meshes", "x"]) == 2
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("cmd", ["fcy", "witness"])
 def test_field_reaches_the_knits_of_fcy_and_witness(cmd, monkeypatch, capsys):
     import posetar.witness as witness_mod

@@ -3,8 +3,10 @@ from conftest import random_ic_family
 
 from posetar.corpus import corpus_poset, star_poset
 from posetar.homalg import (
+    LabeledComplex,
+    _assert_min_resolution,
     _cover_by_projectives,
-    _scalars_from_morphism,
+    _layout,
     coinduce,
     ext,
     ext_all,
@@ -21,9 +23,12 @@ from posetar.homalg import (
     transpose_dual_tau,
 )
 from posetar.knit import knit
+from posetar.corpus import corpus_ids
+from posetar.errors import PosetarError
 from posetar.linalg import QQ, Field, Mat
 from posetar.poset import chain
 from posetar.rep import (
+    Morphism,
     constant_on,
     direct_sum,
     dualize,
@@ -35,6 +40,118 @@ from posetar.rep import (
     simple,
     top,
 )
+
+
+# -- the step chain that min_projective_resolution replaces, as a reference --
+
+
+def _scalars_from_morphism(P, src_labels, dst_labels, f):
+    """Recover the scalar matrix of a morphism between labeled sums of projectives.
+
+    Summand j's canonical generator sits at its own label x; its image there
+    holds the scalars of every dst summand nonzero at x.
+    """
+    field = f.source.field
+    slay = _layout(P, "proj", src_labels)
+    dlay = _layout(P, "proj", dst_labels)
+    rows = [[field.zero] * len(src_labels) for _ in dst_labels]
+    for j, x in enumerate(src_labels):
+        vec = f.block(x).column(slay[x].index(j))
+        for k, v in zip(dlay[x], vec):
+            rows[k][j] = v
+    return Mat(field, rows, len(dst_labels), len(src_labels))
+
+
+def _reference_cover(M):
+    """Cover from rref[radical | I] per element, blocks read off path_map."""
+    P, field = M.poset, M.field
+    gens = []
+    for x in P.linear_extension():
+        rad = [c for z in P.covers_below(x) for c in M.maps[(z, x)].columns()]
+        cols = rad + Mat.identity(field, M.dims[x]).columns()
+        _, pivots = Mat.from_columns(field, cols, M.dims[x]).rref()
+        gens += [(x, p - len(rad)) for p in pivots if p >= len(rad)]
+    labels = [x for x, _ in gens]
+    blocks = [
+        Mat.from_columns(field, [M.path_map(x, w).column(i) for x, i in gens if P.leq(x, w)], M.dims[w])
+        for w in P.elements()
+    ]
+    return labels, Morphism(realize_labels(P, field, "proj", labels), M, blocks)
+
+
+def _reference_resolution(M, max_length=None):
+    """cover -> kernel -> cover of the syzygy -> compose -> scalars, step by step."""
+    P = M.poset
+    labels_list, mats = [], []
+    cur, incl_to_prev, step = M, None, 0
+    while True:
+        labels, cover = _reference_cover(cur)
+        labels_list.append(tuple(labels))
+        if step == 0:
+            aug = cover
+        else:
+            comp = incl_to_prev.compose(cover)
+            mats.append(_scalars_from_morphism(P, labels, labels_list[-2], comp))
+        if step == max_length:
+            break
+        K, incl = cover.kernel()
+        if K.is_zero():
+            break
+        if step == P.n + 1:
+            raise PosetarError("resolution exceeded the global-dimension safety bound")
+        cur, incl_to_prev, step = K, incl, step + 1
+    C = LabeledComplex(P, M.field, "proj", tuple(labels_list), tuple(mats))
+    _assert_min_resolution(C)
+    return C, aug
+
+
+def _assert_resolution_matches_reference(M):
+    for max_length in (None, 1):
+        C, aug = min_projective_resolution(M, max_length=max_length)
+        R, raug = _reference_resolution(M, max_length=max_length)
+        assert C.labels == R.labels
+        assert C.mats == R.mats
+        assert aug.blocks == raug.blocks and aug.source.maps == raug.source.maps
+
+
+def _assert_cover_blocks_are_path_maps(M):
+    # generator j's column at its label x is the unit vector e_i it lifts,
+    # and its column at w >= x is path_map(x, w) e_i
+    P = M.poset
+    labels, cover = _cover_by_projectives(M)
+    lay = _layout(P, "proj", labels)
+    for j, x in enumerate(labels):
+        unit = cover.block(x).column(lay[x].index(j))
+        assert sorted(unit) == [0] * (len(unit) - 1) + [1]
+        i = unit.index(1)
+        for w in P.elements():
+            if P.leq(x, w):
+                assert cover.block(w).column(lay[w].index(j)) == M.path_map(x, w).column(i)
+
+
+FIELDS = [QQ, Field(5)]
+
+
+@pytest.mark.parametrize("source", ["star-2-2", "ex57", "ex33-poset3"])
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_resolution_matches_step_chain_on_knit_vertices(source, field):
+    P = corpus_poset(source)
+    comp = knit(P, field)
+    assert comp.status == "complete"
+    for v in comp.vertices:
+        _assert_resolution_matches_reference(v.rep)
+        _assert_cover_blocks_are_path_maps(v.rep)
+
+
+@pytest.mark.parametrize("cid", corpus_ids())
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_resolution_matches_step_chain_on_simples_projectives_injectives(cid, field):
+    P = corpus_poset(cid)
+    for x in P.elements():
+        for make in (simple, projective, injective):
+            M = make(P, x, field)
+            _assert_resolution_matches_reference(M)
+            _assert_cover_blocks_are_path_maps(M)
 
 
 @pytest.mark.parametrize("source", ["star-2-2", "ex57", 4, 5])

@@ -94,6 +94,16 @@ def test_opposite_involution():
     assert Q.names == P.names
 
 
+def test_opposite_is_built_once_and_named():
+    P = parse_poset(EX57_TEXT)
+    Q = P.opposite()
+    assert Q is P.opposite()
+    assert Q.opposite() is P
+    assert Q.name == "ex57^op"
+    assert Q.covers == tuple(sorted((y, x) for x, y in P.covers))
+    assert chain(3).opposite().name == ""
+
+
 def test_roundtrip_text():
     P = parse_poset(EX57_TEXT)
     Q = parse_poset(P.to_text())
