@@ -16,6 +16,16 @@ term off one echelon form of [radical | syzygy basis] per element, and
 writes their vectors as the next scalar matrix and, pushed upward, as the
 next block.  No syzygy module is built.  Injective resolutions, and so the
 inverse translate, are projective resolutions over the opposite poset.
+
+The translates (tau, tau_inverse, transpose_dual_tau) and induce/coinduce
+build no labeled sum either; only the module they return is realized.  The
+blocks of the map at w are its scalar matrix read at the summands nonzero at
+w.  A cokernel into a sum of projectives takes the echelon projection q_x of
+each block.  On a cover x -> y the sum's structure map sends summand j at x to
+summand j at y, a 0/1 re-indexing, so q_y after it is just q_y read at the
+summands of x; read at the pivots of q_x it is the induced map.  A kernel out
+of a sum of injectives closes the nullspaces under the structure maps, which
+restrict a vector to the summands nonzero at y.
 """
 
 from __future__ import annotations
@@ -23,9 +33,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import PosetarError, UnlabeledComplex
-from .linalg import Mat
+from .linalg import Mat, span_basis
 from .poset import Poset
-from .rep import Morphism, Representation, dualize, zero_rep
+from .rep import Morphism, Representation, _quotient_projection, dualize, zero_rep
 
 
 @dataclass(frozen=True)
@@ -104,24 +114,81 @@ def realize_scalar_map(P: Poset, field, kind: str, src_labels, dst_labels, scala
     scalar[k][j] multiplies the canonical map from src summand j to dst
     summand k; it must vanish unless dst label <= src label.
     """
-    z = field.zero
+    blocks = _scalar_blocks(P, kind, src_labels, dst_labels, scalar)
+    src = realize_labels(P, field, kind, src_labels)
+    dst = realize_labels(P, field, kind, dst_labels)
+    return Morphism(src, dst, blocks)
+
+
+def _scalar_blocks(P: Poset, kind: str, src_labels, dst_labels, scalar: Mat) -> list[Mat]:
+    """The per-element blocks of a scalar map: its rows and columns nonzero there."""
+    z = scalar.field.zero
     for k, y in enumerate(dst_labels):
         for j, x in enumerate(src_labels):
             if scalar.rows[k][j] != z and not P.leq(y, x):
                 raise PosetarError("scalar entry on a non-existent canonical map")
-    src = realize_labels(P, field, kind, src_labels)
-    dst = realize_labels(P, field, kind, dst_labels)
     slay = _layout(P, kind, src_labels)
     dlay = _layout(P, kind, dst_labels)
-    blocks = [
-        Mat(field, [[scalar.rows[k][j] for j in slay[w]] for k in dlay[w]], len(dlay[w]), len(slay[w]))
+    return [
+        Mat(scalar.field, [[scalar.rows[k][j] for j in slay[w]] for k in dlay[w]], len(dlay[w]), len(slay[w]))
         for w in P.elements()
     ]
-    return Morphism(src, dst, blocks)
+
+
+def _cokernel_into_projectives(P: Poset, field, labels, blocks: list[Mat]) -> Representation:
+    """Cokernel of a map with the given blocks into the labeled sum of P(labels).
+
+    q_x is the echelon projection of _quotient_projection.  On a cover x -> y
+    the structure map of the sum sends summand j at x to summand j at y, so
+    q_y composed with it is q_y read at the summands of x, and the induced map
+    is that read at the pivots of q_x.
+    """
+    lay = _layout(P, "proj", labels)
+    pos = [{j: k for k, j in enumerate(js)} for js in lay]
+    quots = [_quotient_projection(field, blocks[x], len(lay[x])) for x in P.elements()]
+    maps = {}
+    for (x, y) in P.covers:
+        q_x, pivots = quots[x]
+        at = [pos[y][j] for j in lay[x]]
+        m = Mat(field, [[row[k] for k in at] for row in quots[y][0].rows], quots[y][0].r, len(at))
+        A = Mat(field, [[row[p] for p in pivots] for row in m.rows], m.r, len(pivots))
+        if A.mul(q_x) != m:
+            raise PosetarError("map does not factor through quotient")
+        maps[(x, y)] = A
+    return Representation(P, field, [q.r for q, _ in quots], maps, check=False)
+
+
+def _kernel_out_of_injectives(P: Poset, field, labels, blocks: list[Mat]) -> Representation:
+    """Kernel of a map with the given blocks out of the labeled sum of I(labels).
+
+    On a cover x -> y the structure map of the sum keeps the summands nonzero
+    at y, so the image of a vector is its restriction to the summands of y;
+    the closure is then that of _subrep_from_bases.
+    """
+    lay = _layout(P, "inj", labels)
+    pos = [{j: k for k, j in enumerate(js)} for js in lay]
+    incl: list[Mat] = [None] * P.n
+    maps = {}
+    for y in P.linear_extension():
+        imgs = {}
+        for x in P.covers_below(y):
+            at = [pos[x][j] for j in lay[y]]
+            imgs[x] = Mat(field, [incl[x].rows[k] for k in at], len(at), incl[x].c)
+        cols = blocks[y].nullspace() + [c for img in imgs.values() for c in img.columns()]
+        incl[y] = span_basis(field, cols, len(lay[y]))
+        for x, img in imgs.items():
+            maps[(x, y)] = incl[y].solve(img)
+    return Representation(P, field, [b.c for b in incl], maps, check=False)
 
 
 def _cover_by_projectives(M: Representation):
-    """Minimal projective cover: labels plus the covering morphism.
+    """Minimal projective cover: labels plus the covering morphism."""
+    labels, blocks = _cover(M)
+    return labels, Morphism(realize_labels(M.poset, M.field, "proj", labels), M, blocks)
+
+
+def _cover(M: Representation):
+    """Labels and per-element blocks of the minimal projective cover.
 
     The radical of M at x is spanned by the images of the covers into x.
     Row reducing [those images | I] makes a pivot of each unit vector outside
@@ -150,7 +217,7 @@ def _cover_by_projectives(M: Representation):
                 y = next(y for y in P.covers_below(w) if P.leq(x, y))
                 at[w][g] = M.maps[(y, w)].apply(at[y][g])
     blocks = [Mat.from_columns(field, list(at[w].values()), M.dims[w]) for w in P.elements()]
-    return labels, Morphism(realize_labels(P, field, "proj", labels), M, blocks)
+    return labels, blocks
 
 
 def min_projective_resolution(M: Representation, max_length: int | None = None):
@@ -159,11 +226,18 @@ def min_projective_resolution(M: Representation, max_length: int | None = None):
     With max_length set, the complex is truncated after that many syzygy
     steps (enough for presentations); otherwise it runs to exactness with a
     global-dimension safety bound of |P| + 1.
+    """
+    C, blocks = _resolution(M, max_length)
+    return C, Morphism(C.term(0), M, blocks)
 
-    Only step 0 realizes anything: the cover of M, which is the augmentation.
-    Every later step works in the labeled coordinates of the previous term
-    T, whose basis at w lists the summands nonzero there in label order.
-    With d(w): T(w) -> (previous space)(w) the block of the last map:
+
+def _resolution(M: Representation, max_length: int | None = None):
+    """The complex of min_projective_resolution and the blocks of its cover.
+
+    Nothing is realized.  Every step after the cover works in the labeled
+    coordinates of the previous term T, whose basis at w lists the summands
+    nonzero there in label order.  With d(w): T(w) -> (previous space)(w)
+    the block of the last map:
 
     - the syzygy basis at w is nullspace(d(w));
     - the radical at y is the syzygy basis at each cover z of y pushed up to
@@ -183,15 +257,18 @@ def min_projective_resolution(M: Representation, max_length: int | None = None):
       unchanged, so its rref, and hence the next nullspace, is unchanged;
     - the scalar of generator j read off at its label is the basis vector
       it lifts, written in T-coordinates.
+
+    The last step of a truncated resolution stops at its scalar matrix: the
+    blocks and layout of its term would feed only a syzygy nobody reads.
     """
     P, field = M.poset, M.field
-    labels, aug = _cover_by_projectives(M)
+    labels, cover = _cover(M)
     labels_list = [tuple(labels)]
     mats: list[Mat] = []
-    blocks = aug.blocks
+    blocks = cover
     lay = _layout(P, "proj", labels)
     step = 0
-    while step != max_length:  # at max_length the next syzygy would go unread
+    while step != max_length:
         syz = [b.nullspace() for b in blocks]
         if not any(syz):
             break
@@ -210,19 +287,21 @@ def min_projective_resolution(M: Representation, max_length: int | None = None):
             for k, v in zip(lay[x], vec):
                 rows[k][j] = v
         mats.append(Mat(field, rows, len(labels), len(gens)))
+        labels = tuple(x for x, _ in gens)
+        labels_list.append(labels)
+        step += 1
+        if step == max_length:
+            break
         blocks = [
             Mat.from_columns(
                 field, [_push(v, lay[x], pos[w], field.zero) for x, v in gens if P.leq(x, w)], len(lay[w])
             )
             for w in P.elements()
         ]
-        labels = tuple(x for x, _ in gens)
-        labels_list.append(labels)
         lay = _layout(P, "proj", labels)
-        step += 1
     C = LabeledComplex(P, field, "proj", tuple(labels_list), tuple(mats))
     _assert_min_resolution(C)
-    return C, aug
+    return C, cover
 
 
 def _push(vec, src: list[int], dst: dict[int, int], zero) -> tuple:
@@ -247,22 +326,22 @@ def _assert_min_resolution(C: LabeledComplex) -> None:
 def _injective_complex(N: Representation, max_length: int | None = None):
     """Minimal injective resolution via duality, plus the dual augmentation."""
     D, _ = dualize(N)
-    C, aug = min_projective_resolution(D, max_length=max_length)
+    C, cover = _resolution(D, max_length)
     mats = tuple(m.transpose() for m in C.mats)
-    return LabeledComplex(N.poset, N.field, "inj", C.labels, mats), aug
+    return LabeledComplex(N.poset, N.field, "inj", C.labels, mats), cover
 
 
 def min_injective_resolution(N: Representation, max_length: int | None = None):
     """Minimal injective resolution via duality, plus the coaugmentation."""
-    C, aug = _injective_complex(N, max_length)
-    # coaugmentation: dual of aug, transported back to P
-    coaug = Morphism(N, C.term(0), [b.transpose() for b in aug.blocks])
+    C, cover = _injective_complex(N, max_length)
+    # coaugmentation: dual of the cover of D(N), transported back to P
+    coaug = Morphism(N, C.term(0), [b.transpose() for b in cover])
     return C, coaug
 
 
 def projective_presentation(M: Representation):
     """Labels (L1, L0) and scalar matrix of the minimal presentation."""
-    C, aug = min_projective_resolution(M, max_length=1)
+    C, _ = _resolution(M, max_length=1)
     if C.length() == 0:
         return None, C.labels[0], None
     return C.labels[1], C.labels[0], C.mats[0]
@@ -270,8 +349,8 @@ def projective_presentation(M: Representation):
 
 def is_projective(M: Representation) -> bool:
     """The projective cover is onto, so M is projective iff it has M's dimension."""
-    _, cover = _cover_by_projectives(M)
-    return cover.source.total_dim() == M.total_dim()
+    _, blocks = _cover(M)
+    return sum(b.c for b in blocks) == M.total_dim()
 
 
 def is_injective_module(M: Representation) -> bool:
@@ -291,9 +370,7 @@ def tau(M: Representation) -> Representation | None:
     L1, L0, d = projective_presentation(M)
     if L1 is None:
         return None
-    nu_d = realize_scalar_map(M.poset, M.field, "inj", L1, L0, d)
-    K, _ = nu_d.kernel()
-    return K
+    return _kernel_out_of_injectives(M.poset, M.field, L1, _scalar_blocks(M.poset, "inj", L1, L0, d))
 
 
 def tau_inverse(M: Representation) -> Representation | None:
@@ -301,9 +378,8 @@ def tau_inverse(M: Representation) -> Representation | None:
     C, _ = _injective_complex(M, max_length=1)
     if C.length() == 0:
         return None
-    nu_inv = realize_scalar_map(M.poset, M.field, "proj", C.labels[0], C.labels[1], C.mats[0])
-    Q, _ = nu_inv.cokernel()
-    return Q
+    blocks = _scalar_blocks(M.poset, "proj", C.labels[0], C.labels[1], C.mats[0])
+    return _cokernel_into_projectives(M.poset, M.field, C.labels[1], blocks)
 
 
 def transpose_dual_tau(M: Representation) -> Representation | None:
@@ -312,8 +388,7 @@ def transpose_dual_tau(M: Representation) -> Representation | None:
     if L1 is None:
         return None
     Pop = M.poset.opposite()
-    tr_map = realize_scalar_map(Pop, M.field, "proj", L0, L1, d.transpose())
-    TrM, _ = tr_map.cokernel()
+    TrM = _cokernel_into_projectives(Pop, M.field, L1, _scalar_blocks(Pop, "proj", L0, L1, d.transpose()))
     DTr, _ = dualize(TrM)  # over Pop.opposite(), which is M.poset
     return DTr
 
@@ -346,12 +421,12 @@ def ext(M: Representation, N: Representation, i: int) -> int:
     """dim Ext^i(M, N) from the labeled projective resolution of M."""
     if i < 0:
         raise ValueError("ext degree must be nonnegative")
-    C, _ = min_projective_resolution(M, max_length=i + 1)
+    C, _ = _resolution(M, max_length=i + 1)
     return _ext_from_resolution(C, N, i)
 
 
 def ext_all(M: Representation, N: Representation) -> list[int]:
-    C, _ = min_projective_resolution(M)
+    C, _ = _resolution(M)
     return [_ext_from_resolution(C, N, i) for i in range(C.length() + 1)]
 
 
@@ -412,9 +487,7 @@ def induce(U: Representation, P: Poset, ids: list[int]) -> Representation:
     if L1 is None:
         return realize_labels(P, U.field, "proj", amb0)
     amb1 = tuple(ids[x] for x in L1)
-    f = realize_scalar_map(P, U.field, "proj", amb1, amb0, d)
-    Q, _ = f.cokernel()
-    return Q
+    return _cokernel_into_projectives(P, U.field, amb0, _scalar_blocks(P, "proj", amb1, amb0, d))
 
 
 def coinduce(U: Representation, P: Poset, ids: list[int]) -> Representation:
@@ -424,6 +497,4 @@ def coinduce(U: Representation, P: Poset, ids: list[int]) -> Representation:
     if C.length() == 0:
         return realize_labels(P, U.field, "inj", amb0)
     amb1 = tuple(ids[x] for x in C.labels[1])
-    f = realize_scalar_map(P, U.field, "inj", amb0, amb1, C.mats[0])
-    K, _ = f.kernel()
-    return K
+    return _kernel_out_of_injectives(P, U.field, amb0, _scalar_blocks(P, "inj", amb0, amb1, C.mats[0]))

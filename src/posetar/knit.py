@@ -22,7 +22,6 @@ from .rep import (
     Representation,
     _quotient_projection,
     constant_on,
-    direct_sum,
     hom,
     is_isomorphic,
     linear_combination,
@@ -119,14 +118,18 @@ def ar_sequence_end(M: Representation, rng: random.Random | None = None,
         raise PosetarError("socle of the extension space is trivial")
     psi = linear_combination(ext_basis, chosen)
 
-    # pushout along psi: E = (tM + P0) / {(psi w, -w)}
-    S, incls, _ = direct_sum([tM, P0rep])
-    g_blocks = []
-    for x in M.poset.elements():
-        top_part = incls[0].block(x).mul(psi.block(x))
-        bot_part = incls[1].block(x).mul(incl.block(x))
-        g_blocks.append(top_part.sub(bot_part))
-    g = Morphism(K, S, g_blocks)
+    # pushout along psi: E = (tM + P0) / {(psi w, -w)}.  The basis of the sum
+    # at x lists tM(x) before P0(x), so its cover maps are block diagonal and
+    # g: K -> tM + P0 has the blocks [psi_x ; -incl_x].
+    z = field.zero
+    maps = {}
+    for (x, y) in M.poset.covers:
+        a, b = tM.maps[(x, y)], P0rep.maps[(x, y)]
+        rows = [r + (z,) * b.c for r in a.rows] + [(z,) * a.c + r for r in b.rows]
+        maps[(x, y)] = Mat(field, rows, a.r + b.r, a.c + b.c)
+    S = Representation(M.poset, field, [s + t for s, t in zip(tM.dims, P0rep.dims)], maps, check=False)
+    neg = field.of_int(-1)
+    g = Morphism(K, S, [psi.block(x).vstack(incl.block(x).scale(neg)) for x in M.poset.elements()])
     E, _ = g.cokernel()
     middles = split_indecomposables(E, rng)
     seq = ARSequence(tM, middles, M)

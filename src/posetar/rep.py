@@ -383,6 +383,37 @@ def top(M: Representation) -> tuple[Representation, Morphism]:
 
 def hom(M: Representation, N: Representation) -> list[Morphism]:
     """Basis of the space of morphisms M -> N."""
+    P, field = M.poset, M.field
+    offsets, total, rows = _hom_system(M, N)
+    if total == 0:
+        return []
+    if rows:
+        kernel = Mat(field, rows, len(rows), total).nullspace()
+    else:
+        z, o = field.zero, field.one
+        kernel = [tuple(o if i == j else z for i in range(total)) for j in range(total)]
+    out = []
+    for vec in kernel:
+        blocks = []
+        for x in P.elements():
+            r, c = N.dims[x], M.dims[x]
+            seg = vec[offsets[x]: offsets[x] + r * c]
+            blocks.append(Mat(field, [seg[i * c:(i + 1) * c] for i in range(r)], r, c))
+        out.append(Morphism(M, N, blocks))
+    return out
+
+
+def hom_dim(M: Representation, N: Representation) -> int:
+    """dim Hom(M, N): the unknowns of hom's system minus its rank."""
+    _, total, rows = _hom_system(M, N)
+    if not rows:
+        return total
+    return total - Mat(M.field, rows, len(rows), total).rank()
+
+
+def _hom_system(M: Representation, N: Representation):
+    """Offsets of the blocks f_x among the unknowns, their number, and the
+    rows of the naturality constraints A f_x - f_y B = 0 on every cover."""
     if M.poset is not N.poset and M.poset.covers != N.poset.covers:
         raise PosetarError("hom requires representations of the same poset")
     P, field = M.poset, M.field
@@ -391,9 +422,9 @@ def hom(M: Representation, N: Representation) -> list[Morphism]:
     for x in P.elements():
         offsets.append(total)
         total += N.dims[x] * M.dims[x]
-    if total == 0:
-        return []
     rows = []
+    if total == 0:
+        return offsets, total, rows
     z, p = field.zero, field.p
     for (x, y) in P.covers:
         A = N.maps[(x, y)].rows  # N(x)->N(y)
@@ -410,24 +441,7 @@ def hom(M: Representation, N: Representation) -> list[Morphism]:
                 row[offsets[x] + j: offsets[x] + nx * mx: mx] = A[i]
                 row[fy: fy + my] = neg_cols[j]
                 rows.append(row)
-    if rows:
-        system = Mat(field, rows, len(rows), total)
-        kernel = system.nullspace()
-    else:
-        kernel = [tuple(field.one if i == j else z for i in range(total)) for j in range(total)]
-    out = []
-    for vec in kernel:
-        blocks = []
-        for x in P.elements():
-            r, c = N.dims[x], M.dims[x]
-            seg = vec[offsets[x]: offsets[x] + r * c]
-            blocks.append(Mat(field, [seg[i * c:(i + 1) * c] for i in range(r)], r, c))
-        out.append(Morphism(M, N, blocks))
-    return out
-
-
-def hom_dim(M: Representation, N: Representation) -> int:
-    return len(hom(M, N))
+    return offsets, total, rows
 
 
 def is_isomorphic(M: Representation, N: Representation, rng=None) -> bool:

@@ -96,9 +96,9 @@ def verify_slice(sl: SliceData, max_degree: int | None = None) -> SliceReport:
     P = sl.poset
     n = sl.tree.n
     ext_failures = []
-    from .homalg import _ext_from_resolution, min_projective_resolution
+    from .homalg import _ext_from_resolution, _resolution
 
-    resolutions = {v: min_projective_resolution(sl.modules[v])[0] for v in range(n)}
+    resolutions = {v: _resolution(sl.modules[v])[0] for v in range(n)}
     for v in range(n):
         C = resolutions[v]
         top = C.length() if max_degree is None else min(C.length(), max_degree)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 from .errors import SplitFailure
@@ -296,17 +297,25 @@ def split_indecomposables(M: Representation, rng: random.Random | None = None):
         else:
             grouped.append([piece])
 
-    P = M.poset
+    return [(g[0], len(g)) for g in _canonical_order(grouped, M.poset, M.field)]
+
+
+def _canonical_order(groups: list[list[Representation]], P, field) -> list[list[Representation]]:
+    """Groups by dimension vector along the linear extension, then by the hom
+    fingerprint (hom_dim(M, P(x)), hom_dim(S(x), M)) along it.
+
+    The fingerprint only orders groups whose dimension vectors tie, so only
+    those get one; a stable sort on (dimension vector, fingerprint or ())
+    never compares a fingerprint with () and gives the order of the full key.
+    """
     order = P.linear_extension()
+    dimvecs = [tuple(g[0].dims[x] for x in order) for g in groups]
+    tied = {dv for dv, c in Counter(dimvecs).items() if c > 1}
+    projs = [projective(P, x, field) for x in order] if tied else []
+    simples = [simple(P, x, field) for x in order] if tied else []
 
-    def key(group):
-        rep = group[0]
-        dimvec = tuple(rep.dims[x] for x in order)
-        finger = tuple(
-            (hom_dim(rep, proj_cache[x]), hom_dim(simple_cache[x], rep)) for x in order
-        )
-        return (dimvec, finger)
+    def finger(rep):
+        return tuple((hom_dim(rep, p), hom_dim(s, rep)) for p, s in zip(projs, simples))
 
-    proj_cache = {x: projective(P, x, M.field) for x in order}
-    simple_cache = {x: simple(P, x, M.field) for x in order}
-    return [(g[0], len(g)) for g in sorted(grouped, key=key)]
+    keys = [(dv, finger(g[0]) if dv in tied else ()) for g, dv in zip(groups, dimvecs)]
+    return [groups[i] for i in sorted(range(len(groups)), key=keys.__getitem__)]

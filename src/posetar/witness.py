@@ -14,12 +14,7 @@ import random
 from dataclasses import dataclass
 
 from .clamped import enumerate_clamped
-from .homalg import (
-    is_projective,
-    min_projective_resolution,
-    realize_scalar_map,
-    tau_inverse,
-)
+from .homalg import _resolution, _scalar_blocks, is_projective, tau_inverse
 from .ictree import build_tree, classify_tree, ic_plus_decompose
 from .knit import ar_sequence_end, knit
 from .linalg import Field, QQ
@@ -36,12 +31,14 @@ def derived_translate_is_module(M: Representation) -> bool:
     The test asks that the Nakayama image of d1 be onto and that no term sit
     beyond degree 1, so that degree 1 carries the whole kernel.  A minimal
     resolution has no zero terms, so this is exactly pd M == 1 with nu(d1)
-    onto, and resolving two steps tells pd M == 1 from pd M >= 2.
+    onto, and resolving two steps tells pd M == 1 from pd M >= 2.  A map
+    of modules is onto when each of its blocks has full row rank.
     """
-    C, _ = min_projective_resolution(M, max_length=2)
-    return C.length() == 1 and realize_scalar_map(
-        M.poset, M.field, "inj", C.labels[1], C.labels[0], C.mats[0]
-    ).is_surjective()
+    C, _ = _resolution(M, max_length=2)
+    if C.length() != 1:
+        return False
+    blocks = _scalar_blocks(M.poset, "inj", C.labels[1], C.labels[0], C.mats[0])
+    return all(b.rank() == b.r for b in blocks)
 
 
 @dataclass

@@ -2,9 +2,11 @@ import pytest
 from conftest import random_ic_family
 
 from posetar.corpus import corpus_poset, star_poset
+from posetar.clamped import enumerate_clamped
 from posetar.homalg import (
     LabeledComplex,
     _assert_min_resolution,
+    _cokernel_into_projectives,
     _cover_by_projectives,
     _layout,
     coinduce,
@@ -16,6 +18,7 @@ from posetar.homalg import (
     min_injective_resolution,
     min_projective_resolution,
     nakayama,
+    projective_presentation,
     realize_labels,
     realize_scalar_map,
     tau,
@@ -509,3 +512,136 @@ def test_injective_resolution_support_in_clamped_interval():
     C2, _ = min_injective_resolution(M)
     members = big.closed_interval(lo, hi)
     assert all(x in members for lab in C2.labels for x in lab)
+
+
+# -- the realized chain that the labeled translates replace, as a reference --
+
+
+def _reference_tau(M):
+    L1, L0, d = projective_presentation(M)
+    if L1 is None:
+        return None
+    K, _ = realize_scalar_map(M.poset, M.field, "inj", L1, L0, d).kernel()
+    return K
+
+
+def _reference_tau_inverse(M):
+    C, _ = min_injective_resolution(M, max_length=1)
+    if C.length() == 0:
+        return None
+    Q, _ = realize_scalar_map(M.poset, M.field, "proj", C.labels[0], C.labels[1], C.mats[0]).cokernel()
+    return Q
+
+
+def _reference_transpose_dual_tau(M):
+    L1, L0, d = projective_presentation(M)
+    if L1 is None:
+        return None
+    TrM, _ = realize_scalar_map(M.poset.opposite(), M.field, "proj", L0, L1, d.transpose()).cokernel()
+    return dualize(TrM)[0]
+
+
+def _reference_induce(U, P, ids):
+    L1, L0, d = projective_presentation(U)
+    amb0 = tuple(ids[x] for x in L0)
+    if L1 is None:
+        return realize_labels(P, U.field, "proj", amb0)
+    Q, _ = realize_scalar_map(P, U.field, "proj", tuple(ids[x] for x in L1), amb0, d).cokernel()
+    return Q
+
+
+def _reference_coinduce(U, P, ids):
+    C, _ = min_injective_resolution(U, max_length=1)
+    amb0 = tuple(ids[x] for x in C.labels[0])
+    if C.length() == 0:
+        return realize_labels(P, U.field, "inj", amb0)
+    K, _ = realize_scalar_map(P, U.field, "inj", amb0, tuple(ids[x] for x in C.labels[1]), C.mats[0]).kernel()
+    return K
+
+
+def _assert_same_module(got, want):
+    if want is None:
+        assert got is None
+        return
+    assert got.poset.covers == want.poset.covers
+    assert got.dims == want.dims
+    assert got.maps == want.maps
+
+
+TRANSLATES = [
+    (tau, _reference_tau),
+    (tau_inverse, _reference_tau_inverse),
+    (transpose_dual_tau, _reference_transpose_dual_tau),
+]
+
+
+def _assert_translates_match_reference(M):
+    for op, ref in TRANSLATES:
+        _assert_same_module(op(M), ref(M))
+
+
+@pytest.mark.parametrize("source", ["star-2-2", "ex57", "ex33-poset3"])
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_translates_match_realized_chain_on_knit_vertices(source, field):
+    comp = knit(corpus_poset(source), field)
+    for v in comp.vertices:
+        _assert_translates_match_reference(v.rep)
+
+
+@pytest.mark.parametrize("cid", corpus_ids())
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_translates_match_realized_chain_on_simples_projectives_injectives(cid, field):
+    P = corpus_poset(cid)
+    for x in P.elements():
+        for make in (simple, projective, injective):
+            _assert_translates_match_reference(make(P, x, field))
+
+
+@pytest.mark.parametrize("cid", corpus_ids())
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_induce_coinduce_match_realized_chain_on_clamped_intervals(cid, field):
+    # every simple, projective and injective of each proper clamped interval,
+    # induced and coinduced back to the whole poset
+    P = corpus_poset(cid)
+    for iv in enumerate_clamped(P):
+        if iv.low == iv.high:
+            continue
+        sub, ids = P.induced(iv.members(P))
+        for y in sub.elements():
+            for make in (simple, projective, injective):
+                U = make(sub, y, field)
+                _assert_same_module(induce(U, P, ids), _reference_induce(U, P, ids))
+                _assert_same_module(coinduce(U, P, ids), _reference_coinduce(U, P, ids))
+
+
+def _assert_truncation_is_the_cut_resolution(M):
+    full, aug = min_projective_resolution(M)
+    for k in (1, 2):
+        C, caug = min_projective_resolution(M, max_length=k)
+        assert C.labels == full.labels[: k + 1]
+        assert C.mats == full.mats[:k]
+        assert caug.blocks == aug.blocks and caug.source.maps == aug.source.maps
+
+
+@pytest.mark.parametrize("cid", corpus_ids())
+def test_truncated_resolution_is_the_full_one_cut(cid):
+    P = corpus_poset(cid)
+    for field in FIELDS:
+        for x in P.elements():
+            for make in (simple, projective, injective):
+                _assert_truncation_is_the_cut_resolution(make(P, x, field))
+
+
+@pytest.mark.parametrize("source", ["star-2-2", "ex57"])
+def test_truncated_resolution_is_the_full_one_cut_on_knit_vertices(source):
+    for v in knit(corpus_poset(source)).vertices:
+        _assert_truncation_is_the_cut_resolution(v.rep)
+
+
+def test_cokernel_into_projectives_checks_the_factorisation():
+    # on the chain 1 < 2 a "map" into P(1) hitting all of P(1) at 1 and none
+    # of it at 2 has no image subrepresentation, so nothing factors
+    P = chain(2)
+    blocks = [Mat(QQ, [[1]], 1, 1), Mat(QQ, [[0]], 1, 1)]
+    with pytest.raises(PosetarError, match="factor"):
+        _cokernel_into_projectives(P, QQ, (P.id_of("1"),), blocks)

@@ -2,13 +2,16 @@ import pytest
 
 from posetar.corpus import corpus_poset
 from posetar.errors import NotConvex
-from posetar.linalg import QQ
+from posetar.ictree import ic_plus_decompose
+from posetar.knit import knit
+from posetar.linalg import QQ, Field
 from posetar.poset import chain
 from posetar.rep import (
     Representation,
     constant_on,
     direct_sum,
     dualize,
+    hom,
     hom_dim,
     injective,
     is_isomorphic,
@@ -20,6 +23,7 @@ from posetar.rep import (
     top,
     transport,
 )
+from posetar.slices import standard_slice
 
 
 def names(P, sup):
@@ -191,3 +195,20 @@ def test_module_iso_to_sum_with_zero():
     M = projective(P, P.id_of("a"))
     S, _, _ = direct_sum([M, zero_rep(P, M.field)])
     assert is_isomorphic(S, M)
+
+
+def _modules_of(source, field):
+    P = corpus_poset(source)
+    if source == "p-1-2":
+        return list(standard_slice(P, ic_plus_decompose(P), field).modules.values())
+    return [v.rep for v in knit(P, field).vertices]
+
+
+@pytest.mark.parametrize("source", ["star-2-2", "ex57", "p-1-2"])
+@pytest.mark.parametrize("field", [QQ, Field(5)], ids=str)
+def test_hom_dim_counts_the_hom_basis(source, field):
+    # vertex modules of the knits, slice modules of p-1-2
+    mods = _modules_of(source, field)
+    for M in mods:
+        for N in mods:
+            assert hom_dim(M, N) == len(hom(M, N))

@@ -5,20 +5,23 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
 import sympy
 
 import posetar
 from posetar.corpus import corpus_poset
+from posetar.knit import ar_sequence_end, knit
 from posetar.poset import chain
 from posetar.rep import (
     constant_on,
     direct_sum,
+    hom_dim,
     is_isomorphic,
     projective,
     radical,
     simple,
 )
-from posetar.split import _crt_idempotent_poly, is_indecomposable, split_indecomposables
+from posetar.split import _canonical_order, _crt_idempotent_poly, is_indecomposable, split_indecomposables
 
 T = sympy.Symbol("t")
 LINEAR = [T, T - 1, T + 1, T - 2, T + 3, 2 * T - 1, 3 * T - 2, 3 * T + 1, 2 * T + 3]
@@ -130,3 +133,54 @@ def test_import_does_not_load_sympy():
     code = "import sys, posetar, posetar.cli; sys.exit('sympy' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0
+
+
+def _full_key_order(groups, P):
+    """The order before tie-only fingerprints: every group keyed by its
+    dimension vector and its hom fingerprint, stable sort."""
+    order = P.linear_extension()
+
+    def key(group):
+        rep = group[0]
+        dimvec = tuple(rep.dims[x] for x in order)
+        finger = tuple(
+            (hom_dim(rep, projective(P, x, rep.field)), hom_dim(simple(P, x, rep.field), rep)) for x in order
+        )
+        return (dimvec, finger)
+
+    return sorted(groups, key=key)
+
+
+def _assert_orders_agree(groups, P, rng):
+    for _ in range(4):
+        got = _canonical_order(groups, P, groups[0][0].field)
+        assert [id(g) for g in got] == [id(g) for g in _full_key_order(groups, P)]
+        groups = rng.sample(groups, len(groups))
+
+
+@pytest.mark.parametrize("source", ["ex57", "star-2-2"])
+def test_canonical_order_matches_full_key_sort_on_ar_sequences(source):
+    P = corpus_poset(source)
+    rng = random.Random(3)
+    seen = 0
+    for v in knit(P).vertices:
+        if v.proj is not None:
+            continue
+        seq = ar_sequence_end(v.rep)
+        groups = [[rep] * mult for rep, mult in seq.middles]
+        assert groups == _full_key_order(groups, P)
+        _assert_orders_agree(groups, P, rng)
+        seen += 1
+    assert seen > 0
+
+
+@pytest.mark.parametrize("source", ["ex57", "star-2-2"])
+def test_canonical_order_matches_full_key_sort_on_tied_dimension_vectors(source):
+    # k{x,y} and S(x) + S(y) share a dimension vector on every cover x < y,
+    # so every group here is tied with another and gets a fingerprint
+    P = corpus_poset(source)
+    groups = []
+    for (x, y) in P.covers:
+        groups.append([constant_on(P, {x, y})])
+        groups.append([direct_sum([simple(P, x), simple(P, y)])[0]])
+    _assert_orders_agree(groups, P, random.Random(4))
