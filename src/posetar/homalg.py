@@ -370,7 +370,13 @@ def tau(M: Representation) -> Representation | None:
     L1, L0, d = projective_presentation(M)
     if L1 is None:
         return None
-    return _kernel_out_of_injectives(M.poset, M.field, L1, _scalar_blocks(M.poset, "inj", L1, L0, d))
+    return _tau_of_presentation(M.poset, M.field, L1, L0, d)
+
+
+def _tau_of_presentation(P: Poset, field, L1, L0, d: Mat) -> Representation:
+    """tau from a minimal presentation P(L1) -> P(L0) with scalar matrix d:
+    the kernel of its Nakayama image I(L1) -> I(L0)."""
+    return _kernel_out_of_injectives(P, field, L1, _scalar_blocks(P, "inj", L1, L0, d))
 
 
 def tau_inverse(M: Representation) -> Representation | None:
@@ -442,7 +448,6 @@ def _hom_complex_map(C: LabeledComplex, N: Representation, i: int) -> Mat:
     scalar = C.mats[i]  # dst_labels -> src_labels direction for proj complexes
     rows_dim = _hom_space_dim(N, dst_labels)
     cols_dim = _hom_space_dim(N, src_labels)
-    p = field.p
     data = [[field.zero] * cols_dim for _ in range(rows_dim)]
     roff = 0
     for j, x in enumerate(dst_labels):
@@ -450,11 +455,10 @@ def _hom_complex_map(C: LabeledComplex, N: Representation, i: int) -> Mat:
         for k, y in enumerate(src_labels):
             c = scalar.rows[k][j]
             if c:
-                pm = N.path_map(y, x)  # y <= x guaranteed by scalar legality
-                # block (j, k) is c * pm; no other pair of labels writes there
-                for a, pm_row in enumerate(pm.rows):
-                    block = [c * v for v in pm_row]
-                    data[roff + a][coff: coff + N.dims[y]] = [v % p for v in block] if p else block
+                # block (j, k) is c * path_map(y, x), y <= x by scalar legality;
+                # no other pair of labels writes there
+                for a, row in enumerate(N.path_map(y, x).scale(c).rows):
+                    data[roff + a][coff: coff + N.dims[y]] = row
             coff += N.dims[y]
         roff += N.dims[x]
     return Mat(field, data, rows_dim, cols_dim)

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass, field
 
 from .errors import IsProjective, MeshMismatch, NotEmbeddable, NotIndecomposable, PosetarError
-from .homalg import _cover_by_projectives, tau, tau_inverse
+from .homalg import _resolution, _tau_of_presentation, realize_labels, tau_inverse
 from .ictree import ic_decompose
 from .linalg import Field, Mat, QQ
 from .poset import Poset
@@ -55,19 +55,31 @@ class ARSequence:
 
 def ar_sequence_end(M: Representation, rng: random.Random | None = None,
                     check_indecomposable: bool = True) -> ARSequence:
-    """The almost split sequence ending at M, with its middle split exactly."""
+    """The almost split sequence ending at M, with its middle split exactly.
+
+    One minimal presentation P1 -> P0 -> M gives both the projective cover
+    and tau M.
+    """
     rng = rng or random.Random(0)
-    _, cover = _cover_by_projectives(M)
-    K, incl = cover.kernel()
-    if K.is_zero():
+    C, blocks = _resolution(M, max_length=1)
+    if C.length() == 0:
         raise IsProjective("no almost split sequence ends at a projective")
     if check_indecomposable and not is_indecomposable(M, rng):
         raise NotIndecomposable("almost split sequences end at indecomposables")
+    P, field = M.poset, M.field
+    cover = Morphism(realize_labels(P, field, "proj", C.labels[0]), M, blocks)
+    tM = _tau_of_presentation(P, field, C.labels[1], C.labels[0], C.mats[0])
+    return _almost_split(M, cover, tM, rng)
+
+
+def _almost_split(M: Representation, cover: Morphism, tM: Representation, rng: random.Random) -> ARSequence:
+    """The almost split sequence ending at the non-projective indecomposable M,
+    from its projective cover and its translate tM."""
+    if tM.is_zero():
+        raise PosetarError("translate vanished for a non-projective module")
     field = M.field
     P0rep = cover.source
-    tM = tau(M)
-    if tM is None or tM.is_zero():
-        raise PosetarError("translate vanished for a non-projective module")
+    K, incl = cover.kernel()
 
     ext_basis = hom(K, tM)
     if not ext_basis:
@@ -187,6 +199,7 @@ class ARComponent:
     field: Field
     vertices: list[KnitVertex]
     arrows: list[tuple[int, int]]
+    in_srcs: dict[int, list[int]]  # vid -> sources of its in-arrows, in arrow order
     tau_map: dict[int, int]
     status: str  # 'complete' | 'truncated'
     meshes: int
@@ -196,7 +209,7 @@ class ARComponent:
         return self.vertices[vid]
 
     def in_arrows(self, vid: int) -> list[int]:
-        return [a for a, b in self.arrows if b == vid]
+        return list(self.in_srcs[vid])
 
     def tau_inv_map(self) -> dict[int, int]:
         return {u: v for v, u in self.tau_map.items()}
@@ -370,7 +383,7 @@ def knit(
     missing = [P.names[x] for x in P.elements() if x not in attached]
     if missing and status == "complete":
         notes.append("projectives never attached: " + ", ".join(missing))
-    return ARComponent(P, field, vertices, arrows, tau_map, status, meshes, notes)
+    return ARComponent(P, field, vertices, arrows, in_srcs, tau_map, status, meshes, notes)
 
 
 # -- embedding into ZT ----------------------------------------------------------------

@@ -3,7 +3,15 @@
 Everything downstream (representations, resolutions, knitting) reduces to
 rank/kernel/solve questions on small dense matrices, so this module keeps the
 arithmetic exact and the interface minimal.  Matrices are immutable; rows are
-tuples of field elements (Fraction for the rationals, reduced ints mod p).
+tuples of field elements.  Over GF(p) an element is a reduced int in
+[0, p).  Over the rationals it is a Python int when it is integral and a
+Fraction with denominator > 1 otherwise, never a float: nearly every entry
+the algebra layers meet is a small integer, and int arithmetic costs a
+fraction of Fraction's.  Every result of this module follows that contract;
+entries given to the constructor may be any ints or Fractions.  No `/` is
+applied between two entries: a quotient goes through `_div`, which returns
+`a // b` when b divides a and `Fraction(a, b)` otherwise, and sums and
+products that may come out integral are turned back into ints by `_canon`.
 
 The kernels make no Field method call and no Fraction comparison per entry:
 they skip zeros by truthiness and use plain `+`/`*`, reducing mod p once per
@@ -13,7 +21,9 @@ operation is row <- a*row - b*pivot_row followed by division by the gcd of
 the row's entries, and each pivot row is divided by its pivot once, at the
 end.  The reduced row echelon form is unique, so this gives the same matrix
 as elimination over Fraction.  Over GF(p) the same loop reduces mod p in
-place of the gcd step and finishes with the inverse of the pivot.
+place of the gcd step and finishes with the inverse of the pivot.  A matrix
+with no rows or no columns is its own echelon form, and a single row needs
+no elimination: it is divided by its first nonzero entry.
 """
 
 from __future__ import annotations
@@ -22,8 +32,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
+
+def _canon(v):
+    """A rational as the contract stores it: an int when it is integral."""
+    return v if v.__class__ is int or v.denominator != 1 else v.numerator
+
+
+def _div(a: int, b: int):
+    """The exact quotient a/b of two ints: an int when b divides a."""
+    q, r = divmod(a, b)
+    return Fraction(a, b) if r else q
 
 
 def _is_prime(p: int) -> bool:
@@ -39,7 +57,12 @@ def _is_prime(p: int) -> bool:
 
 @dataclass(frozen=True)
 class Field:
-    """Field descriptor: the rationals (p == 0) or GF(p) for prime p."""
+    """Field descriptor: the rationals (p == 0) or GF(p) for prime p.
+
+    Elements are plain values, not wrapped: over GF(p) a reduced int in
+    [0, p), over the rationals an int when integral and a Fraction with
+    denominator > 1 otherwise.  Every method returns an element in that form.
+    """
 
     p: int = 0
 
@@ -52,37 +75,38 @@ class Field:
         return self.p == 0
 
     @property
-    def zero(self):
-        return ZERO if self.p == 0 else 0
+    def zero(self) -> int:
+        return 0
 
     @property
-    def one(self):
-        return ONE if self.p == 0 else 1
+    def one(self) -> int:
+        return 1
 
-    def of_int(self, n: int):
-        return Fraction(n) if self.p == 0 else n % self.p
+    def of_int(self, n: int) -> int:
+        return n % self.p if self.p else int(n)
 
     def add(self, a, b):
-        return a + b if self.p == 0 else (a + b) % self.p
+        return (a + b) % self.p if self.p else _canon(a + b)
 
     def sub(self, a, b):
-        return a - b if self.p == 0 else (a - b) % self.p
+        return (a - b) % self.p if self.p else _canon(a - b)
 
     def mul(self, a, b):
-        return a * b if self.p == 0 else (a * b) % self.p
+        return (a * b) % self.p if self.p else _canon(a * b)
 
     def neg(self, a):
-        return -a if self.p == 0 else (-a) % self.p
+        return (-a) % self.p if self.p else _canon(-a)
 
     def inv(self, a):
+        """The inverse of a nonzero element (ZeroDivisionError on zero)."""
         if self.p == 0:
-            return ONE / a
+            return _div(a.denominator, a.numerator)
         return pow(a, self.p - 2, self.p)
 
     def parse(self, text: str):
         """Parse 'p/q' (rationals) or an integer literal."""
         if self.p == 0:
-            return Fraction(text)
+            return _canon(Fraction(text))
         return int(text) % self.p
 
     def __str__(self) -> str:
@@ -204,6 +228,10 @@ class Mat:
 
     def rref(self) -> tuple["Mat", tuple[int, ...]]:
         """Reduced row echelon form and pivot column indices."""
+        if not self.r or not self.c:
+            return self, ()
+        if self.r == 1:
+            return self._rref_row()
         f = self.field
         p = f.p
         if p:
@@ -234,16 +262,18 @@ class Mat:
             pr += 1
             if pr == self.r:
                 break
-        out = []
-        for row, col in zip(rows, pivots):
-            piv = row[col]
-            if p:
-                inv = pow(piv, p - 2, p)
-                out.append([v * inv % p for v in row])
-            else:
-                out.append([ONE if v == piv else Fraction(v, piv) if v else ZERO for v in row])
-        out.extend([(f.zero,) * self.c] * (self.r - pr))
+        out = [_divide_row(p, row, row[col]) for row, col in zip(rows, pivots)]
+        out.extend([(0,) * self.c] * (self.r - pr))
         return Mat(f, out, self.r, self.c), tuple(pivots)
+
+    def _rref_row(self) -> tuple["Mat", tuple[int, ...]]:
+        """rref of a one-row matrix: the row divided by its first nonzero entry."""
+        p = self.field.p
+        row = self.rows[0] if p else _integer_row(self.rows[0])
+        for col, piv in enumerate(row):
+            if piv:
+                return Mat(self.field, [_divide_row(p, row, piv)], 1, self.c), (col,)
+        return Mat(self.field, [(0,) * self.c], 1, self.c), ()
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -295,27 +325,38 @@ class Mat:
         return self.r == self.c and self.rank() == self.r
 
     def trace(self):
-        acc = sum((self.rows[i][i] for i in range(min(self.r, self.c))), self.field.zero)
-        return acc % self.field.p if self.field.p else acc
+        acc = sum(self.rows[i][i] for i in range(min(self.r, self.c)))
+        return acc % self.field.p if self.field.p else _canon(acc)
 
 
 def _reduce(p: int, rows):
-    """Rows reduced mod p; over the rationals (p == 0) unchanged."""
-    return [[v % p for v in row] for row in rows] if p else rows
+    """Rows reduced mod p; over the rationals (p == 0) with integral entries as ints."""
+    if p:
+        return [[v % p for v in row] for row in rows]
+    return [[v if v.__class__ is int else _canon(v) for v in row] for row in rows]
+
+
+def _divide_row(p: int, row, piv):
+    """An echelon row scaled to pivot 1: times the inverse of piv mod p, or
+    over the rationals (p == 0) an integer row divided exactly by piv."""
+    if p:
+        inv = pow(piv, p - 2, p)
+        return [v * inv % p for v in row]
+    return row if piv == 1 else [_div(v, piv) for v in row]
 
 
 def _dots(vec, rows, field: Field) -> list:
     """Dot products of `vec` with each of `rows`, skipping zeros of `vec`."""
-    z, p = field.zero, field.p
+    p = field.p
     nz = [(k, a) for k, a in enumerate(vec) if a]
     out = []
     for row in rows:
-        acc = z
+        acc = 0
         for k, a in nz:
             b = row[k]
             if b:
                 acc += a * b
-        out.append(acc % p if p else acc)
+        out.append(acc % p if p else acc if acc.__class__ is int else _canon(acc))
     return out
 
 
@@ -327,9 +368,12 @@ def _primitive(row: list[int]) -> list[int]:
 
 def _integer_row(row) -> list[int]:
     """A row of rationals scaled to coprime integers, a nonzero multiple of it."""
+    for v in row:
+        if v.__class__ is not int:
+            break
+    else:
+        return _primitive(list(row))
     d = lcm(*[v.denominator for v in row])
-    if d == 1:
-        return _primitive([v.numerator for v in row])
     return _primitive([v.numerator * (d // v.denominator) for v in row])
 
 

@@ -235,7 +235,9 @@ def _quotient_projection(field: Field, gens: Mat, dim: int) -> tuple[Mat, tuple[
     The rows of rref[gens | I] whose gens-part vanished are the echelon basis
     of the functionals killing gens, so they depend only on the span of gens.
     """
-    R, pivots = gens.hstack(Mat.identity(field, dim)).rref()
+    z, o = field.zero, field.one
+    rows = [list(g) + [o if c == r else z for c in range(dim)] for r, g in enumerate(gens.rows)]
+    R, pivots = Mat(field, rows, dim, gens.c + dim).rref()
     k = sum(p < gens.c for p in pivots)  # the I-part gives full row rank: every row has a pivot
     rows = [row[gens.c:] for row in R.rows[k:]]
     return Mat(field, rows, len(rows), dim), tuple(p - gens.c for p in pivots[k:])

@@ -100,6 +100,12 @@ def _endo_poly(f: Morphism, coeffs) -> Morphism:
 
 
 # -- exact polynomials over Q: Fraction coefficients, lowest degree first ----
+#
+# Matrix entries over Q are ints when integral (see linalg), but these helpers
+# divide coefficients with `/`, which on two ints gives a float.  So a
+# polynomial enters as Fractions (_crt_idempotent_poly converts the minimal
+# polynomial) and every coefficient stays a Fraction; _endo_poly hands them
+# back to Mat.scale, which returns canonical entries.
 
 
 def _trim(p):
@@ -186,6 +192,7 @@ def _crt_idempotent_poly(p):
     caller tries the Fitting route and further candidates instead, and raises
     SplitFailure if none of them splits.
     """
+    p = [Fraction(c) for c in p]
     mult = {}
     for r in _rational_roots(p):
         rest, m = p, 0

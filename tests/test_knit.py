@@ -4,19 +4,22 @@ import random
 
 import pytest
 
-from posetar.corpus import corpus_poset, star_poset
-from posetar.errors import IsProjective
+from posetar.corpus import corpus_ids, corpus_poset, star_poset
+from posetar.errors import IsProjective, NotIndecomposable
+from posetar.homalg import _cover_by_projectives, tau
 from posetar.ictree import ic_decompose
 from posetar.knit import (
+    _almost_split,
     ar_sequence_end,
     embed_in_ZT,
     glue_meshes_check,
     knit,
     wing_window,
 )
-from posetar.linalg import Field
+from posetar.linalg import QQ, Field
 from posetar.poset import chain
-from posetar.rep import is_isomorphic, projective, radical, simple, socle
+from posetar.rep import direct_sum, is_isomorphic, projective, radical, simple, socle
+from posetar.split import is_indecomposable
 from posetar.slices import standard_slice
 
 
@@ -36,6 +39,16 @@ def test_ar_sequence_rejects_projective():
     P = chain(2)
     with pytest.raises(IsProjective):
         ar_sequence_end(projective(P, 0))
+
+
+def test_ar_sequence_end_checks_projectivity_before_indecomposability():
+    P = chain(3)
+    with pytest.raises(IsProjective):
+        ar_sequence_end(direct_sum([projective(P, 0), projective(P, 1)])[0])
+    with pytest.raises(NotIndecomposable):
+        ar_sequence_end(direct_sum([simple(P, 0), simple(P, 1)])[0])
+    seq = ar_sequence_end(direct_sum([simple(P, 0), simple(P, 1)])[0], check_indecomposable=False)
+    assert seq.tau_end.dims == (0, 1, 1)
 
 
 def test_diamond_three_middle_mesh():
@@ -223,3 +236,51 @@ def test_knit_bases_are_pinned(source):
         sort_keys=True,
     )
     assert hashlib.sha256(blob.encode()).hexdigest() == KNIT_DIGESTS[source]
+
+
+# The budgets README gives for the corpus ids whose knits do not stop soon at
+# the default budget.
+README_BUDGETS = {"ex33-boxes4": 200, "ex58-poset2": 200, "sec2-left": 40, "sec4-nine": 40}
+
+
+@pytest.mark.parametrize("cid", corpus_ids())
+def test_in_arrows_match_the_arrow_scan(cid):
+    comp = knit(corpus_poset(cid), max_meshes=README_BUDGETS.get(cid, 2000))
+    for v in comp.vertices:
+        got = comp.in_arrows(v.vid)
+        assert got == [a for a, b in comp.arrows if b == v.vid]
+        got.append(-1)  # a copy: the component is not changed through it
+        assert comp.in_arrows(v.vid) == got[:-1]
+
+
+def _reference_ar_sequence_end(M, rng):
+    """ar_sequence_end with the projective cover and tau M computed apart,
+    one presentation each, as it was before both came from one."""
+    _, cover = _cover_by_projectives(M)
+    K, _ = cover.kernel()
+    if K.is_zero():
+        raise IsProjective("no almost split sequence ends at a projective")
+    assert is_indecomposable(M, rng)
+    return _almost_split(M, cover, tau(M), rng)
+
+
+def _assert_same_module(got, want):
+    assert got.dims == want.dims
+    assert got.maps == want.maps
+
+
+@pytest.mark.parametrize("source", ["star-2-2", "ex57"])
+@pytest.mark.parametrize("field", [QQ, Field(5)], ids=str)
+def test_ar_sequence_end_matches_separate_cover_and_tau(source, field):
+    comp = knit(corpus_poset(source), field)
+    for v in comp.vertices:
+        if v.proj is not None:
+            with pytest.raises(IsProjective):
+                ar_sequence_end(v.rep)
+            continue
+        got = ar_sequence_end(v.rep, random.Random(0))
+        want = _reference_ar_sequence_end(v.rep, random.Random(0))
+        _assert_same_module(got.tau_end, want.tau_end)
+        assert [m for _, m in got.middles] == [m for _, m in want.middles]
+        for (a, _), (b, _) in zip(got.middles, want.middles):
+            _assert_same_module(a, b)

@@ -3,6 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from posetar.corpus import corpus_poset
+from posetar.homalg import tau, tau_inverse, transpose_dual_tau
+from posetar.knit import ar_sequence_end, knit
 from posetar.linalg import Field, Mat, QQ, span_basis
 
 
@@ -176,18 +179,28 @@ def sample_matrices(field, seed=20240):
                 row[j] = field.zero  # and a zero column
             out.append(low)
             out.append(Mat(field, rows, r, c))
+    if not field.p:
+        # integral input as plain ints and as Fraction(k, 1): results must come back as ints
+        for r, c in SHAPES:
+            ints = [[rng.choice([0, 0, 1, -1, 2, -3]) for _ in range(c)] for _ in range(r)]
+            out.append(Mat(field, ints, r, c))
+            out.append(Mat(field, [[Fraction(v, 1) for v in row] for row in ints], r, c))
     return out
 
 
 def assert_canonical(M):
-    """Entries are Fractions over Q and reduced residues over GF(p)."""
-    p = M.field.p
+    """Entries are reduced residues over GF(p); over Q an int when integral
+    and otherwise a Fraction with denominator > 1 (never a float)."""
     for row in M.rows:
         for v in row:
-            if p:
-                assert type(v) is int and 0 <= v < p
-            else:
-                assert type(v) is Fraction
+            assert_canonical_entry(M.field, v)
+
+
+def assert_canonical_entry(field, v):
+    if field.p:
+        assert type(v) is int and 0 <= v < field.p
+    else:
+        assert type(v) is int or (type(v) is Fraction and v.denominator > 1), repr(v)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
@@ -201,6 +214,7 @@ def test_rref_rank_and_nullspace_match_the_reference(field):
         kernel = A.nullspace()
         assert kernel == ref_nullspace(A)
         assert all(not any(A.apply(v)) for v in kernel)
+        assert_canonical(Mat.from_columns(field, kernel, A.c))
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
@@ -228,4 +242,71 @@ def test_solve_matches_the_reference(field):
             if X is not None:
                 assert X.rows == ref.rows
                 assert A.mul(X) == B
+                assert_canonical(X)
         assert A.solve(consistent) is not None
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_add_sub_scale_and_trace_return_canonical_entries(field):
+    rng = random.Random(13)
+    for A in sample_matrices(field):
+        B = random_mat(rng, field, A.r, A.c, 0.7)
+        for C in (A.add(B), A.sub(B), A.add(A), A.sub(A), A.scale(field.of_int(2))):
+            assert_canonical(C)
+        if A.r and A.c:
+            assert_canonical_entry(field, A.trace())
+
+
+def test_integral_rational_results_are_ints():
+    half = Fraction(1, 2)
+    H = Mat(QQ, [[half, -half], [Fraction(3, 2), half]], 2, 2)
+    for C in (H.add(H), H.sub(H), H.scale(2), H.mul(Mat.from_int_rows(QQ, [[2, 0], [0, 2]]))):
+        assert all(type(v) is int for row in C.rows for v in row)
+    assert type(H.trace()) is int and H.trace() == 1
+    R, _ = Mat(QQ, [[Fraction(2), Fraction(4, 2), Fraction(6)]], 1, 3).rref()
+    assert R.rows == ((1, 1, 3),) and all(type(v) is int for v in R.rows[0])
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_field_methods_return_canonical_elements(field):
+    values = [field.of_int(n) for n in range(-12, 13)]
+    values += [field.parse(t) for t in ("0", "1", "-7", "12")]
+    if not field.p:
+        values += [field.parse(t) for t in ("1/2", "-6/3", "4/2", "3/9", "0/5")]
+        assert field.parse("4/2") == 2 and type(field.parse("4/2")) is int
+        assert field.inv(Fraction(1, 3)) == 3 and type(field.inv(Fraction(1, 3))) is int
+    values += [field.zero, field.one]
+    for v in list(values):
+        if v:
+            values.append(field.inv(v))
+    for v in values:
+        assert_canonical_entry(field, v)
+        for w in values[:12]:
+            for op in (field.add, field.sub, field.mul):
+                assert_canonical_entry(field, op(v, w))
+        assert_canonical_entry(field, field.neg(v))
+
+
+def _assert_module_canonical(M):
+    for m in M.maps.values():
+        assert_canonical(m)
+
+
+@pytest.mark.parametrize("source", ["star-2-2", "ex57", "ex33-poset3"])
+def test_algebra_layers_return_canonical_entries(source):
+    """Over Q every entry the algebra layers hand out is an int or a
+    non-integral Fraction: knit vertices, their translates and the middles
+    of the almost split sequences ending at them."""
+    comp = knit(corpus_poset(source))
+    rng = random.Random(0)
+    for v in comp.vertices:
+        _assert_module_canonical(v.rep)
+        for op in (tau, tau_inverse, transpose_dual_tau):
+            T = op(v.rep)
+            if T is not None:
+                _assert_module_canonical(T)
+        if v.proj is None:
+            seq = ar_sequence_end(v.rep, rng)
+            _assert_module_canonical(seq.tau_end)
+            for mid, _ in seq.middles:
+                _assert_module_canonical(mid)
