@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass, field
 
 from .errors import IsProjective, MeshMismatch, NotEmbeddable, NotIndecomposable, PosetarError
-from .homalg import _resolution, _tau_of_presentation, realize_labels, tau_inverse
+from .homalg import _tau_of_presentation, min_projective_resolution, tau_inverse
 from .ictree import ic_decompose
 from .linalg import Field, Mat, QQ
 from .poset import Poset
@@ -61,14 +61,12 @@ def ar_sequence_end(M: Representation, rng: random.Random | None = None,
     and tau M.
     """
     rng = rng or random.Random(0)
-    C, blocks = _resolution(M, max_length=1)
+    C, cover = min_projective_resolution(M, max_length=1)
     if C.length() == 0:
         raise IsProjective("no almost split sequence ends at a projective")
     if check_indecomposable and not is_indecomposable(M, rng):
         raise NotIndecomposable("almost split sequences end at indecomposables")
-    P, field = M.poset, M.field
-    cover = Morphism(realize_labels(P, field, "proj", C.labels[0]), M, blocks)
-    tM = _tau_of_presentation(P, field, C.labels[1], C.labels[0], C.mats[0])
+    tM = _tau_of_presentation(M.poset, M.field, C.labels[1], C.labels[0], C.mats[0])
     return _almost_split(M, cover, tM, rng)
 
 

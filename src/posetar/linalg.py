@@ -7,8 +7,11 @@ tuples of field elements.  Over GF(p) an element is a reduced int in
 [0, p).  Over the rationals it is a Python int when it is integral and a
 Fraction with denominator > 1 otherwise, never a float: nearly every entry
 the algebra layers meet is a small integer, and int arithmetic costs a
-fraction of Fraction's.  Every result of this module follows that contract;
-entries given to the constructor may be any ints or Fractions.  No `/` is
+fraction of Fraction's.  Every entry this module computes follows that
+contract: the results of rref, nullspace, solve, inverse, mul, apply, add,
+sub, scale and trace, and the Field methods.  The constructor accepts any
+ints or Fractions, and re-indexing (transpose, hstack, vstack, column,
+columns, from_columns) keeps the entries it was given.  No `/` is
 applied between two entries: a quotient goes through `_div`, which returns
 `a // b` when b divides a and `Fraction(a, b)` otherwise, and sums and
 products that may come out integral are turned back into ints by `_canon`.
@@ -22,8 +25,7 @@ the row's entries, and each pivot row is divided by its pivot once, at the
 end.  The reduced row echelon form is unique, so this gives the same matrix
 as elimination over Fraction.  Over GF(p) the same loop reduces mod p in
 place of the gcd step and finishes with the inverse of the pivot.  A matrix
-with no rows or no columns is its own echelon form, and a single row needs
-no elimination: it is divided by its first nonzero entry.
+with no rows or no columns is its own echelon form.
 """
 
 from __future__ import annotations
@@ -230,8 +232,6 @@ class Mat:
         """Reduced row echelon form and pivot column indices."""
         if not self.r or not self.c:
             return self, ()
-        if self.r == 1:
-            return self._rref_row()
         f = self.field
         p = f.p
         if p:
@@ -265,15 +265,6 @@ class Mat:
         out = [_divide_row(p, row, row[col]) for row, col in zip(rows, pivots)]
         out.extend([(0,) * self.c] * (self.r - pr))
         return Mat(f, out, self.r, self.c), tuple(pivots)
-
-    def _rref_row(self) -> tuple["Mat", tuple[int, ...]]:
-        """rref of a one-row matrix: the row divided by its first nonzero entry."""
-        p = self.field.p
-        row = self.rows[0] if p else _integer_row(self.rows[0])
-        for col, piv in enumerate(row):
-            if piv:
-                return Mat(self.field, [_divide_row(p, row, piv)], 1, self.c), (col,)
-        return Mat(self.field, [(0,) * self.c], 1, self.c), ()
 
     def rank(self) -> int:
         return len(self.rref()[1])
