@@ -181,12 +181,6 @@ def _kernel_out_of_injectives(P: Poset, field, labels, blocks: list[Mat]) -> Rep
     return Representation(P, field, [b.c for b in incl], maps, check=False)
 
 
-def _cover_by_projectives(M: Representation):
-    """Minimal projective cover: labels plus the covering morphism."""
-    labels, blocks = _cover(M)
-    return labels, Morphism(realize_labels(M.poset, M.field, "proj", labels), M, blocks)
-
-
 def _cover(M: Representation):
     """Labels and per-element blocks of the minimal projective cover.
 

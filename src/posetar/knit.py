@@ -1,5 +1,11 @@
 """Auslander-Reiten sequences and knitting of the module-category component.
 
+An almost split sequence is read off the minimal projective resolution of
+its end term in labelled coordinates: tau M from the presentation, an
+element of the socle of Ext^1(M, tau M) as a cocycle of the Hom complex into
+tau M, and the middle term as a cokernel out of the first syzygy's cover.
+No syzygy module is built and no endomorphism is lifted.
+
 Knitting starts from the simple projective at the maximum and works forward:
 whenever every irreducible map into a non-injective vertex is known, the mesh
 starting there is complete, and its right-hand term is realized exactly (via
@@ -13,7 +19,14 @@ import random
 from dataclasses import dataclass, field
 
 from .errors import IsProjective, MeshMismatch, NotEmbeddable, NotIndecomposable, PosetarError
-from .homalg import _tau_of_presentation, min_projective_resolution, tau_inverse
+from .homalg import (
+    _hom_complex_map,
+    _layout,
+    _resolution,
+    _scalar_blocks,
+    _tau_of_presentation,
+    tau_inverse,
+)
 from .ictree import ic_decompose
 from .linalg import Field, Mat, QQ
 from .poset import Poset
@@ -22,14 +35,19 @@ from .rep import (
     Representation,
     _quotient_projection,
     constant_on,
-    hom,
     is_isomorphic,
     linear_combination,
     radical,
     socle,
 )
 from .slices import SliceData
-from .split import end_basis, end_radical_basis, is_indecomposable, split_indecomposables
+from .split import (
+    end_basis,
+    end_radical_basis,
+    group_isomorphic,
+    is_indecomposable,
+    split_indecomposables,
+)
 
 
 # -- AR sequence ending at a module ------------------------------------------------
@@ -57,90 +75,81 @@ def ar_sequence_end(M: Representation, rng: random.Random | None = None,
                     check_indecomposable: bool = True) -> ARSequence:
     """The almost split sequence ending at M, with its middle split exactly.
 
-    One minimal presentation P1 -> P0 -> M gives both the projective cover
-    and tau M.
+    Everything is read off the minimal resolution P2 -> P1 -> P0 -> M in
+    labelled coordinates.  The presentation P1 -> P0 gives tau M.  An
+    extension is a cocycle f in Hom(P1, tau M), the sum of tau M(y) over the
+    labels y of P1, taken modulo the image of Hom(P0, tau M).
+
+    The End(M)-socle and the End(tau M)-socle of Ext^1(M, tau M) coincide,
+    and any nonzero element of that socle is almost split (Auslander, Reiten
+    and Smalø, Representation Theory of Artin Algebras, Ch. V §2).  So f is
+    chosen with post-composition by rad End(tau M) killing it modulo
+    coboundaries; r acts on tau M(y) by its block there, and no endomorphism
+    of M is lifted.  The middle term is the pushout along f: P1 maps onto the
+    syzygy, so it is the cokernel of P1 -> tau M + P0 with blocks [f ; -d].
+
+    Over GF(p) this raises SplitFailure when End(tau M) is not one
+    dimensional, because the trace-form radical needs characteristic 0.
     """
     rng = rng or random.Random(0)
-    C, cover = min_projective_resolution(M, max_length=1)
+    C, _ = _resolution(M, max_length=2)
     if C.length() == 0:
         raise IsProjective("no almost split sequence ends at a projective")
     if check_indecomposable and not is_indecomposable(M, rng):
         raise NotIndecomposable("almost split sequences end at indecomposables")
-    tM = _tau_of_presentation(M.poset, M.field, C.labels[1], C.labels[0], C.mats[0])
-    return _almost_split(M, cover, tM, rng)
-
-
-def _almost_split(M: Representation, cover: Morphism, tM: Representation, rng: random.Random) -> ARSequence:
-    """The almost split sequence ending at the non-projective indecomposable M,
-    from its projective cover and its translate tM."""
+    P, field = M.poset, M.field
+    z = field.zero
+    L1, L0, d = C.labels[1], C.labels[0], C.mats[0]
+    tM = _tau_of_presentation(P, field, L1, L0, d)
     if tM.is_zero():
         raise PosetarError("translate vanished for a non-projective module")
-    field = M.field
-    P0rep = cover.source
-    K, incl = cover.kernel()
 
-    ext_basis = hom(K, tM)
-    if not ext_basis:
-        raise PosetarError("no extensions found for a non-projective module")
-    flat_dim = len(ext_basis[0].flat())
-    B = Mat.from_columns(field, [f.flat() for f in ext_basis], flat_dim)
-    lifted = hom(P0rep, tM)
-    image_cols = []
-    for h in lifted:
-        coords = B.solve(Mat.from_columns(field, [h.compose(incl).flat()], flat_dim))
-        if coords is None:
-            raise PosetarError("restriction left the extension space")
-        image_cols.append(coords.column(0))
-    Qproj, _ = _quotient_projection(field, Mat.from_columns(field, image_cols, len(ext_basis)), len(ext_basis))
-    if Qproj.r == 0:
+    # Hom(P1, tM) lists tM(y) for y in L1, in label order, from offs[j]
+    offs = [0]
+    for y in L1:
+        offs.append(offs[-1] + tM.dims[y])
+    n1 = offs[-1]
+    q, _ = _quotient_projection(field, _hom_complex_map(C, tM, 0), n1)
+    if q.r == 0:
         raise PosetarError("Ext^1(M, tau M) vanished unexpectedly")
-
-    # socle of the End(M) action on the extension space
-    constraints: list[Mat] = []
-    ends = end_basis(M)
+    # f is a cocycle (f d2 = 0, when P2 is there) that post-composition by
+    # each r in rad End(tM) sends into the coboundaries
+    rows = list(_hom_complex_map(C, tM, 1).rows) if C.length() == 2 else []
+    ends = end_basis(tM)
     if len(ends) > 1:
-        for rv in end_radical_basis(M, ends):
+        for rv in end_radical_basis(tM, ends):
             r = linear_combination(ends, rv)
-            omega_r = _restrict_endo(cover, incl, r)
-            cols = []
-            for e in ext_basis:
-                comp = e.compose(omega_r)
-                coords = B.solve(Mat.from_columns(field, [comp.flat()], flat_dim))
-                if coords is None:
-                    raise PosetarError("End action left the extension space")
-                cols.append(coords.column(0))
-            A = Mat.from_columns(field, cols, len(ext_basis))
-            constraints.append(Qproj.mul(A))
-    if constraints:
-        stacked = constraints[0]
-        for c in constraints[1:]:
-            stacked = stacked.vstack(c)
-        sol = stacked.nullspace()
-    else:
-        sol = [tuple(field.one if i == j else field.zero for i in range(len(ext_basis)))
-               for j in range(len(ext_basis))]
-    chosen = None
-    for v in sol:
-        if not Qproj.mul(Mat.from_columns(field, [v], len(ext_basis))).is_zero():
-            chosen = v
-            break
-    if chosen is None:
+            post = [
+                [z] * offs[j] + list(row) + [z] * (n1 - offs[j + 1])
+                for j, y in enumerate(L1)
+                for row in r.block(y).rows
+            ]
+            rows += q.mul(Mat(field, post, n1, n1)).rows
+    sol = Mat(field, rows, len(rows), n1).nullspace()
+    f = next((v for v in sol if any(q.apply(v))), None)
+    if f is None:
         raise PosetarError("socle of the extension space is trivial")
-    psi = linear_combination(ext_basis, chosen)
 
-    # pushout along psi: E = (tM + P0) / {(psi w, -w)}.  The basis of the sum
-    # at x lists tM(x) before P0(x), so its cover maps are block diagonal and
-    # g: K -> tM + P0 has the blocks [psi_x ; -incl_x].
-    z = field.zero
+    # E = coker(P1 -> tM + P0).  The basis of the sum at w lists tM(w) before
+    # P0(w), so its cover maps are block diagonal; column j of the f-block at
+    # w is generator j's value f_j in tM(y_j) carried up to w.
+    P0, P1 = C.term(0), C.term(1)
     maps = {}
-    for (x, y) in M.poset.covers:
-        a, b = tM.maps[(x, y)], P0rep.maps[(x, y)]
+    for (x, y) in P.covers:
+        a, b = tM.maps[(x, y)], P0.maps[(x, y)]
         rows = [r + (z,) * b.c for r in a.rows] + [(z,) * a.c + r for r in b.rows]
         maps[(x, y)] = Mat(field, rows, a.r + b.r, a.c + b.c)
-    S = Representation(M.poset, field, [s + t for s, t in zip(tM.dims, P0rep.dims)], maps, check=False)
+    S = Representation(P, field, [s + t for s, t in zip(tM.dims, P0.dims)], maps, check=False)
     neg = field.of_int(-1)
-    g = Morphism(K, S, [psi.block(x).vstack(incl.block(x).scale(neg)) for x in M.poset.elements()])
-    E, _ = g.cokernel()
+    lay1 = _layout(P, "proj", L1)
+    d_blocks = _scalar_blocks(P, "proj", L1, L0, d)
+    blocks = [
+        Mat.from_columns(
+            field, [tM.path_map(L1[j], w).apply(f[offs[j]: offs[j + 1]]) for j in lay1[w]], tM.dims[w]
+        ).vstack(d_blocks[w].scale(neg))
+        for w in P.elements()
+    ]
+    E, _ = Morphism(P1, S, blocks).cokernel()
     middles = split_indecomposables(E, rng)
     seq = ARSequence(tM, middles, M)
     if seq.middle_dims() != tuple(
@@ -148,30 +157,6 @@ def _almost_split(M: Representation, cover: Morphism, tM: Representation, rng: r
     ):
         raise MeshMismatch("middle of the almost split sequence has wrong dimensions")
     return seq
-
-
-def _restrict_endo(cover: Morphism, incl: Morphism, r: Morphism) -> Morphism:
-    """Lift r through the projective cover, then restrict to the syzygy."""
-    P0rep = cover.source
-    lift_space = hom(P0rep, P0rep)
-    field = P0rep.field
-    target = r.compose(cover)
-    flat_dim = len(target.flat())
-    cols = [cover.compose(h).flat() for h in lift_space]
-    A = Mat.from_columns(field, cols, flat_dim)
-    sol = A.solve(Mat.from_columns(field, [target.flat()], flat_dim))
-    if sol is None:
-        raise PosetarError("projective lifting failed")
-    f0 = linear_combination(lift_space, sol.column(0))
-    K = incl.source
-    blocks = []
-    for x in P0rep.poset.elements():
-        rhs = f0.block(x).mul(incl.block(x))
-        b = incl.block(x).solve(rhs)
-        if b is None:
-            raise PosetarError("endomorphism does not preserve the syzygy")
-        blocks.append(b)
-    return Morphism(K, K, blocks)
 
 
 # -- knitting ------------------------------------------------------------------------
@@ -495,24 +480,8 @@ def _summand_multiset(seq_middles) -> list[tuple[tuple[int, ...], int]]:
 
 
 def _expected_middles(parts: list[Representation], rng) -> list[tuple[tuple[int, ...], int]]:
-    out: list[tuple[Representation, int]] = []
-    for part in parts:
-        if part.is_zero():
-            continue
-        for rep, mult in split_indecomposables(part, rng):
-            out.append((rep, mult))
-    merged: dict[tuple[int, ...], int] = {}
-    reps: list[tuple[Representation, int]] = []
-    for rep, mult in out:
-        placed = False
-        for i, (other, m) in enumerate(reps):
-            if other.dims == rep.dims and is_isomorphic(other, rep):
-                reps[i] = (other, m + mult)
-                placed = True
-                break
-        if not placed:
-            reps.append((rep, mult))
-    return sorted((tuple(rep.dims), m) for rep, m in reps)
+    pairs = [pair for part in parts for pair in split_indecomposables(part, rng)]
+    return _summand_multiset(group_isomorphic(pairs))
 
 
 def glue_meshes_check(P: Poset, field: Field = QQ, rng: random.Random | None = None) -> GlueReport:

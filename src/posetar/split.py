@@ -294,22 +294,29 @@ def split_indecomposables(M: Representation, rng: random.Random | None = None):
             pieces.append(cur)
         else:
             stack.extend(res)
-    # group by isomorphism
-    grouped: list[list[Representation]] = []
-    for piece in pieces:
-        for group in grouped:
-            if piece.dims == group[0].dims and is_isomorphic(piece, group[0]):
-                group.append(piece)
+    return _canonical_order(group_isomorphic([(piece, 1) for piece in pieces]), M.poset, M.field)
+
+
+def group_isomorphic(pairs) -> list[tuple[Representation, int]]:
+    """Merge (module, multiplicity) pairs whose modules are isomorphic.
+
+    Each class keeps its first module, and classes stay in first-seen order.
+    """
+    groups: list[tuple[Representation, int]] = []
+    for rep, mult in pairs:
+        for i, (first, m) in enumerate(groups):
+            if rep.dims == first.dims and is_isomorphic(rep, first):
+                groups[i] = (first, m + mult)
                 break
         else:
-            grouped.append([piece])
+            groups.append((rep, mult))
+    return groups
 
-    return [(g[0], len(g)) for g in _canonical_order(grouped, M.poset, M.field)]
 
-
-def _canonical_order(groups: list[list[Representation]], P, field) -> list[list[Representation]]:
-    """Groups by dimension vector along the linear extension, then by the hom
-    fingerprint (hom_dim(M, P(x)), hom_dim(S(x), M)) along it.
+def _canonical_order(groups: list[tuple[Representation, int]], P, field) -> list[tuple[Representation, int]]:
+    """(module, multiplicity) groups by dimension vector along the linear
+    extension, then by the hom fingerprint (hom_dim(M, P(x)), hom_dim(S(x), M))
+    along it.
 
     The fingerprint only orders groups whose dimension vectors tie, so only
     those get one; a stable sort on (dimension vector, fingerprint or ())

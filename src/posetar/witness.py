@@ -19,7 +19,7 @@ from .ictree import build_tree, classify_tree, ic_plus_decompose
 from .knit import ar_sequence_end, knit
 from .linalg import Field, QQ
 from .poset import Interval, Poset
-from .rep import Representation, hom, projective, radical
+from .rep import Representation, constant_on
 from .split import is_indecomposable
 
 
@@ -56,28 +56,23 @@ class Witness:
 
 
 def _quotient_candidates(sub: Poset, field: Field) -> list[Representation]:
-    """Quotients and radicals of projectives over the interval algebra."""
+    """Radicals of projectives and their quotients by smaller projectives.
+
+    For x < y, P(y) is the constant module on up(y) inside P(x) and inside
+    rad P(x), so P(x)/P(y) is constant on up(x) minus up(y), and rad P(x)/P(y)
+    on that set minus x: differences of up-sets, hence convex.
+    """
     out = []
     for x in sub.elements():
-        Px = projective(sub, x, field)
-        R, _ = radical(Px)
-        if not R.is_zero():
-            out.append(R)
+        rad = sub.strict_up(x)
+        if rad:
+            out.append(constant_on(sub, rad, field))
         for y in sub.elements():
-            if not sub.lt(x, y):
-                continue
-            Py = projective(sub, y, field)
-            incls = hom(Py, Px)
-            if len(incls) == 1 and incls[0].is_injective():
-                Q, _ = incls[0].cokernel()
-                if not Q.is_zero():
-                    out.append(Q)
-                if not R.is_zero():
-                    rincl = hom(Py, R)
-                    if len(rincl) == 1 and rincl[0].is_injective():
-                        QR, _ = rincl[0].cokernel()
-                        if not QR.is_zero():
-                            out.append(QR)
+            if sub.lt(x, y):
+                up_y = sub.up_set(y)
+                out.append(constant_on(sub, sub.up_set(x) - up_y, field))
+                if rad - up_y:
+                    out.append(constant_on(sub, rad - up_y, field))
     return out
 
 

@@ -7,7 +7,6 @@ from posetar.homalg import (
     LabeledComplex,
     _assert_min_resolution,
     _cokernel_into_projectives,
-    _cover_by_projectives,
     _layout,
     coinduce,
     ext,
@@ -121,7 +120,8 @@ def _assert_cover_blocks_are_path_maps(M):
     # generator j's column at its label x is the unit vector e_i it lifts,
     # and its column at w >= x is path_map(x, w) e_i
     P = M.poset
-    labels, cover = _cover_by_projectives(M)
+    C, cover = min_projective_resolution(M, max_length=0)
+    labels = C.labels[0]
     lay = _layout(P, "proj", labels)
     for j, x in enumerate(labels):
         unit = cover.block(x).column(lay[x].index(j))
@@ -164,7 +164,8 @@ def test_projective_cover_matches_top(source):
     P = corpus_poset(source) if isinstance(source, str) else random_ic_family()[source]
     for v in knit(P).vertices:
         M = v.rep
-        labels, cover = _cover_by_projectives(M)
+        C, cover = min_projective_resolution(M, max_length=0)
+        labels = C.labels[0]
         assert tuple(labels.count(x) for x in P.elements()) == top(M)[0].dims
         assert cover.is_surjective()
         K, _ = cover.kernel()

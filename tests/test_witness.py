@@ -1,8 +1,13 @@
+import pytest
+
+from posetar.clamped import enumerate_clamped
 from posetar.corpus import corpus_poset, grid2, star_poset
 from posetar.ictree import ic_decompose
-from posetar.rep import projective, radical, socle
+from posetar.linalg import QQ
+from posetar.rep import hom, projective, radical, socle
 from posetar.slices import standard_slice
 from posetar.witness import (
+    _quotient_candidates,
     derived_translate_is_module,
     is_fractionally_cy,
     not_fcy_witness,
@@ -80,3 +85,31 @@ def test_quick_terminations_ex58_poset2():
     finite = {v for v, s in term.items() if s is not None}
     assert sl.tree.marked in finite
     assert len(finite) == 2
+
+
+def _quotient_candidates_by_cokernels(sub):
+    # rad P(x), then for each x < y the cokernels of the one map from P(y)
+    # to P(x) and to rad P(x), keeping the nonzero modules
+    out = []
+    for x in sub.elements():
+        Px = projective(sub, x)
+        R, _ = radical(Px)
+        out.append(R)
+        for y in sub.elements():
+            if sub.lt(x, y):
+                for target in (Px, R):
+                    (incl,) = hom(projective(sub, y), target)
+                    assert incl.is_injective()
+                    out.append(incl.cokernel()[0])
+    return [Q for Q in out if not Q.is_zero()]
+
+
+@pytest.mark.parametrize("source", ["ex33-boxes4", "ex57", "sec2-right"])
+def test_quotient_candidates_are_the_cokernels_of_projective_inclusions(source):
+    P = corpus_poset(source)
+    for iv in enumerate_clamped(P):
+        sub, _ = P.induced(iv.members(P))
+        got = _quotient_candidates(sub, QQ)
+        want = _quotient_candidates_by_cokernels(sub)
+        assert [Q.dims for Q in got] == [Q.dims for Q in want]
+        assert all(a.maps == b.maps for a, b in zip(got, want))
