@@ -12,7 +12,7 @@ from __future__ import annotations
 from .poset import Poset, parse_poset
 
 
-def star_poset(*lengths: int, field_names: bool = False) -> Poset:
+def star_poset(*lengths: int) -> Poset:
     """Chains of the given lengths clamped between a new min and max."""
     names = ["alpha"]
     rels = []

@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import PosetarError, UnlabeledComplex
-from .linalg import Mat, span_basis
+from .linalg import Mat
 from .poset import Poset
 from .rep import Morphism, Representation, _quotient_projection, dualize, zero_rep
 
@@ -162,22 +162,20 @@ def _kernel_out_of_injectives(P: Poset, field, labels, blocks: list[Mat]) -> Rep
     """Kernel of a map with the given blocks out of the labeled sum of I(labels).
 
     On a cover x -> y the structure map of the sum keeps the summands nonzero
-    at y, so the image of a vector is its restriction to the summands of y;
-    the closure is then that of _subrep_from_bases.
+    at y, so the image of a vector is its restriction to the summands of y.
+    The kernel is a submodule, so these images lie in its span at y.
     """
     lay = _layout(P, "inj", labels)
     pos = [{j: k for k, j in enumerate(js)} for js in lay]
-    incl: list[Mat] = [None] * P.n
+    incl = [Mat.from_columns(field, blocks[x].nullspace(), len(lay[x])) for x in P.elements()]
     maps = {}
     for y in P.linear_extension():
-        imgs = {}
         for x in P.covers_below(y):
             at = [pos[x][j] for j in lay[y]]
-            imgs[x] = Mat(field, [incl[x].rows[k] for k in at], len(at), incl[x].c)
-        cols = blocks[y].nullspace() + [c for img in imgs.values() for c in img.columns()]
-        incl[y] = span_basis(field, cols, len(lay[y]))
-        for x, img in imgs.items():
-            maps[(x, y)] = incl[y].solve(img)
+            m = incl[y].solve(Mat(field, [incl[x].rows[k] for k in at], len(at), incl[x].c))
+            if m is None:
+                raise PosetarError("kernel is not closed under the structure maps")
+            maps[(x, y)] = m
     return Representation(P, field, [b.c for b in incl], maps, check=False)
 
 
@@ -244,7 +242,7 @@ def _resolution(M: Representation, max_length: int | None = None):
     This gives the complex that covering the realized syzygy K would give:
 
     - the kernel's basis at y is exactly the nullspace columns, because
-      span_basis keeps them and the images from below already lie in K;
+      span_basis keeps them;
     - K(y) -> T(y) is injective, so the pivots of [rad | I] in K-coordinates
       are those of [rad | basis] in T-coordinates;
     - an injective map on the left leaves the row space of the next block

@@ -260,26 +260,13 @@ def _extrema_in(P: Poset, subset: frozenset[int]):
 
 
 def ic_decompose(P: Poset) -> ICNode | None:
-    """Pure clamp/point witness, or None when the poset is not built that way."""
+    """Pure clamp/point witness, or None when the poset is not built that way.
 
-    def go(subset: frozenset[int]) -> ICNode | None:
-        if len(subset) == 1:
-            x = next(iter(subset))
-            return ICNode("point", x, x)
-        mins, maxs = _extrema_in(P, subset)
-        if len(mins) != 1 or len(maxs) != 1:
-            return None
-        lo, hi = mins[0], maxs[0]
-        interior = subset - {lo, hi}
-        kids = []
-        for comp in P.connected_components(interior):
-            node = go(comp)
-            if node is None:
-                return None
-            kids.append(node)
-        return ICNode("clamp", lo, hi, tuple(kids))
-
-    return go(frozenset(P.elements()))
+    ic_plus_decompose tries the clamp first at every subset, so it returns the
+    pure witness whenever one exists.
+    """
+    node = ic_plus_decompose(P)
+    return None if node is None or node.uses_adjoin() else node
 
 
 def ic_plus_decompose(P: Poset) -> ICNode | None:

@@ -271,32 +271,16 @@ class Poset:
 
 @dataclass(frozen=True)
 class Interval:
-    """Closed/half-open/open interval of a poset."""
+    """Closed interval [low, high] of a poset."""
 
     low: int
     high: int
-    kind: str = "closed"  # closed | half-open-above | half-open-below | open
 
     def members(self, P: Poset) -> frozenset[int]:
-        base = P.closed_interval(self.low, self.high)
-        if self.kind == "closed":
-            return base
-        if self.kind == "half-open-above":
-            return base - {self.high}
-        if self.kind == "half-open-below":
-            return base - {self.low}
-        if self.kind == "open":
-            return base - {self.low, self.high}
-        raise ValueError(f"bad interval kind {self.kind!r}")
+        return P.closed_interval(self.low, self.high)
 
     def render(self, P: Poset) -> str:
-        lo, hi = P.names[self.low], P.names[self.high]
-        return {
-            "closed": f"[{lo},{hi}]",
-            "half-open-above": f"[{lo},{hi})",
-            "half-open-below": f"({lo},{hi}]",
-            "open": f"({lo},{hi})",
-        }[self.kind]
+        return f"[{P.names[self.low]},{P.names[self.high]}]"
 
 
 def _bits(mask: int, n: int) -> frozenset[int]:

@@ -84,15 +84,36 @@ class Representation:
                         )
 
     def is_thin_constant(self) -> bool:
-        """True when this is (isomorphic to) k_Q for its support Q."""
+        """True when this is (isomorphic to) k_Q for its support Q.
+
+        A thin module is k_Q when its cover scalars m(x, y) are nonzero and
+        a coboundary: scalars c fixed along a spanning forest of the covers
+        inside Q must give m(x, y) = c_y / c_x on every cover.
+        """
         if any(d > 1 for d in self.dims):
             return False
         sup = self.support()
-        z = self.field.zero
-        for (x, y) in self.poset.covers:
-            if x in sup and y in sup and self.maps[(x, y)].rows[0][0] == z:
-                return False
-        return True
+        F = self.field
+        scal = {(x, y): self.maps[(x, y)].rows[0][0] for (x, y) in self.poset.covers if x in sup and y in sup}
+        if F.zero in scal.values():
+            return False
+        adj: dict[int, list] = {x: [] for x in sup}
+        for (x, y), m in scal.items():
+            adj[x].append((y, m))
+            adj[y].append((x, F.inv(m)))
+        c = {}
+        for root in sup:
+            if root in c:
+                continue
+            c[root] = F.one
+            stack = [root]
+            while stack:
+                x = stack.pop()
+                for y, m in adj[x]:
+                    if y not in c:
+                        c[y] = F.mul(m, c[x])
+                        stack.append(y)
+        return all(F.mul(m, c[x]) == c[y] for (x, y), m in scal.items())
 
     def thin_label(self, kind: str) -> int | None:
         """x when this is P(x) (kind 'proj') or I(x) (kind 'inj'), else None."""
@@ -244,25 +265,21 @@ def _quotient_projection(field: Field, gens: Mat, dim: int) -> tuple[Mat, tuple[
 
 
 def _subrep_from_bases(M: Representation, bases: list[Mat]):
-    """Close the given per-element spans under the structure maps.
+    """The subrepresentation with the given per-element spans, and its inclusion.
 
-    bases[y] may be any spanning set: span_basis keeps the leftmost
-    independent columns, so it picks the same basis of [bases[y] | images]
-    that reducing bases[y] first would.
-
-    One pass in linear-extension order is exact: covers point upward, so the
-    span at every element below y is final before a cover leaves it for y,
-    and the span at y is final once the images along its covers are added.
+    The spans must already form a submodule: every structure map carries the
+    span at x into the span at y.  bases[y] may be any spanning set; span_basis
+    keeps its leftmost independent columns.
     """
     P, field = M.poset, M.field
-    incl_blocks: list[Mat] = [None] * P.n
+    incl_blocks = [span_basis(field, bases[x].columns(), M.dims[x]) for x in P.elements()]
     maps = {}
     for y in P.linear_extension():
-        imgs = {x: M.maps[(x, y)].mul(incl_blocks[x]) for x in P.covers_below(y)}
-        cols = bases[y].columns() + [c for img in imgs.values() for c in img.columns()]
-        incl_blocks[y] = span_basis(field, cols, M.dims[y])
-        for x, img in imgs.items():
-            maps[(x, y)] = incl_blocks[y].solve(img)
+        for x in P.covers_below(y):
+            m = incl_blocks[y].solve(M.maps[(x, y)].mul(incl_blocks[x]))
+            if m is None:
+                raise PosetarError("spans are not closed under the structure maps")
+            maps[(x, y)] = m
     S = Representation(P, field, [b.c for b in incl_blocks], maps, check=False)
     return S, Morphism(S, M, incl_blocks)
 

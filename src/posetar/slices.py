@@ -92,7 +92,7 @@ class SliceReport:
         return "\n".join(lines)
 
 
-def verify_slice(sl: SliceData, max_degree: int | None = None) -> SliceReport:
+def verify_slice(sl: SliceData) -> SliceReport:
     P = sl.poset
     n = sl.tree.n
     ext_failures = []
@@ -101,10 +101,9 @@ def verify_slice(sl: SliceData, max_degree: int | None = None) -> SliceReport:
     resolutions = {v: _resolution(sl.modules[v])[0] for v in range(n)}
     for v in range(n):
         C = resolutions[v]
-        top = C.length() if max_degree is None else min(C.length(), max_degree)
         for w in range(n):
             Mw = sl.modules[w]
-            for i in range(1, top + 1):
+            for i in range(1, C.length() + 1):
                 d = _ext_from_resolution(C, Mw, i)
                 if d:
                     ext_failures.append((v, w, i))

@@ -1,12 +1,13 @@
 """Decomposition of modules into indecomposable summands.
 
-Strategy: compute End(M), find its radical via the trace bilinear form (valid
-in characteristic 0), and conclude indecomposability when End/rad is one
-dimensional.  Otherwise obtain a nontrivial idempotent, either from a rational
-root of the minimal polynomial of a suitable endomorphism (Chinese remainder
-inside k[f]) or from a Fitting decomposition of a non-invertible one, and
-recurse on the two image summands.  Over a prime field the trace form is not
-trusted and the search alone decides, with SplitFailure as the honest out.
+Strategy: compute End(M) and its radical via the trace bilinear form (valid in
+characteristic 0); M is indecomposable when End/rad is one dimensional.
+Otherwise search End(M) for an f and a rational root r of its minimal
+polynomial with f - r neither invertible nor nilpotent.  By Fitting's lemma M
+is then im (f - r)^N + ker (f - r)^N for N >= dim M, and the two summands are
+split in turn.  Over a prime field the trace form is not trusted, only r = 0
+is tried and the search alone decides.  When no candidate splits, as when
+End/rad is a field larger than Q, SplitFailure is the honest out.
 """
 
 from __future__ import annotations
@@ -61,17 +62,12 @@ def end_radical_basis(M: Representation, basis: list[Morphism]) -> list[tuple]:
 
 
 def is_indecomposable(M: Representation, rng: random.Random | None = None) -> bool:
-    if M.is_zero():
-        return False
-    basis = end_basis(M)
-    if len(basis) == 1:
-        return True
-    if M.field.is_rationals:
-        return len(basis) - len(end_radical_basis(M, basis)) == 1
-    return split_once(M, rng or random.Random(0)) is None
+    """M is nonzero and split_once finds it indecomposable (SplitFailure when
+    its search ends without a verdict)."""
+    return not M.is_zero() and split_once(M, rng or random.Random(0)) is None
 
 
-def _min_poly_coeffs(B: Mat, f: Morphism, basis: list[Morphism]):
+def _min_poly_coeffs(B: Mat, f: Morphism):
     """Minimal polynomial of f inside End(M), low degree first."""
     field = f.source.field
     powers = [_express(B, _identity_endo(f.source))]
@@ -90,70 +86,10 @@ def _min_poly_coeffs(B: Mat, f: Morphism, basis: list[Morphism]):
         powers.append(vec)
 
 
-def _endo_poly(f: Morphism, coeffs) -> Morphism:
-    """Evaluate a polynomial (low-first Fraction coefficients) at f."""
-    M = f.source
-    acc = _identity_endo(M).scale(coeffs[-1])
-    for c in reversed(coeffs[:-1]):
-        acc = f.compose(acc).add(_identity_endo(M).scale(c))
-    return acc
-
-
-# -- exact polynomials over Q: Fraction coefficients, lowest degree first ----
-#
-# Matrix entries over Q are ints when integral (see linalg), but these helpers
-# divide coefficients with `/`, which on two ints gives a float.  So a
-# polynomial enters as Fractions (_crt_idempotent_poly converts the minimal
-# polynomial) and every coefficient stays a Fraction; _endo_poly hands them
-# back to Mat.scale, which returns canonical entries.
-
-
-def _trim(p):
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _psub(a, b):
-    n = max(len(a), len(b))
-    return _trim([(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0) for i in range(n)])
-
-
-def _pmul(a, b):
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
-def _pdivmod(a, b):
-    """Quotient and remainder of a by the nonzero b; [] is the zero polynomial."""
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    r = list(a)
-    while len(r) >= len(b):
-        c = r[-1] / b[-1]
-        k = len(r) - len(b)
-        q[k] = c
-        for i, y in enumerate(b):
-            r[k + i] -= c * y
-        _trim(r)
-    return q, r
-
-
-def _inverse_mod(g, h):
-    """s with s*g = 1 mod h, for coprime g and h (extended Euclid)."""
-    r0, s0, r1, s1 = g, [Fraction(1)], h, []
-    while r1:
-        q, r = _pdivmod(r0, r1)
-        r0, s0, r1, s1 = r1, s1, r, _psub(s0, _pmul(q, s1))
-    return [c / r0[0] for c in s0]
-
-
 def _rational_roots(p):
-    """The distinct rational roots of the monic p.
+    """The distinct rational roots of the monic p (Fraction coefficients,
+    lowest degree first): 0 when it is a root, then the others by absolute
+    value, positive before negative.
 
     With D the lcm of the denominators, q(u) = D^n p(u/D) is monic over Z, so
     its rational roots are integers dividing its lowest nonzero coefficient;
@@ -176,72 +112,30 @@ def _rational_roots(p):
     return roots
 
 
-def _crt_idempotent_poly(p):
-    """The CRT idempotent e of Q[t]/(p) that kills the first linear factor of p.
+def _fitting_split(f: Morphism):
+    """The pair (im f^N, ker f^N) for N >= dim M, or None when f is invertible
+    or nilpotent.
 
-    g = (t - n/d)^m is the first factor of p when irreducible factors are
-    ordered by degree, then multiplicity, then primitive integer coefficients
-    ascending: among linear factors, lowest m first, then [d, -n].  That is
-    the order of the factoring library this routine replaces, so the splits
-    are unchanged.  e is the polynomial of degree < deg p with e = 0 mod g and
-    e = 1 mod p/g.
-
-    Returns None when p is a power of one linear factor, and when p has no
-    rational root.  A rootless p with two or more irreducible factors does
-    split k[f], but finding those factors needs a factoring algorithm, so the
-    caller tries the Fitting route and further candidates instead, and raises
-    SplitFailure if none of them splits.
+    By Fitting's lemma M = im f^N + ker f^N, and both summands are nonzero
+    exactly when f is neither invertible nor nilpotent.
     """
-    p = [Fraction(c) for c in p]
-    mult = {}
-    for r in _rational_roots(p):
-        rest, m = p, 0
-        while True:
-            quo, rem = _pdivmod(rest, [-r, Fraction(1)])
-            if rem:
-                break
-            rest, m = quo, m + 1
-        mult[r] = m
-    if not mult:
-        return None
-    r = min(mult, key=lambda r: (mult[r], r.denominator, -r.numerator))
-    g = [Fraction(1)]
-    for _ in range(mult[r]):
-        g = _pmul(g, [-r, Fraction(1)])
-    if len(g) == len(p):
-        return None
-    h = _pdivmod(p, g)[0]
-    return _pdivmod(_pmul(_inverse_mod(g, h), g), p)[1]
-
-
-def _idempotent_from_roots(f: Morphism, min_poly) -> Morphism | None:
-    """Nontrivial idempotent of k[f] from a rational root of its minimal polynomial."""
-    coeffs = _crt_idempotent_poly(min_poly)
-    if not coeffs:
-        return None
-    e = _endo_poly(f, coeffs)
-    if e.is_zero() or e.compose(e).flat() != e.flat():
-        return None
-    if e.flat() == _identity_endo(f.source).flat():
-        return None
-    return e
-
-
-def _fitting_split(f: Morphism) -> Morphism | None:
-    """Stable-power idempotent-substitute: split along ker(f^N) + im(f^N)."""
     M = f.source
-    n = M.total_dim()
     g = f
-    for _ in range(n.bit_length() + 1):
+    for _ in range(M.total_dim().bit_length() + 1):
         g = g.compose(g)
-    ranks = [b.rank() for b in g.blocks]
-    if all(r == d for r, d in zip(ranks, M.dims)) or all(r == 0 for r in ranks):
+    ranks = tuple(b.rank() for b in g.blocks)
+    if ranks == M.dims or not any(ranks):
         return None
-    return g
+    return g.image()[0], g.kernel()[0]
 
 
 def split_once(M: Representation, rng: random.Random):
-    """One nontrivial direct decomposition, or None when indecomposable."""
+    """One nontrivial direct decomposition, or None when indecomposable.
+
+    Candidates f are the basis of End(M), then 40 random combinations of it;
+    each is split at f - r for every rational root r of its minimal
+    polynomial (over a prime field at r = 0 only), by _fitting_split.
+    """
     basis = end_basis(M)
     if len(basis) <= 1:
         return None
@@ -258,21 +152,13 @@ def split_once(M: Representation, rng: random.Random):
     for f in candidates():
         if f.is_zero():
             continue
+        roots = [0]
         if field.is_rationals:
-            coeffs = _min_poly_coeffs(B, f, basis)
-            if len(coeffs) >= 3:
-                e = _idempotent_from_roots(f, coeffs)
-                if e is not None:
-                    A, _ = e.image()
-                    Kc, _ = e.kernel()
-                    if not A.is_zero() and not Kc.is_zero():
-                        return A, Kc
-        g = _fitting_split(f)
-        if g is not None:
-            A, _ = g.image()
-            Kc, _ = g.kernel()
-            if not A.is_zero() and not Kc.is_zero() and A.total_dim() + Kc.total_dim() == M.total_dim():
-                return A, Kc
+            roots = _rational_roots([Fraction(c) for c in _min_poly_coeffs(B, f)])
+        for r in roots:
+            parts = _fitting_split(f if r == 0 else f.add(_identity_endo(M).scale(-r)))
+            if parts is not None:
+                return parts
     raise SplitFailure(f"could not split module with End of dimension {len(basis)}")
 
 

@@ -1,11 +1,13 @@
 import itertools
+import random
 
 import pytest
 import sympy
 
-from posetar.corpus import corpus_poset, star_poset
+from posetar.corpus import corpus_ids, corpus_poset, star_poset
 from posetar.errors import BranchTooClose, NotExtreme
 from posetar.ictree import (
+    ICNode,
     TreeShape,
     build_tree,
     classify_tree,
@@ -17,10 +19,10 @@ from posetar.ictree import (
     realize_shape,
     tree_to_poset,
 )
-from posetar.poset import chain
+from posetar.poset import Poset, chain
 
 
-from conftest import path_tree, star_tree
+from conftest import path_tree, random_ic_family, random_ic_shape, star_tree
 
 
 def test_chain_decomposition_depth():
@@ -252,3 +254,58 @@ def test_lattice_property_of_realized_shapes():
     P = realize_shape(("clamp", [("point",), ("clamp", [("point",)])]))
     assert P.is_lattice()
     assert ic_decompose(P) is not None
+
+
+def _ic_decompose_reference(P):
+    """The direct pure clamp/point recursion, the oracle for ic_decompose."""
+
+    def go(subset):
+        if len(subset) == 1:
+            x = next(iter(subset))
+            return ICNode("point", x, x)
+        mins = [x for x in subset if not any(P.lt(y, x) for y in subset)]
+        maxs = [x for x in subset if not any(P.lt(x, y) for y in subset)]
+        if len(mins) != 1 or len(maxs) != 1:
+            return None
+        lo, hi = mins[0], maxs[0]
+        kids = []
+        for comp in P.connected_components(subset - {lo, hi}):
+            node = go(comp)
+            if node is None:
+                return None
+            kids.append(node)
+        return ICNode("clamp", lo, hi, tuple(kids))
+
+    return go(frozenset(P.elements()))
+
+
+def _random_shape_with_adjunctions(rng, size):
+    if size >= 2 and rng.random() < 0.3:
+        return (rng.choice(["adjoin-min", "adjoin-max"]), _random_shape_with_adjunctions(rng, size - 1))
+    if size <= 2:
+        return random_ic_shape(rng, size)
+    rest = size - 2
+    parts = []
+    while rest > 0:
+        parts.append(rng.randint(1, rest))
+        rest -= parts[-1]
+    return ("clamp", [_random_shape_with_adjunctions(rng, k) for k in parts])
+
+
+def _random_poset(rng, n):
+    rels = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.35]
+    return Poset([f"p{i}" for i in range(n)], rels)
+
+
+def test_ic_decompose_matches_pure_recursion():
+    rng = random.Random(11)
+    posets = [corpus_poset(cid) for cid in corpus_ids()] + random_ic_family()
+    posets += [realize_shape(_random_shape_with_adjunctions(rng, rng.randint(1, 12))) for _ in range(300)]
+    posets += [_random_poset(rng, rng.randint(1, 9)) for _ in range(300)]
+    posets += [P.opposite() for P in posets]
+    pure = 0
+    for P in posets:
+        want = _ic_decompose_reference(P)
+        assert ic_decompose(P) == want
+        pure += want is not None
+    assert 0 < pure < len(posets)

@@ -1,11 +1,11 @@
 import pytest
 
 from posetar.corpus import corpus_poset
-from posetar.errors import NotConvex
+from posetar.errors import NotConvex, PosetarError
 from posetar.ictree import ic_plus_decompose
 from posetar.knit import knit
-from posetar.linalg import QQ, Field
-from posetar.poset import chain
+from posetar.linalg import QQ, Field, Mat
+from posetar.poset import Poset, chain
 from posetar.rep import (
     Representation,
     constant_on,
@@ -22,7 +22,9 @@ from posetar.rep import (
     socle,
     top,
     transport,
+    _subrep_from_bases,
 )
+from posetar.modexpr import describe_module
 from posetar.slices import standard_slice
 
 
@@ -212,3 +214,45 @@ def test_hom_dim_counts_the_hom_basis(source, field):
     for M in mods:
         for N in mods:
             assert hom_dim(M, N) == len(hom(M, N))
+
+
+def _crown():
+    # alpha < a1, a2 < b1, b2 < omega: the covers a_i < b_j form a 4-cycle
+    # that bounds no commutative square
+    names = ["alpha", "a1", "a2", "b1", "b2", "omega"]
+    rels = [(0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 5), (4, 5)]
+    return Poset(names, rels, name="crown")
+
+
+def _thin_on_crown_waist(field, scalars):
+    P = _crown()
+    covers = [(1, 3), (1, 4), (2, 3), (2, 4)]
+    maps = {c: Mat.from_int_rows(field, [[s]]) for c, s in zip(covers, scalars)}
+    return P, Representation(P, field, [0, 1, 1, 1, 1, 0], maps)
+
+
+@pytest.mark.parametrize("field", [QQ, Field(5)], ids=str)
+def test_thin_module_with_twisted_cycle_is_not_constant(field):
+    P, M = _thin_on_crown_waist(field, [1, 1, 1, 2])
+    kQ = constant_on(P, {1, 2, 3, 4}, field)
+    assert hom_dim(M, kQ) == 0
+    assert not M.is_thin_constant()
+    assert not is_isomorphic(M, kQ)
+    assert describe_module(P, M) == "[a1:1 a2:1 b1:1 b2:1]"
+
+
+@pytest.mark.parametrize("field", [QQ, Field(5)], ids=str)
+def test_thin_module_with_coboundary_scalars_is_constant(field):
+    # c = (a1: 1, a2: 1/2, b1: 2, b2: 3) gives these scalars c_y / c_x, and
+    # c(a2) is reached only against a cover's direction
+    P, M = _thin_on_crown_waist(field, [2, 3, 4, 6])
+    assert M.is_thin_constant()
+    assert is_isomorphic(M, constant_on(P, {1, 2, 3, 4}, field))
+    assert describe_module(P, M) == "k{a1,a2,b1,b2}"
+
+
+def test_subrep_from_bases_rejects_spans_that_are_not_submodules():
+    P = chain(2)
+    M = projective(P, 0)
+    with pytest.raises(PosetarError):
+        _subrep_from_bases(M, [Mat.identity(QQ, 1), Mat.zero(QQ, 1, 0)])

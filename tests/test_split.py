@@ -10,9 +10,12 @@ import sympy
 
 import posetar
 from posetar.corpus import corpus_poset
+from posetar.errors import SplitFailure
 from posetar.knit import ar_sequence_end, knit
-from posetar.poset import chain
+from posetar.linalg import QQ, Mat
+from posetar.poset import Poset, chain
 from posetar.rep import (
+    Representation,
     constant_on,
     direct_sum,
     hom_dim,
@@ -21,7 +24,14 @@ from posetar.rep import (
     radical,
     simple,
 )
-from posetar.split import _canonical_order, _crt_idempotent_poly, is_indecomposable, split_indecomposables
+from posetar.split import (
+    _canonical_order,
+    _rational_roots,
+    end_basis,
+    is_indecomposable,
+    split_indecomposables,
+    split_once,
+)
 
 T = sympy.Symbol("t")
 LINEAR = [T, T - 1, T + 1, T - 2, T + 3, 2 * T - 1, 3 * T - 2, 3 * T + 1, 2 * T + 3]
@@ -95,37 +105,54 @@ def monic(expr):
     return poly, [Fraction(str(c)) for c in reversed(poly.all_coeffs())]
 
 
-def test_crt_idempotent_matches_sympy_factor_list():
+def test_rational_roots_match_sympy():
     rng = random.Random(7)
     for _ in range(200):
         factors = rng.sample(LINEAR, rng.randint(1, 3)) + rng.sample(QUADRATIC, rng.randint(0, 2))
         poly, coeffs = monic(sympy.Mul(*(f ** rng.randint(1, 3) for f in factors)))
-        found = poly.factor_list()[1]
-        assert found[0][0].degree() == 1
-        got = _crt_idempotent_poly(coeffs)
-        if len(found) == 1:
-            assert got is None
-            continue
-        g = found[0][0] ** found[0][1]
-        s, _, one = g.gcdex(poly.quo(g))
-        want = (s.quo(one) * g).rem(poly)
-        assert got == [Fraction(str(c)) for c in reversed(want.all_coeffs())], poly
+        want = {Fraction(str(r)) for r in sympy.roots(poly) if r.is_rational}
+        got = _rational_roots(coeffs)
+        assert len(got) == len(set(got)) and set(got) == want, poly
+        assert got == sorted(got, key=lambda r: (abs(r), -r))
 
 
-def test_crt_idempotent_factor_order():
-    # t - 1 precedes t, so e vanishes at 1 and is 1 at 0: e = 1 - t
-    assert _crt_idempotent_poly(monic(T**2 - T)[1]) == [1, -1]
-    # t + 1 (once) precedes (t - 2)^2, so e(-1) = 0 and e(2) = 1
-    e = _crt_idempotent_poly(monic((T + 1) * (T - 2) ** 2)[1])
-    assert [sum(c * x**i for i, c in enumerate(e)) for x in (-1, 2)] == [0, 1]
-
-
-def test_crt_idempotent_rootless_is_none():
+def test_rational_roots_of_rootless_products_are_empty():
     rng = random.Random(8)
     for _ in range(20):
         factors = rng.sample(QUADRATIC, rng.randint(1, 3))
         _, coeffs = monic(sympy.Mul(*(f ** rng.randint(1, 2) for f in factors)))
-        assert _crt_idempotent_poly(coeffs) is None
+        assert _rational_roots(coeffs) == []
+
+
+def _four_subspace_module():
+    """M_J: four minimal elements below one maximum w, V = Q^2 + Q^2 at w and
+    the subspaces Q^2 + 0, 0 + Q^2, graph(I) and graph(J) with J^2 = -1.
+    Its endomorphisms are diag(A, A) with A in Q[J], so End(M_J) = Q(i)."""
+    P = Poset(["m1", "m2", "m3", "m4", "w"], [(i, 4) for i in range(4)], name="four-subspace")
+    spans = [
+        [[1, 0], [0, 1], [0, 0], [0, 0]],
+        [[0, 0], [0, 0], [1, 0], [0, 1]],
+        [[1, 0], [0, 1], [1, 0], [0, 1]],
+        [[1, 0], [0, 1], [0, -1], [1, 0]],
+    ]
+    maps = {(i, 4): Mat.from_int_rows(QQ, rows) for i, rows in enumerate(spans)}
+    return P, Representation(P, QQ, [2, 2, 2, 2, 4], maps)
+
+
+def test_end_a_larger_field_than_q_raises():
+    _, M = _four_subspace_module()
+    assert len(end_basis(M)) == 2
+    with pytest.raises(SplitFailure):
+        is_indecomposable(M)
+
+
+def test_split_once_splits_off_a_simple_beside_a_rootless_summand():
+    P, M = _four_subspace_module()
+    S, _, _ = direct_sum([M, simple(P, P.id_of("w"))])
+    parts = split_once(S, random.Random(0))
+    assert parts is not None
+    assert sorted(part.dims for part in parts) == [(0, 0, 0, 0, 1), M.dims]
+    assert any(is_isomorphic(part, M) for part in parts)
 
 
 def test_import_does_not_load_sympy():
