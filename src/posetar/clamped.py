@@ -8,16 +8,16 @@ the ambient poset, so detecting them drives most of this package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import NotComparable
 from .poset import Interval, Poset
 
 
-@dataclass(frozen=True)
 class ClampedWitness:
-    interval: Interval
-    violations: tuple[tuple[int, str], ...]
+    __slots__ = ("interval", "violations")
+
+    def __init__(self, interval: Interval, violations: tuple[tuple[int, str], ...]) -> None:
+        self.interval = interval
+        self.violations = violations
 
     @property
     def clamped(self) -> bool:

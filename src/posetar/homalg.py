@@ -30,15 +30,12 @@ restrict a vector to the summands nonzero at y.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import PosetarError, UnlabeledComplex
 from .linalg import Mat
 from .poset import Poset
 from .rep import Morphism, Representation, _quotient_projection, dualize, zero_rep
 
 
-@dataclass(frozen=True)
 class LabeledComplex:
     """Bounded complex of labeled projectives or injectives.
 
@@ -47,12 +44,23 @@ class LabeledComplex:
     map term(i+1) -> term(i); for kind 'inj' it is term(i) -> term(i+1).
     """
 
-    poset: Poset
-    field: object
-    kind: str  # 'proj' | 'inj'
-    labels: tuple[tuple[int, ...], ...]
-    mats: tuple[Mat, ...]
-    shift: int = 0
+    __slots__ = ("poset", "field", "kind", "labels", "mats", "shift")
+
+    def __init__(
+        self,
+        poset: Poset,
+        field,
+        kind: str,  # 'proj' | 'inj'
+        labels: tuple[tuple[int, ...], ...],
+        mats: tuple[Mat, ...],
+        shift: int = 0,
+    ) -> None:
+        self.poset = poset
+        self.field = field
+        self.kind = kind
+        self.labels = labels
+        self.mats = mats
+        self.shift = shift
 
     def length(self) -> int:
         return len(self.labels) - 1
@@ -183,22 +191,23 @@ def _cover(M: Representation):
     """Labels and per-element blocks of the minimal projective cover.
 
     The radical of M at x is spanned by the images of the covers into x.
-    Row reducing [those images | I] makes a pivot of each unit vector outside
-    the span of the radical and of the unit vectors before it, so the pivot
-    unit vectors span a complement of the radical: they lift a basis of the
-    top at x.  Each one generates a summand P(x) of the cover and is walked
-    up the covers once, so its image at w is path_map(x, w) applied to it.
+    The pivots of the projection onto M(x) / rad are the unit vectors outside
+    the span of the radical and of the unit vectors before it, so they span a
+    complement of the radical: they lift a basis of the top at x.  Each one
+    generates a summand P(x) of the cover and is walked up the covers once,
+    so its image at w is path_map(x, w) applied to it.
     """
     P, field = M.poset, M.field
     z, o = field.zero, field.one
     gens: list[tuple[int, int]] = []
     for x in P.linear_extension():
         d = M.dims[x]
+        if not d:
+            continue
         below = [M.maps[(y, x)].rows for y in P.covers_below(x)]
         nrad = sum(M.dims[y] for y in P.covers_below(x))
-        rows = [[v for m in below for v in m[r]] + [o if c == r else z for c in range(d)] for r in range(d)]
-        _, pivots = Mat(field, rows, d, nrad + d).rref()
-        gens += [(x, p - nrad) for p in pivots if p >= nrad]
+        rad = Mat(field, [[v for m in below for v in m[r]] for r in range(d)], d, nrad)
+        gens += [(x, i) for i in _quotient_projection(field, rad, d)[1]]
     labels = [x for x, _ in gens]
     at: list[dict[int, tuple]] = [{} for _ in P.elements()]  # at[w][g]: generator g at w
     for w in P.linear_extension():

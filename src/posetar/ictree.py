@@ -9,25 +9,35 @@ ADE class answers the fractional Calabi-Yau and finite-type questions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import BranchTooClose, NotExtreme, ParseError, PosetarError
 from .poset import Poset
 
 
-@dataclass(frozen=True)
 class ICNode:
     """Decomposition witness.
 
     kind 'point': a single element (low == high).
     kind 'clamp': children are the components of the open interval (low, high).
     kind 'adjoin-min'/'adjoin-max': one extremal element added to the child.
+    Two witnesses are equal when their kinds, ends and children are.
     """
 
-    kind: str
-    low: int
-    high: int
-    children: tuple["ICNode", ...] = ()
+    __slots__ = ("kind", "low", "high", "children")
+
+    def __init__(self, kind: str, low: int, high: int, children: tuple["ICNode", ...] = ()) -> None:
+        self.kind = kind
+        self.low = low
+        self.high = high
+        self.children = children
+
+    def _key(self) -> tuple:
+        return (self.kind, self.low, self.high, self.children)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, ICNode) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     def carrier(self) -> frozenset[int]:
         out = {self.low, self.high}
@@ -65,19 +75,26 @@ class ICNode:
         return "\n".join(lines)
 
 
-@dataclass
 class TreeShape:
     """Finite tree with one marked vertex and optional per-vertex data."""
 
-    n: int
-    edges: tuple[tuple[int, int], ...]
-    marked: int
-    labels: dict[int, str] = field(default_factory=dict)
-    supports: dict[int, frozenset[int]] | None = None
-    arrows: tuple[tuple[int, int], ...] | None = None  # slice orientation
+    __slots__ = ("n", "edges", "marked", "labels", "supports", "arrows")
 
-    def __post_init__(self) -> None:
-        self.edges = tuple(tuple(sorted(e)) for e in self.edges)
+    def __init__(
+        self,
+        n: int,
+        edges: tuple[tuple[int, int], ...],
+        marked: int,
+        labels: dict[int, str] | None = None,
+        supports: dict[int, frozenset[int]] | None = None,
+        arrows: tuple[tuple[int, int], ...] | None = None,  # slice orientation
+    ) -> None:
+        self.n = n
+        self.edges = tuple(tuple(sorted(e)) for e in edges)
+        self.marked = marked
+        self.labels = {} if labels is None else labels
+        self.supports = supports
+        self.arrows = arrows
         if len(self.edges) != self.n - 1:
             raise PosetarError("edge count does not match a tree")
         if self.n > 0 and len(self.distances_from(0)) != self.n:
@@ -169,12 +186,20 @@ def marked_trees_isomorphic(S: TreeShape, T: TreeShape) -> bool:
     return S.n == T.n and S.canonical_marked() == T.canonical_marked()
 
 
-@dataclass(frozen=True)
 class TreeClass:
     """ADE classification: family in A/D/E (Dynkin), ~D/~E (Euclidean), wild."""
 
-    family: str
-    index: int | None = None
+    __slots__ = ("family", "index")
+
+    def __init__(self, family: str, index: int | None = None) -> None:
+        self.family = family
+        self.index = index
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, TreeClass) and (self.family, self.index) == (other.family, other.index)
+
+    def __hash__(self) -> int:
+        return hash((self.family, self.index))
 
     @property
     def is_dynkin(self) -> bool:

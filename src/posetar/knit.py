@@ -16,7 +16,6 @@ attached the moment their radical shows up; injectives terminate orbits.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 
 from .errors import IsProjective, MeshMismatch, NotEmbeddable, NotIndecomposable, PosetarError
 from .homalg import (
@@ -53,11 +52,15 @@ from .split import (
 # -- AR sequence ending at a module ------------------------------------------------
 
 
-@dataclass
 class ARSequence:
-    tau_end: Representation
-    middles: list[tuple[Representation, int]]
-    end: Representation
+    __slots__ = ("tau_end", "middles", "end")
+
+    def __init__(
+        self, tau_end: Representation, middles: list[tuple[Representation, int]], end: Representation
+    ) -> None:
+        self.tau_end = tau_end
+        self.middles = middles
+        self.end = end
 
     def middle_count(self) -> int:
         return sum(m for _, m in self.middles)
@@ -162,31 +165,44 @@ def ar_sequence_end(M: Representation, rng: random.Random | None = None,
 # -- knitting ------------------------------------------------------------------------
 
 
-@dataclass
 class KnitVertex:
-    vid: int
-    rep: Representation
-    fomega: int
-    falpha: int
-    proj: int | None
-    inj: int | None
+    __slots__ = ("vid", "rep", "fomega", "falpha", "proj", "inj")
 
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return self.rep.dims
+    def __init__(
+        self, vid: int, rep: Representation, fomega: int, falpha: int, proj: int | None, inj: int | None
+    ) -> None:
+        self.vid = vid
+        self.rep = rep
+        self.fomega = fomega
+        self.falpha = falpha
+        self.proj = proj
+        self.inj = inj
 
 
-@dataclass
 class ARComponent:
-    poset: Poset
-    field: Field
-    vertices: list[KnitVertex]
-    arrows: list[tuple[int, int]]
-    in_srcs: dict[int, list[int]]  # vid -> sources of its in-arrows, in arrow order
-    tau_map: dict[int, int]
-    status: str  # 'complete' | 'truncated'
-    meshes: int
-    notes: list[str] = field(default_factory=list)
+    __slots__ = ("poset", "field", "vertices", "arrows", "in_srcs", "tau_map", "status", "meshes", "notes")
+
+    def __init__(
+        self,
+        poset: Poset,
+        field: Field,
+        vertices: list[KnitVertex],
+        arrows: list[tuple[int, int]],
+        in_srcs: dict[int, list[int]],  # vid -> sources of its in-arrows, in arrow order
+        tau_map: dict[int, int],
+        status: str,  # 'complete' | 'truncated'
+        meshes: int,
+        notes: list[str] | None = None,
+    ) -> None:
+        self.poset = poset
+        self.field = field
+        self.vertices = vertices
+        self.arrows = arrows
+        self.in_srcs = in_srcs
+        self.tau_map = tau_map
+        self.status = status
+        self.meshes = meshes
+        self.notes = [] if notes is None else notes
 
     def vertex(self, vid: int) -> KnitVertex:
         return self.vertices[vid]
@@ -372,10 +388,16 @@ def knit(
 # -- embedding into ZT ----------------------------------------------------------------
 
 
-@dataclass
 class Embedding:
-    coords: dict[int, tuple[int, int]]  # vid -> (tree vertex, level)
-    orbits: dict[int, list[int]]  # tree vertex -> vids ordered by level
+    __slots__ = ("coords", "orbits")
+
+    def __init__(
+        self,
+        coords: dict[int, tuple[int, int]],  # vid -> (tree vertex, level)
+        orbits: dict[int, list[int]],  # tree vertex -> vids ordered by level
+    ) -> None:
+        self.coords = coords
+        self.orbits = orbits
 
     def orbit_levels(self, orbit: int) -> tuple[int, int]:
         vids = self.orbits[orbit]
@@ -464,11 +486,15 @@ def wing_window(sl: SliceData) -> dict[int, tuple[int, int]]:
 # -- glue meshes check -------------------------------------------------------------
 
 
-@dataclass
 class GlueReport:
-    top_mesh_ok: bool
-    interval_results: list[tuple[str, bool, bool]]
-    details: list[str]
+    __slots__ = ("top_mesh_ok", "interval_results", "details")
+
+    def __init__(
+        self, top_mesh_ok: bool, interval_results: list[tuple[str, bool, bool]], details: list[str]
+    ) -> None:
+        self.top_mesh_ok = top_mesh_ok
+        self.interval_results = interval_results
+        self.details = details
 
     @property
     def ok(self) -> bool:

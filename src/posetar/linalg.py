@@ -30,7 +30,6 @@ with no rows or no columns is its own echelon form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -57,20 +56,27 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
 class Field:
     """Field descriptor: the rationals (p == 0) or GF(p) for prime p.
 
     Elements are plain values, not wrapped: over GF(p) a reduced int in
     [0, p), over the rationals an int when integral and a Fraction with
     denominator > 1 otherwise.  Every method returns an element in that form.
+    Two descriptors are equal when their p is.
     """
 
-    p: int = 0
+    __slots__ = ("p",)
 
-    def __post_init__(self) -> None:
-        if self.p and not _is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
+    def __init__(self, p: int = 0) -> None:
+        if p and not _is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        self.p = p
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Field) and self.p == other.p
+
+    def __hash__(self) -> int:
+        return hash(self.p)
 
     @property
     def is_rationals(self) -> bool:

@@ -7,8 +7,6 @@ interval and convexity queries cheap at the scales this package targets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import CycleDetected, DuplicateElement, NotComparable, ParseError, UnknownElement
 
 
@@ -269,12 +267,14 @@ class Poset:
         return f"Poset({label}, {len(self.covers)} covers)"
 
 
-@dataclass(frozen=True)
 class Interval:
     """Closed interval [low, high] of a poset."""
 
-    low: int
-    high: int
+    __slots__ = ("low", "high")
+
+    def __init__(self, low: int, high: int) -> None:
+        self.low = low
+        self.high = high
 
     def members(self, P: Poset) -> frozenset[int]:
         return P.closed_interval(self.low, self.high)

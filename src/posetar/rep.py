@@ -86,13 +86,16 @@ class Representation:
     def is_thin_constant(self) -> bool:
         """True when this is (isomorphic to) k_Q for its support Q.
 
-        A thin module is k_Q when its cover scalars m(x, y) are nonzero and
-        a coboundary: scalars c fixed along a spanning forest of the covers
-        inside Q must give m(x, y) = c_y / c_x on every cover.
+        k_Q is defined for a convex Q only.  A thin module on a convex Q is
+        k_Q when its cover scalars m(x, y) are nonzero and a coboundary:
+        scalars c fixed along a spanning forest of the covers inside Q must
+        give m(x, y) = c_y / c_x on every cover.
         """
         if any(d > 1 for d in self.dims):
             return False
         sup = self.support()
+        if not self.poset.is_convex(sup):
+            return False
         F = self.field
         scal = {(x, y): self.maps[(x, y)].rows[0][0] for (x, y) in self.poset.covers if x in sup and y in sup}
         if F.zero in scal.values():

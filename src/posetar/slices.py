@@ -11,20 +11,22 @@ oriented tree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .ictree import ICNode, TreeShape, build_tree
 from .linalg import Field, QQ
 from .poset import Poset
 from .rep import Representation, constant_on, hom_dim
 
 
-@dataclass
 class SliceData:
-    poset: Poset
-    tree: TreeShape
-    modules: dict[int, Representation]
-    marked: int
+    __slots__ = ("poset", "tree", "modules", "marked")
+
+    def __init__(
+        self, poset: Poset, tree: TreeShape, modules: dict[int, Representation], marked: int
+    ) -> None:
+        self.poset = poset
+        self.tree = tree
+        self.modules = modules
+        self.marked = marked
 
     def ordered_vertices(self) -> list[int]:
         return list(range(self.tree.n))
@@ -71,11 +73,18 @@ def _path_counts(tree: TreeShape) -> dict[tuple[int, int], int]:
     return counts
 
 
-@dataclass
 class SliceReport:
-    hypothesis_ok: bool
-    ext_failures: tuple[tuple[int, int, int], ...]
-    hom_mismatches: tuple[tuple[int, int, int, int], ...]
+    __slots__ = ("hypothesis_ok", "ext_failures", "hom_mismatches")
+
+    def __init__(
+        self,
+        hypothesis_ok: bool,
+        ext_failures: tuple[tuple[int, int, int], ...],
+        hom_mismatches: tuple[tuple[int, int, int, int], ...],
+    ) -> None:
+        self.hypothesis_ok = hypothesis_ok
+        self.ext_failures = ext_failures
+        self.hom_mismatches = hom_mismatches
 
     @property
     def ok(self) -> bool:

@@ -11,7 +11,6 @@ has infinite representation type.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .clamped import enumerate_clamped
 from .homalg import _resolution, _scalar_blocks, is_projective, tau_inverse
@@ -41,12 +40,20 @@ def derived_translate_is_module(M: Representation) -> bool:
     return all(b.rank() == b.r for b in blocks)
 
 
-@dataclass
 class Witness:
-    interval: Interval
-    module_dims: dict[str, int]
-    middle_count: int
-    verdict: str  # 'no' | 'conditional'
+    __slots__ = ("interval", "module_dims", "middle_count", "verdict")
+
+    def __init__(
+        self,
+        interval: Interval,
+        module_dims: dict[str, int],
+        middle_count: int,
+        verdict: str,  # 'no' | 'conditional'
+    ) -> None:
+        self.interval = interval
+        self.module_dims = module_dims
+        self.middle_count = middle_count
+        self.verdict = verdict
 
     def describe(self, P: Poset) -> str:
         return (
@@ -118,12 +125,20 @@ def not_fcy_witness(
     return None
 
 
-@dataclass
 class FCYDecision:
-    verdict: str  # 'yes' | 'no' | 'unknown'
-    reason: str
-    tree_class: str | None = None
-    witness: Witness | None = None
+    __slots__ = ("verdict", "reason", "tree_class", "witness")
+
+    def __init__(
+        self,
+        verdict: str,  # 'yes' | 'no' | 'unknown'
+        reason: str,
+        tree_class: str | None = None,
+        witness: Witness | None = None,
+    ) -> None:
+        self.verdict = verdict
+        self.reason = reason
+        self.tree_class = tree_class
+        self.witness = witness
 
     def render(self) -> str:
         if self.tree_class and self.verdict in ("yes", "no"):

@@ -5,7 +5,7 @@ import pytest
 import sympy
 
 from posetar.corpus import corpus_ids, corpus_poset, star_poset
-from posetar.errors import BranchTooClose, NotExtreme
+from posetar.errors import BranchTooClose, NotExtreme, PosetarError
 from posetar.ictree import (
     ICNode,
     TreeShape,
@@ -240,6 +240,19 @@ def test_tree_to_poset_rejects_internal_mark():
     T = path_tree(4)
     with pytest.raises(NotExtreme):
         tree_to_poset(T, 1)
+
+
+def test_tree_shape_rejects_a_non_tree():
+    with pytest.raises(PosetarError, match="edge count"):
+        TreeShape(4, ((0, 1), (1, 2)), 0)
+    with pytest.raises(PosetarError, match="not connected"):
+        TreeShape(4, ((0, 1), (1, 2), (2, 0)), 0)
+
+
+def test_tree_shape_sorts_its_edges_and_gets_fresh_labels():
+    T = TreeShape(3, [(1, 0), (2, 1)], 2)
+    assert T.edges == ((0, 1), (1, 2))
+    assert T.labels == {} and T.labels is not TreeShape(1, (), 0).labels
 
 
 def test_parse_tree_roundtrip():

@@ -9,6 +9,7 @@ from posetar.errors import IsProjective, MeshMismatch, NotIndecomposable, Poseta
 from posetar.homalg import min_projective_resolution, tau
 from posetar.ictree import ic_decompose
 from posetar.knit import (
+    ARComponent,
     ARSequence,
     ar_sequence_end,
     embed_in_ZT,
@@ -93,6 +94,13 @@ def test_knit_chain4_complete():
     # every vertex is an interval module
     for v in comp.vertices:
         assert v.rep.is_thin_constant()
+
+
+def test_component_notes_default_to_a_fresh_list():
+    P = chain(1)
+    a, b = (ARComponent(P, QQ, [], [], {}, {}, "complete", 0) for _ in range(2))
+    a.notes.append("note")
+    assert b.notes == []
 
 
 def test_knit_mesh_additivity():

@@ -57,6 +57,20 @@ def test_prime_field():
     assert A.mul(inv) == Mat.identity(F5, 2)
 
 
+@pytest.mark.parametrize("p", [1, 4])
+def test_field_rejects_a_non_prime(p):
+    with pytest.raises(ValueError):
+        Field(p)
+
+
+def test_fields_compare_and_hash_by_characteristic():
+    assert Field(5) == Field(5)
+    assert hash(Field(5)) == hash(Field(5))
+    assert Field(5) != Field(7)
+    assert Field(0) == QQ
+    assert len({Field(5), Field(5), QQ}) == 2
+
+
 def test_span_basis():
     b = span_basis(QQ, [(Fraction(1), Fraction(0)), (Fraction(2), Fraction(0))], 2)
     assert b.c == 1

@@ -251,6 +251,15 @@ def test_thin_module_with_coboundary_scalars_is_constant(field):
     assert describe_module(P, M) == "k{a1,a2,b1,b2}"
 
 
+def test_thin_module_on_a_non_convex_support_is_not_constant():
+    P = chain(3)
+    M, _, _ = direct_sum([simple(P, 0), simple(P, 2)])
+    assert not M.is_thin_constant()
+    assert M.thin_label("proj") is None
+    assert is_isomorphic(M, direct_sum([simple(P, 0), simple(P, 2)])[0])
+    assert describe_module(P, M) == "[1:1 3:1]"
+
+
 def test_subrep_from_bases_rejects_spans_that_are_not_submodules():
     P = chain(2)
     M = projective(P, 0)
