@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 domain error, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import random
 import sys
@@ -205,6 +204,8 @@ def cmd_knit(args, out) -> None:
     if args.dot:
         Path(args.dot).write_text(comp.to_dot(embedding))
     if args.json:
+        import json
+
         Path(args.json).write_text(
             json.dumps(comp.to_json(embedding, seed=args.seed, max_meshes=args.max_meshes), indent=2)
             + "\n"

@@ -31,7 +31,7 @@ restrict a vector to the summands nonzero at y.
 from __future__ import annotations
 
 from .errors import PosetarError, UnlabeledComplex
-from .linalg import Mat
+from .linalg import Mat, _mat
 from .poset import Poset
 from .rep import Morphism, Representation, _quotient_projection, dualize, zero_rep
 
@@ -44,7 +44,7 @@ class LabeledComplex:
     map term(i+1) -> term(i); for kind 'inj' it is term(i) -> term(i+1).
     """
 
-    __slots__ = ("poset", "field", "kind", "labels", "mats", "shift")
+    __slots__ = ("poset", "field", "kind", "labels", "mats")
 
     def __init__(
         self,
@@ -53,14 +53,12 @@ class LabeledComplex:
         kind: str,  # 'proj' | 'inj'
         labels: tuple[tuple[int, ...], ...],
         mats: tuple[Mat, ...],
-        shift: int = 0,
     ) -> None:
         self.poset = poset
         self.field = field
         self.kind = kind
         self.labels = labels
         self.mats = mats
-        self.shift = shift
 
     def length(self) -> int:
         return len(self.labels) - 1
@@ -92,11 +90,19 @@ def _layout(P: Poset, kind: str, labels) -> list[list[int]]:
 
     Summand j is P(labels[j]) for 'proj' and I(labels[j]) for 'inj'; each is
     one-dimensional on its support, and the basis of the sum at w lists the
-    summands nonzero there in label order.
+    summands nonzero there in label order.  Summand j is nonzero exactly on
+    the up-set (for 'proj') or down-set (for 'inj') of labels[j], so each
+    label's bitmask is walked once.
     """
-    if kind == "proj":
-        return [[j for j, x in enumerate(labels) if P.leq(x, w)] for w in P.elements()]
-    return [[j for j, x in enumerate(labels) if P.leq(w, x)] for w in P.elements()]
+    cones = P.up if kind == "proj" else P.down
+    lay: list[list[int]] = [[] for _ in P.elements()]
+    for j, x in enumerate(labels):
+        m = cones[x]
+        while m:
+            low = m & -m
+            lay[low.bit_length() - 1].append(j)
+            m ^= low
+    return lay
 
 
 def realize_labels(P: Poset, field, kind: str, labels) -> Representation:
@@ -110,7 +116,9 @@ def realize_labels(P: Poset, field, kind: str, labels) -> Representation:
     lay = _layout(P, kind, labels)
     z, o = field.zero, field.one
     maps = {
-        (x, y): Mat(field, [[o if i == j else z for j in lay[x]] for i in lay[y]], len(lay[y]), len(lay[x]))
+        (x, y): _mat(
+            field, tuple([tuple([o if i == j else z for j in lay[x]]) for i in lay[y]]), len(lay[y]), len(lay[x])
+        )
         for (x, y) in P.covers
     }
     return Representation(P, field, [len(js) for js in lay], maps, check=False)
@@ -131,14 +139,15 @@ def realize_scalar_map(P: Poset, field, kind: str, src_labels, dst_labels, scala
 def _scalar_blocks(P: Poset, kind: str, src_labels, dst_labels, scalar: Mat) -> list[Mat]:
     """The per-element blocks of a scalar map: its rows and columns nonzero there."""
     z = scalar.field.zero
+    rows = scalar.rows
     for k, y in enumerate(dst_labels):
         for j, x in enumerate(src_labels):
-            if scalar.rows[k][j] != z and not P.leq(y, x):
+            if rows[k][j] != z and not P.leq(y, x):
                 raise PosetarError("scalar entry on a non-existent canonical map")
     slay = _layout(P, kind, src_labels)
     dlay = _layout(P, kind, dst_labels)
     return [
-        Mat(scalar.field, [[scalar.rows[k][j] for j in slay[w]] for k in dlay[w]], len(dlay[w]), len(slay[w]))
+        _mat(scalar.field, tuple([tuple([rows[k][j] for j in slay[w]]) for k in dlay[w]]), len(dlay[w]), len(slay[w]))
         for w in P.elements()
     ]
 
@@ -158,8 +167,8 @@ def _cokernel_into_projectives(P: Poset, field, labels, blocks: list[Mat]) -> Re
     for (x, y) in P.covers:
         q_x, pivots = quots[x]
         at = [pos[y][j] for j in lay[x]]
-        m = Mat(field, [[row[k] for k in at] for row in quots[y][0].rows], quots[y][0].r, len(at))
-        A = Mat(field, [[row[p] for p in pivots] for row in m.rows], m.r, len(pivots))
+        m = _mat(field, tuple([tuple([row[k] for k in at]) for row in quots[y][0].rows]), quots[y][0].r, len(at))
+        A = _mat(field, tuple([tuple([row[p] for p in pivots]) for row in m.rows]), m.r, len(pivots))
         if A.mul(q_x) != m:
             raise PosetarError("map does not factor through quotient")
         maps[(x, y)] = A
@@ -363,7 +372,7 @@ def nakayama(C: LabeledComplex) -> LabeledComplex:
     """Replace each projective label by the injective one, keep scalars."""
     if C.kind != "proj":
         raise UnlabeledComplex("nakayama acts on projective-labeled complexes")
-    return LabeledComplex(C.poset, C.field, "inj", C.labels, C.mats, C.shift)
+    return LabeledComplex(C.poset, C.field, "inj", C.labels, C.mats)
 
 
 def tau(M: Representation) -> Representation | None:

@@ -33,6 +33,7 @@ from .rep import (
     Morphism,
     Representation,
     _quotient_projection,
+    cone_label,
     constant_on,
     is_isomorphic,
     linear_combination,
@@ -297,6 +298,7 @@ def knit(
         xs.sort(key=P.sort_key)
 
     vertices: list[KnitVertex] = []
+    thin: list[frozenset[int] | None] = []  # vid -> support when thin constant
     in_srcs: dict[int, list[int]] = {}
     arrows: list[tuple[int, int]] = []
     tau_map: dict[int, int] = {}
@@ -307,15 +309,17 @@ def knit(
 
     def add_vertex(rep: Representation, srcs: list[int]) -> int:
         vid = len(vertices)
+        sup = _thin_support(rep)  # the labels are rep.thin_label's, read off sup
         v = KnitVertex(
             vid,
             rep,
             rep.dims[omega],
             rep.dims[alpha],
-            rep.thin_label("proj"),
-            rep.thin_label("inj"),
+            None if sup is None else cone_label(P, "proj", sup),
+            None if sup is None else cone_label(P, "inj", sup),
         )
         vertices.append(v)
+        thin.append(sup)
         in_srcs[vid] = list(srcs)
         return vid
 
@@ -345,7 +349,7 @@ def knit(
         for w in in_srcs[u]:
             if vertices[w].inj is None:
                 outs.append(tau_inv[w])
-        sup = _thin_support(urep)
+        sup = thin[u]
         if sup is not None and sup in attach_by_support:
             for x in attach_by_support[sup]:
                 if x in attached:

@@ -26,6 +26,16 @@ end.  The reduced row echelon form is unique, so this gives the same matrix
 as elimination over Fraction.  Over GF(p) the same loop reduces mod p in
 place of the gcd step and finishes with the inverse of the pivot.  A matrix
 with no rows or no columns is its own echelon form.
+
+`Mat(field, rows, r, c)` copies any iterable of rows into a tuple of tuples
+and raises ValueError unless it has r rows of length c; every caller not
+named below gets that check.  The kernels here (zero, identity, from_columns,
+add, sub, scale, mul, transpose, hstack, vstack, rref and solve) fix the
+shape of their result by construction, build its rows as tuples, and store
+them with `_mat`, which neither copies nor checks.  So do the few
+labelled-coordinate sites in `rep` and `homalg` whose comprehension fixes
+the shape: `_quotient_projection`, `realize_labels`, `_scalar_blocks` and
+`_cokernel_into_projectives`.
 """
 
 from __future__ import annotations
@@ -146,13 +156,12 @@ class Mat:
 
     @staticmethod
     def zero(field: Field, r: int, c: int) -> "Mat":
-        z = field.zero
-        return Mat(field, [[z] * c for _ in range(r)], r, c)
+        return _mat(field, ((field.zero,) * c,) * r, r, c)
 
     @staticmethod
     def identity(field: Field, n: int) -> "Mat":
         z, o = field.zero, field.one
-        return Mat(field, [[o if i == j else z for j in range(n)] for i in range(n)], n, n)
+        return _mat(field, tuple([tuple([o if i == j else z for j in range(n)]) for i in range(n)]), n, n)
 
     @staticmethod
     def from_int_rows(field: Field, rows, r: int | None = None, c: int | None = None) -> "Mat":
@@ -162,7 +171,10 @@ class Mat:
     def from_columns(field: Field, cols, nrows: int) -> "Mat":
         if not cols:
             return Mat.zero(field, nrows, 0)
-        return Mat(field, [[col[i] for col in cols] for i in range(nrows)], nrows, len(cols))
+        rows = tuple(zip(*cols))
+        if len(rows) != nrows:
+            raise ValueError("column length differs from the row count")
+        return _mat(field, rows, nrows, len(cols))
 
     # -- basic algebra -----------------------------------------------------
 
@@ -185,46 +197,40 @@ class Mat:
 
     def add(self, other: "Mat") -> "Mat":
         rows = [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)]
-        return Mat(self.field, _reduce(self.field.p, rows), self.r, self.c)
+        return _mat(self.field, _reduce(self.field.p, rows), self.r, self.c)
 
     def sub(self, other: "Mat") -> "Mat":
         rows = [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)]
-        return Mat(self.field, _reduce(self.field.p, rows), self.r, self.c)
+        return _mat(self.field, _reduce(self.field.p, rows), self.r, self.c)
 
     def scale(self, s) -> "Mat":
         rows = [[s * v for v in row] for row in self.rows]
-        return Mat(self.field, _reduce(self.field.p, rows), self.r, self.c)
+        return _mat(self.field, _reduce(self.field.p, rows), self.r, self.c)
 
     def mul(self, other: "Mat") -> "Mat":
         if self.c != other.r:
             raise ValueError(f"shape mismatch {self.r}x{self.c} @ {other.r}x{other.c}")
         f = self.field
         cols = list(zip(*other.rows)) if other.r else [()] * other.c
-        out = [_dots(row, cols, f) for row in self.rows]
-        return Mat(f, out, self.r, other.c)
+        return _mat(f, tuple([_dots(row, cols, f) for row in self.rows]), self.r, other.c)
 
     def apply(self, vec):
         """Matrix times column vector (a plain tuple)."""
-        return tuple(_dots(vec, self.rows, self.field))
+        return _dots(vec, self.rows, self.field)
 
     def transpose(self) -> "Mat":
-        cols = list(zip(*self.rows)) if self.r else [()] * self.c
-        return Mat(self.field, cols, self.c, self.r)
+        cols = tuple(zip(*self.rows)) if self.r else ((),) * self.c
+        return _mat(self.field, cols, self.c, self.r)
 
     def hstack(self, other: "Mat") -> "Mat":
         if self.r != other.r:
             raise ValueError("row mismatch in hstack")
-        return Mat(
-            self.field,
-            [list(a) + list(b) for a, b in zip(self.rows, other.rows)],
-            self.r,
-            self.c + other.c,
-        )
+        return _mat(self.field, tuple([a + b for a, b in zip(self.rows, other.rows)]), self.r, self.c + other.c)
 
     def vstack(self, other: "Mat") -> "Mat":
         if self.c != other.c:
             raise ValueError("column mismatch in vstack")
-        return Mat(self.field, list(self.rows) + list(other.rows), self.r + other.r, self.c)
+        return _mat(self.field, self.rows + other.rows, self.r + other.r, self.c)
 
     def column(self, j: int):
         return tuple(self.rows[i][j] for i in range(self.r))
@@ -241,7 +247,7 @@ class Mat:
         f = self.field
         p = f.p
         if p:
-            rows = [list(row) for row in self.rows]
+            rows = list(self.rows)
 
             def normalise(row):
                 return [v % p for v in row]
@@ -270,7 +276,7 @@ class Mat:
                 break
         out = [_divide_row(p, row, row[col]) for row, col in zip(rows, pivots)]
         out.extend([(0,) * self.c] * (self.r - pr))
-        return Mat(f, out, self.r, self.c), tuple(pivots)
+        return _mat(f, tuple(out), self.r, self.c), tuple(pivots)
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -295,18 +301,15 @@ class Mat:
     def solve(self, B: "Mat") -> "Mat | None":
         """Return one X with self @ X = B, or None if inconsistent."""
         f = self.field
-        z = f.zero
-        aug = self.hstack(B)
-        R, pivots = aug.rref()
+        c = self.c
+        R, pivots = self.hstack(B).rref()
         # Inconsistent iff a pivot falls in the B block.
-        for p in pivots:
-            if p >= self.c:
-                return None
-        X = [[z] * B.c for _ in range(self.c)]
+        if pivots and pivots[-1] >= c:
+            return None
+        X = [(f.zero,) * B.c] * c
         for pi, pc in enumerate(pivots):
-            for j in range(B.c):
-                X[pc][j] = R.rows[pi][self.c + j]
-        return Mat(f, X, self.c, B.c)
+            X[pc] = R.rows[pi][c:]
+        return _mat(f, tuple(X), c, B.c)
 
     def inverse(self) -> "Mat | None":
         if self.r != self.c:
@@ -326,11 +329,25 @@ class Mat:
         return acc % self.field.p if self.field.p else _canon(acc)
 
 
+_new = object.__new__
+
+
+def _mat(field: Field, rows: tuple, r: int, c: int) -> Mat:
+    """A Mat holding `rows` as given: a tuple of r tuples of length c, neither
+    copied nor checked."""
+    m = _new(Mat)
+    m.field = field
+    m.r = r
+    m.c = c
+    m.rows = rows
+    return m
+
+
 def _reduce(p: int, rows):
     """Rows reduced mod p; over the rationals (p == 0) with integral entries as ints."""
     if p:
-        return [[v % p for v in row] for row in rows]
-    return [[v if v.__class__ is int else _canon(v) for v in row] for row in rows]
+        return tuple([tuple([v % p for v in row]) for row in rows])
+    return tuple([tuple([v if v.__class__ is int else _canon(v) for v in row]) for row in rows])
 
 
 def _divide_row(p: int, row, piv):
@@ -338,11 +355,11 @@ def _divide_row(p: int, row, piv):
     over the rationals (p == 0) an integer row divided exactly by piv."""
     if p:
         inv = pow(piv, p - 2, p)
-        return [v * inv % p for v in row]
-    return row if piv == 1 else [_div(v, piv) for v in row]
+        return tuple([v * inv % p for v in row])
+    return tuple(row) if piv == 1 else tuple([_div(v, piv) for v in row])
 
 
-def _dots(vec, rows, field: Field) -> list:
+def _dots(vec, rows, field: Field) -> tuple:
     """Dot products of `vec` with each of `rows`, skipping zeros of `vec`."""
     p = field.p
     nz = [(k, a) for k, a in enumerate(vec) if a]
@@ -354,7 +371,7 @@ def _dots(vec, rows, field: Field) -> list:
             if b:
                 acc += a * b
         out.append(acc % p if p else acc if acc.__class__ is int else _canon(acc))
-    return out
+    return tuple(out)
 
 
 def _primitive(row: list[int]) -> list[int]:

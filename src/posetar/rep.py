@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 
 from .errors import NotConvex, PosetarError
-from .linalg import Field, Mat, QQ, span_basis
+from .linalg import Field, Mat, QQ, _mat, span_basis
 from .poset import Poset
 
 
@@ -122,9 +122,7 @@ class Representation:
         """x when this is P(x) (kind 'proj') or I(x) (kind 'inj'), else None."""
         if not self.is_thin_constant():
             return None
-        sup = self.support()
-        cone = self.poset.up_set if kind == "proj" else self.poset.down_set
-        return next((x for x in sup if cone(x) == sup), None)
+        return cone_label(self.poset, kind, self.support())
 
     def __repr__(self) -> str:
         label = self.name or "module"
@@ -253,6 +251,15 @@ class Morphism:
         return C, Morphism(N, C, projs)
 
 
+def cone_label(P: Poset, kind: str, sup: frozenset[int]) -> int | None:
+    """The x in sup whose up-set (kind 'proj') or down-set (kind 'inj') is sup, or None."""
+    cones = P.up if kind == "proj" else P.down
+    mask = 0
+    for x in sup:
+        mask |= 1 << x
+    return next((x for x in sup if cones[x] == mask), None)
+
+
 def _quotient_projection(field: Field, gens: Mat, dim: int) -> tuple[Mat, tuple[int, ...]]:
     """Projection k^dim -> k^dim / span(gens) in reduced echelon form, with its pivots.
 
@@ -260,11 +267,11 @@ def _quotient_projection(field: Field, gens: Mat, dim: int) -> tuple[Mat, tuple[
     of the functionals killing gens, so they depend only on the span of gens.
     """
     z, o = field.zero, field.one
-    rows = [list(g) + [o if c == r else z for c in range(dim)] for r, g in enumerate(gens.rows)]
-    R, pivots = Mat(field, rows, dim, gens.c + dim).rref()
+    rows = tuple([g + tuple([o if c == r else z for c in range(dim)]) for r, g in enumerate(gens.rows)])
+    R, pivots = _mat(field, rows, dim, gens.c + dim).rref()
     k = sum(p < gens.c for p in pivots)  # the I-part gives full row rank: every row has a pivot
-    rows = [row[gens.c:] for row in R.rows[k:]]
-    return Mat(field, rows, len(rows), dim), tuple(p - gens.c for p in pivots[k:])
+    rows = tuple([row[gens.c:] for row in R.rows[k:]])
+    return _mat(field, rows, len(rows), dim), tuple(p - gens.c for p in pivots[k:])
 
 
 def _subrep_from_bases(M: Representation, bases: list[Mat]):

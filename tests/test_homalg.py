@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from conftest import random_ic_family
 
@@ -646,3 +648,22 @@ def test_cokernel_into_projectives_checks_the_factorisation():
     blocks = [Mat(QQ, [[1]], 1, 1), Mat(QQ, [[0]], 1, 1)]
     with pytest.raises(PosetarError, match="factor"):
         _cokernel_into_projectives(P, QQ, (P.id_of("1"),), blocks)
+
+
+def _layout_by_leq(P, kind, labels):
+    """The layout as the comparisons it stands for: one leq per label and element."""
+    if kind == "proj":
+        return [[j for j, x in enumerate(labels) if P.leq(x, w)] for w in P.elements()]
+    return [[j for j, x in enumerate(labels) if P.leq(w, x)] for w in P.elements()]
+
+
+@pytest.mark.parametrize("cid", corpus_ids())
+def test_layout_matches_the_leq_scan(cid):
+    rng = random.Random(cid)
+    P = corpus_poset(cid)
+    for Q in (P, P.opposite()):
+        multisets = [(), tuple(Q.elements()) * 2]
+        multisets += [tuple(rng.randrange(Q.n) for _ in range(rng.randint(1, 2 * Q.n))) for _ in range(6)]
+        for labels in multisets:
+            for kind in ("proj", "inj"):
+                assert _layout(Q, kind, labels) == _layout_by_leq(Q, kind, labels)

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import random
@@ -263,14 +264,47 @@ def test_knit_bases_are_pinned(source):
 README_BUDGETS = {"ex33-boxes4": 200, "ex58-poset2": 200, "sec2-left": 40, "sec4-nine": 40}
 
 
+@functools.cache
+def readme_knit(cid):
+    return knit(corpus_poset(cid), max_meshes=README_BUDGETS.get(cid, 2000))
+
+
 @pytest.mark.parametrize("cid", corpus_ids())
 def test_in_arrows_match_the_arrow_scan(cid):
-    comp = knit(corpus_poset(cid), max_meshes=README_BUDGETS.get(cid, 2000))
+    comp = readme_knit(cid)
     for v in comp.vertices:
         got = comp.in_arrows(v.vid)
         assert got == [a for a, b in comp.arrows if b == v.vid]
         got.append(-1)  # a copy: the component is not changed through it
         assert comp.in_arrows(v.vid) == got[:-1]
+
+
+@pytest.mark.parametrize("cid", corpus_ids())
+def test_knit_labels_and_attachments_match_thin_label(cid):
+    """The labels read off each vertex's thin support are its thin_label, and
+    P(x) hangs off the first emitted vertex that is k on the support of rad P(x)."""
+    comp = readme_knit(cid)
+    P = comp.poset
+    omega = P.unique_min_max()[1]
+    for v in comp.vertices:
+        assert (v.proj, v.inj) == (v.rep.thin_label("proj"), v.rep.thin_label("inj"))
+        sup = v.rep.support() if v.rep.is_thin_constant() else None
+        assert v.proj == next((x for x in sup or () if P.up_set(x) == sup), None)
+        assert v.inj == next((x for x in sup or () if P.down_set(x) == sup), None)
+    emitted_at = comp.tau_inv_map()  # vid -> vid of its inverse translate, in emission order
+    attached_from = {}
+    for v in comp.vertices:
+        if v.proj is not None and v.proj != omega:
+            (u,) = comp.in_srcs[v.vid]
+            U = comp.vertex(u).rep
+            assert U.is_thin_constant() and U.support() == P.strict_up(v.proj)
+            attached_from[v.proj] = u
+    for u in emitted_at:
+        U = comp.vertex(u).rep
+        if U.is_thin_constant():
+            for x in P.elements():
+                if x != omega and P.strict_up(x) == U.support():
+                    assert emitted_at[attached_from[x]] <= emitted_at[u]
 
 
 # The route ar_sequence_end took before it worked on the Ext complex: the

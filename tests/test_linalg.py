@@ -7,6 +7,7 @@ from posetar.corpus import corpus_poset
 from posetar.homalg import tau, tau_inverse, transpose_dual_tau
 from posetar.knit import ar_sequence_end, knit
 from posetar.linalg import Field, Mat, QQ, span_basis
+from posetar.rep import _quotient_projection
 
 
 def M(rows):
@@ -324,3 +325,52 @@ def test_algebra_layers_return_canonical_entries(source):
             _assert_module_canonical(seq.tau_end)
             for mid, _ in seq.middles:
                 _assert_module_canonical(mid)
+
+
+def assert_well_formed(M):
+    """The rows are a tuple of M.r tuples of length M.c, and the checked
+    constructor rebuilds the same matrix from them."""
+    assert type(M.rows) is tuple and len(M.rows) == M.r
+    assert all(type(row) is tuple and len(row) == M.c for row in M.rows)
+    assert Mat(M.field, M.rows, M.r, M.c) == M
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_unchecked_kernel_results_are_well_formed(field):
+    """Every kernel that stores its rows unchecked declares their true shape."""
+    rng = random.Random(17)
+    for A in sample_matrices(field):
+        B = random_mat(rng, field, A.r, A.c, 0.7)
+        results = [
+            Mat.zero(field, A.r, A.c),
+            Mat.identity(field, A.c),
+            Mat.from_columns(field, A.columns(), A.r),
+            Mat.from_columns(field, A.nullspace(), A.c),
+            A.add(B),
+            A.sub(B),
+            A.scale(field.of_int(3)),
+            A.mul(random_mat(rng, field, A.c, 2, 0.7)),
+            A.transpose(),
+            A.hstack(B),
+            A.vstack(B),
+            A.rref()[0],
+            A.solve(A.mul(random_mat(rng, field, A.c, 2, 0.7))),
+        ]
+        q, pivots = _quotient_projection(field, A, A.r)
+        results.append(q)
+        for C in results:
+            assert_well_formed(C)
+        assert q.r == A.r - A.rank() == len(pivots)
+        assert q.mul(A).is_zero()
+
+
+def test_constructor_still_checks_its_shape():
+    with pytest.raises(ValueError):
+        Mat(QQ, [[1, 2], [3]])
+    with pytest.raises(ValueError):
+        Mat(QQ, [[1, 2], [3, 4]], 3, 2)
+    with pytest.raises(ValueError):
+        Mat(QQ, [[1, 2]], 1, 3)
+    with pytest.raises(ValueError):
+        Mat.from_columns(QQ, [(1, 2), (3,)], 2)
+    assert Mat(QQ, [[1, 2], [3, 4]]).rows == ((1, 2), (3, 4))

@@ -156,11 +156,12 @@ def test_split_once_splits_off_a_simple_beside_a_rootless_summand():
 
 
 def test_import_does_not_load_sympy():
-    """Importing the CLI loads neither sympy nor dataclasses and its inspect."""
+    """Importing the CLI loads neither sympy, nor dataclasses and its inspect,
+    nor json, which only `knit --json` needs."""
     src = str(Path(posetar.__file__).resolve().parents[1])
     code = (
         "import sys; bare = set(sys.modules); import posetar.cli; "
-        "print(' '.join(sorted({'sympy', 'dataclasses', 'inspect'} & (set(sys.modules) - bare))))"
+        "print(' '.join(sorted({'sympy', 'dataclasses', 'inspect', 'json'} & (set(sys.modules) - bare))))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True
