@@ -438,79 +438,40 @@ def _check_distance_condition(T: TreeShape) -> None:
 
 
 def tree_to_poset(T: TreeShape, p: int) -> Poset:
-    """Lattice whose decomposition tree is (T, p).
+    """Lattice whose decomposition tree is (T, p), named 'fromtree'.
 
-    Requires branch vertices pairwise at distance >= 2 and p extreme.  The
-    construction strips the star nearest p, recurses on the remaining
-    subtrees, clamps the resulting lattices, then adjoins a chain for the
-    stripped path.
+    Requires branch vertices pairwise at distance >= 2 and p a leaf.  The
+    recursion emits a shape for realize_shape: a path is a point under
+    adjoin-max nodes (a chain); otherwise the branch vertex nearest the mark
+    clamps the shapes of its subtrees away from the mark, under one adjoin-min
+    node per vertex strictly between it and the mark.
     """
     if T.n > 1 and T.degree(p) != 1:
         raise NotExtreme(f"vertex {p} is not a leaf")
     _check_distance_condition(T)
 
-    counter = [0]
-
-    def fresh() -> str:
-        counter[0] += 1
-        return f"e{counter[0]}"
-
-    relations: list[tuple[str, str]] = []
-    names: list[str] = []
-
-    def new_el() -> str:
-        nm = fresh()
-        names.append(nm)
-        return nm
-
-    def go(tree: TreeShape, mark: int) -> tuple[str, str]:
-        """Build the sub-lattice; returns (min element, max element)."""
+    def go(tree: TreeShape, mark: int):
         branch = [v for v in range(tree.n) if tree.degree(v) >= 3]
         if not branch:
-            # path: chain with |tree| elements, mark at one end (the minimum)
-            prev = None
-            first = None
-            for _ in range(tree.n):
-                cur = new_el()
-                if prev is None:
-                    first = cur
-                else:
-                    relations.append((prev, cur))
-                prev = cur
-            return first, prev
+            shape = ("point",)
+            for _ in range(tree.n - 1):
+                shape = ("adjoin-max", shape)
+            return shape
         dist_to_p = tree.distances_from(mark)
         x = min(branch, key=lambda v: (dist_to_p[v], v))
-        # neighbor of x on the path toward the mark
-        path_nb = [u for u in tree.neighbors(x) if dist_to_p[u] == dist_to_p[x] - 1]
-        y0 = path_nb[0]
-        other = [u for u in tree.neighbors(x) if u != y0]
-        # subtrees hanging off x away from the mark
-        sub_infos = []
-        kill = {x} | {v for v in range(tree.n) if dist_to_p[v] < dist_to_p[x]}
-        for u in other:
-            comp = tree.component(u, kill)
-            sub_infos.append((comp, u))
-        alpha = new_el()
-        omega = new_el()
-        for comp_vertices, u in sub_infos:
-            sub, back = tree.induced(comp_vertices)
-            smin, smax = go(sub, back[u])
-            relations.append((alpha, smin))
-            relations.append((smax, omega))
-        if not sub_infos:
-            relations.append((alpha, omega))
-        # adjoin the chain for the stripped path strictly between y0 and the mark
-        chain_len = dist_to_p[x] - 1
-        lowest = alpha
-        for _ in range(chain_len):
-            c = new_el()
-            relations.append((c, lowest))
-            lowest = c
-        return lowest, omega
+        kids = []
+        for u in tree.neighbors(x):
+            if dist_to_p[u] > dist_to_p[x]:
+                sub, back = tree.induced(tree.component(u, {x}))
+                kids.append(go(sub, back[u]))
+        shape = ("clamp", kids)
+        for _ in range(dist_to_p[x] - 1):
+            shape = ("adjoin-min", shape)
+        return shape
 
-    go(T, p)
-    idx = {nm: i for i, nm in enumerate(names)}
-    return Poset(names, [(idx[a], idx[b]) for a, b in relations], name="fromtree")
+    P = realize_shape(go(T, p))
+    P.name = "fromtree"
+    return P
 
 
 # -- abstract shapes (generators) -------------------------------------------------
@@ -522,42 +483,40 @@ def realize_shape(shape, prefix: str = "e") -> Poset:
     shape ::= ('point',) | ('clamp', [shape, ...])
             | ('adjoin-min', shape) | ('adjoin-max', shape)
     """
-    counter = [0]
     names: list[str] = []
     relations: list[tuple[str, str]] = []
 
     def new_el() -> str:
-        counter[0] += 1
-        nm = f"{prefix}{counter[0]}"
-        names.append(nm)
-        return nm
+        names.append(f"{prefix}{len(names) + 1}")
+        return names[-1]
 
     def go(s) -> tuple[str, str]:
-        kind = s[0]
-        if kind == "point":
-            e = new_el()
-            return e, e
-        if kind == "clamp":
-            alpha = new_el()
-            omega = new_el()
+        adjoins = []  # a loop, not recursion: a chain nests one adjoin node per element
+        while s[0] in ("adjoin-min", "adjoin-max"):
+            adjoins.append(s[0])
+            s = s[1]
+        if s[0] == "point":
+            lo = hi = new_el()
+        elif s[0] == "clamp":
+            lo = new_el()
+            hi = new_el()
             for child in s[1]:
-                lo, hi = go(child)
-                relations.append((alpha, lo))
-                relations.append((hi, omega))
+                clo, chi = go(child)
+                relations.append((lo, clo))
+                relations.append((chi, hi))
             if not s[1]:
-                relations.append((alpha, omega))
-            return alpha, omega
-        if kind == "adjoin-min":
-            lo, hi = go(s[1])
-            alpha = new_el()
-            relations.append((alpha, lo))
-            return alpha, hi
-        if kind == "adjoin-max":
-            lo, hi = go(s[1])
-            omega = new_el()
-            relations.append((hi, omega))
-            return lo, omega
-        raise ValueError(f"bad shape node {s!r}")
+                relations.append((lo, hi))
+        else:
+            raise ValueError(f"bad shape node {s!r}")
+        for kind in reversed(adjoins):
+            e = new_el()
+            if kind == "adjoin-min":
+                relations.append((e, lo))
+                lo = e
+            else:
+                relations.append((hi, e))
+                hi = e
+        return lo, hi
 
     go(shape)
     idx = {nm: i for i, nm in enumerate(names)}
@@ -578,7 +537,10 @@ def parse_tree(text: str) -> tuple[TreeShape, dict[str, int]]:
             continue
         parts = line.split()
         if parts[0] == "vertices":
-            vertices.extend(parts[1:])
+            for nm in parts[1:]:
+                if nm in vertices:
+                    raise ParseError(f"vertex {nm!r} declared twice")
+                vertices.append(nm)
         elif parts[0] == "edges":
             for tok in parts[1:]:
                 if "-" not in tok:
@@ -586,6 +548,8 @@ def parse_tree(text: str) -> tuple[TreeShape, dict[str, int]]:
                 a, b = tok.split("-", 1)
                 edges.append((a, b))
         elif parts[0] == "mark":
+            if len(parts) != 2:
+                raise ParseError(f"a 'mark' line names exactly one vertex: {raw!r}")
             mark = parts[1]
         else:
             raise ParseError(f"unexpected tree line: {raw!r}")

@@ -35,6 +35,7 @@ from .rep import (
     _quotient_projection,
     cone_label,
     constant_on,
+    direct_sum,
     is_isomorphic,
     linear_combination,
     radical,
@@ -135,15 +136,9 @@ def ar_sequence_end(M: Representation, rng: random.Random | None = None,
         raise PosetarError("socle of the extension space is trivial")
 
     # E = coker(P1 -> tM + P0).  The basis of the sum at w lists tM(w) before
-    # P0(w), so its cover maps are block diagonal; column j of the f-block at
-    # w is generator j's value f_j in tM(y_j) carried up to w.
-    P0, P1 = C.term(0), C.term(1)
-    maps = {}
-    for (x, y) in P.covers:
-        a, b = tM.maps[(x, y)], P0.maps[(x, y)]
-        rows = [r + (z,) * b.c for r in a.rows] + [(z,) * a.c + r for r in b.rows]
-        maps[(x, y)] = Mat(field, rows, a.r + b.r, a.c + b.c)
-    S = Representation(P, field, [s + t for s, t in zip(tM.dims, P0.dims)], maps, check=False)
+    # P0(w); column j of the f-block at w is generator j's value f_j in
+    # tM(y_j) carried up to w.
+    S = direct_sum([tM, C.term(0)])
     neg = field.of_int(-1)
     lay1 = _layout(P, "proj", L1)
     d_blocks = _scalar_blocks(P, "proj", L1, L0, d)
@@ -153,7 +148,7 @@ def ar_sequence_end(M: Representation, rng: random.Random | None = None,
         ).vstack(d_blocks[w].scale(neg))
         for w in P.elements()
     ]
-    E, _ = Morphism(P1, S, blocks).cokernel()
+    E, _ = Morphism(C.term(1), S, blocks).cokernel()
     middles = split_indecomposables(E, rng)
     seq = ARSequence(tM, middles, M)
     if seq.middle_dims() != tuple(
@@ -167,17 +162,22 @@ def ar_sequence_end(M: Representation, rng: random.Random | None = None,
 
 
 class KnitVertex:
-    __slots__ = ("vid", "rep", "fomega", "falpha", "proj", "inj")
+    """A knitted module.  thin_support is its support when it is k on that
+    support (None otherwise), and proj/inj are the labels read off it."""
+
+    __slots__ = ("vid", "rep", "fomega", "falpha", "thin_support", "proj", "inj")
 
     def __init__(
-        self, vid: int, rep: Representation, fomega: int, falpha: int, proj: int | None, inj: int | None
+        self, vid: int, rep: Representation, fomega: int, falpha: int, thin_support: frozenset[int] | None
     ) -> None:
         self.vid = vid
         self.rep = rep
         self.fomega = fomega
         self.falpha = falpha
-        self.proj = proj
-        self.inj = inj
+        self.thin_support = thin_support
+        P = rep.poset
+        self.proj = None if thin_support is None else cone_label(P, "proj", thin_support)
+        self.inj = None if thin_support is None else cone_label(P, "inj", thin_support)
 
 
 class ARComponent:
@@ -266,12 +266,6 @@ class ARComponent:
         return "\n".join(lines) + "\n"
 
 
-def _thin_support(rep: Representation) -> frozenset[int] | None:
-    if rep.is_thin_constant():
-        return rep.support()
-    return None
-
-
 def knit(
     P: Poset,
     field: Field = QQ,
@@ -298,7 +292,6 @@ def knit(
         xs.sort(key=P.sort_key)
 
     vertices: list[KnitVertex] = []
-    thin: list[frozenset[int] | None] = []  # vid -> support when thin constant
     in_srcs: dict[int, list[int]] = {}
     arrows: list[tuple[int, int]] = []
     tau_map: dict[int, int] = {}
@@ -309,17 +302,8 @@ def knit(
 
     def add_vertex(rep: Representation, srcs: list[int]) -> int:
         vid = len(vertices)
-        sup = _thin_support(rep)  # the labels are rep.thin_label's, read off sup
-        v = KnitVertex(
-            vid,
-            rep,
-            rep.dims[omega],
-            rep.dims[alpha],
-            None if sup is None else cone_label(P, "proj", sup),
-            None if sup is None else cone_label(P, "inj", sup),
-        )
-        vertices.append(v)
-        thin.append(sup)
+        sup = rep.support() if rep.is_thin_constant() else None
+        vertices.append(KnitVertex(vid, rep, rep.dims[omega], rep.dims[alpha], sup))
         in_srcs[vid] = list(srcs)
         return vid
 
@@ -349,7 +333,7 @@ def knit(
         for w in in_srcs[u]:
             if vertices[w].inj is None:
                 outs.append(tau_inv[w])
-        sup = thin[u]
+        sup = vertices[u].thin_support
         if sup is not None and sup in attach_by_support:
             for x in attach_by_support[sup]:
                 if x in attached:
@@ -417,7 +401,7 @@ def embed_in_ZT(comp: ARComponent, sl: SliceData) -> Embedding:
     coords: dict[int, tuple[int, int]] = {}
     by_support = {}
     for v in comp.vertices:
-        sup = _thin_support(v.rep)
+        sup = v.thin_support
         if sup is not None and sup not in by_support:
             by_support[sup] = v.vid
     tau_inv = comp.tau_inv_map()

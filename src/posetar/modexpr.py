@@ -93,7 +93,7 @@ class _Parser:
             self.take(",")
             B = self.expr()
             self.take(")")
-            return direct_sum([A, B])[0]
+            return direct_sum([A, B])
         if head == "quot":
             self.take("(")
             A = self.expr()

@@ -212,13 +212,6 @@ class Morphism:
     def flat(self) -> tuple:
         return tuple(v for b in self.blocks for row in b.rows for v in row)
 
-    def trace(self):
-        f = self.source.field
-        acc = f.zero
-        for b in self.blocks:
-            acc = f.add(acc, b.trace())
-        return acc
-
     def kernel(self) -> tuple[Representation, "Morphism"]:
         """Kernel subrepresentation with its inclusion."""
         M = self.source
@@ -329,45 +322,24 @@ def zero_rep(P: Poset, field: Field = QQ) -> Representation:
     return Representation(P, field, [0] * P.n, {}, name="0", check=False)
 
 
-def direct_sum(reps: list[Representation]) -> tuple[Representation, list[Morphism], list[Morphism]]:
-    """Direct sum with canonical inclusions and projections."""
+def direct_sum(reps: list[Representation]) -> Representation:
+    """The direct sum.  Its basis at each element lists the summands' bases in
+    order, so every cover map is block diagonal."""
     if not reps:
         raise ValueError("empty direct sum needs an ambient poset; use zero_rep")
     P, field = reps[0].poset, reps[0].field
+    z = field.zero
     dims = [sum(r.dims[x] for r in reps) for x in P.elements()]
     maps = {}
     for (x, y) in P.covers:
-        r0 = 0
+        rows = []
         c0 = 0
-        data = [[field.zero] * dims[x] for _ in range(dims[y])]
         for r in reps:
             m = r.maps[(x, y)]
-            for i in range(m.r):
-                for j in range(m.c):
-                    data[r0 + i][c0 + j] = m.rows[i][j]
-            r0 += r.dims[y]
-            c0 += r.dims[x]
-        maps[(x, y)] = Mat(field, data, dims[y], dims[x])
-    S = Representation(P, field, dims, maps, check=False)
-    incls, projs = [], []
-    offs = [0] * P.n
-    for r in reps:
-        iblocks, pblocks = [], []
-        for x in P.elements():
-            inc = Mat.zero(field, dims[x], r.dims[x])
-            pro = Mat.zero(field, r.dims[x], dims[x])
-            di = [list(row) for row in inc.rows]
-            dp = [list(row) for row in pro.rows]
-            for j in range(r.dims[x]):
-                di[offs[x] + j][j] = field.one
-                dp[j][offs[x] + j] = field.one
-            iblocks.append(Mat(field, di, dims[x], r.dims[x]))
-            pblocks.append(Mat(field, dp, r.dims[x], dims[x]))
-        incls.append(Morphism(r, S, iblocks))
-        projs.append(Morphism(S, r, pblocks))
-        for x in P.elements():
-            offs[x] += r.dims[x]
-    return S, incls, projs
+            rows += [(z,) * c0 + row + (z,) * (dims[x] - c0 - m.c) for row in m.rows]
+            c0 += m.c
+        maps[(x, y)] = _mat(field, tuple(rows), dims[y], dims[x])
+    return Representation(P, field, dims, maps, check=False)
 
 
 # -- radical / socle / top -----------------------------------------------------
@@ -473,8 +445,14 @@ def _hom_system(M: Representation, N: Representation):
     return offsets, total, rows
 
 
-def is_isomorphic(M: Representation, N: Representation, rng=None) -> bool:
-    """Dimension-vector check plus a search for an invertible hom."""
+def is_isomorphic(M: Representation, N: Representation) -> bool:
+    """Dimension-vector check plus a search for an invertible hom.
+
+    When M or N is indecomposable its endomorphism ring is local, so some
+    element of a basis of Hom(M, N) is an isomorphism exactly when M and N are
+    isomorphic: that loop is a certificate.  The random combinations after it
+    only matter when both are decomposable.
+    """
     if M.dims != N.dims:
         return False
     if M.total_dim() == 0:
@@ -488,7 +466,7 @@ def is_isomorphic(M: Representation, N: Representation, rng=None) -> bool:
         if f.is_isomorphism():
             return True
     field = M.field
-    rng = rng or random.Random(0)
+    rng = random.Random(0)
     for _ in range(30):
         f = linear_combination(basis, [field.of_int(rng.randint(-3, 3)) for _ in basis])
         if f.is_isomorphism():

@@ -35,14 +35,6 @@ def end_basis(M: Representation) -> list[Morphism]:
     return hom(M, M)
 
 
-def _express(B: Mat, f: Morphism):
-    col = Mat.from_columns(f.source.field, [f.flat()], B.r)
-    sol = B.solve(col)
-    if sol is None:
-        raise SplitFailure("endomorphism fell outside the computed basis")
-    return tuple(sol.column(0))
-
-
 def _identity_endo(M: Representation) -> Morphism:
     return Morphism(M, M, [Mat.identity(M.field, d) for d in M.dims])
 
@@ -51,14 +43,17 @@ def end_radical_basis(M: Representation, basis: list[Morphism]) -> list[tuple]:
     """Coordinates of a basis of rad End(M) in the given basis of End(M).
 
     In characteristic 0 the radical is the null space of the trace form
-    (f, g) -> tr(f g), so this is the null space of its Gram matrix.
+    (f, g) -> tr(f g), so this is the null space of its Gram matrix.  As
+    tr(f g) = sum over x, a, b of f_x[a][b] g_x[b][a], the Gram matrix is the
+    flattened blocks times the flattened transposed blocks.
     """
     field = M.field
     if not field.is_rationals:
         raise SplitFailure("trace-form radical needs characteristic 0")
-    n = len(basis)
-    gram = [[basis[i].compose(basis[j]).trace() for j in range(n)] for i in range(n)]
-    return Mat(field, gram, n, n).nullspace()
+    flats = [f.flat() for f in basis]
+    transposed = [tuple(v for b in f.blocks for col in zip(*b.rows) for v in col) for f in basis]
+    n, length = len(flats), len(flats[0])
+    return Mat(field, flats, n, length).mul(Mat.from_columns(field, transposed, length)).nullspace()
 
 
 def is_indecomposable(M: Representation, rng: random.Random | None = None) -> bool:
@@ -67,23 +62,20 @@ def is_indecomposable(M: Representation, rng: random.Random | None = None) -> bo
     return not M.is_zero() and split_once(M, rng or random.Random(0)) is None
 
 
-def _min_poly_coeffs(B: Mat, f: Morphism):
-    """Minimal polynomial of f inside End(M), low degree first."""
+def _min_poly_coeffs(f: Morphism):
+    """Minimal polynomial of f, low degree first and monic: the first linear
+    dependency among the flattened powers 1, f, f^2, ... of f."""
     field = f.source.field
-    powers = [_express(B, _identity_endo(f.source))]
     cur = _identity_endo(f.source)
+    powers = [cur.flat()]
     while True:
         cur = f.compose(cur)
-        vec = _express(B, cur)
-        cols = Mat.from_columns(field, powers + [vec], B.c)
-        null = cols.nullspace()
+        powers.append(cur.flat())
+        null = Mat.from_columns(field, powers, len(powers[0])).nullspace()
         if null:
-            dep = null[0]
-            # normalize so the top coefficient is 1
-            top = dep[-1]
-            inv = field.inv(top)
+            dep = null[0]  # one dimensional, as the lower powers are independent
+            inv = field.inv(dep[-1])
             return [field.mul(inv, c) for c in dep]
-        powers.append(vec)
 
 
 def _rational_roots(p):
@@ -142,7 +134,6 @@ def split_once(M: Representation, rng: random.Random):
     field = M.field
     if field.is_rationals and len(basis) - len(end_radical_basis(M, basis)) == 1:
         return None
-    B = Mat.from_columns(field, [f.flat() for f in basis], len(basis[0].flat()))
 
     def candidates():
         yield from basis
@@ -154,7 +145,7 @@ def split_once(M: Representation, rng: random.Random):
             continue
         roots = [0]
         if field.is_rationals:
-            roots = _rational_roots([Fraction(c) for c in _min_poly_coeffs(B, f)])
+            roots = _rational_roots([Fraction(c) for c in _min_poly_coeffs(f)])
         for r in roots:
             parts = _fitting_split(f if r == 0 else f.add(_identity_endo(M).scale(-r)))
             if parts is not None:

@@ -28,6 +28,30 @@ def star_tree(*arms, marked_arm=0):
     return TreeShape(nxt, tuple(edges), tips[marked_arm])
 
 
+def admissible_marked_trees(max_n):
+    """Each tree with at most max_n vertices whose branch vertices are pairwise
+    at distance >= 2, marked at one leaf per marked-isomorphism class, as
+    (tree, leaf): networkx's tree order, then the leaves in order."""
+    import networkx as nx
+
+    for n in range(1, max_n + 1):
+        if n == 1:
+            trees = [TreeShape(1, (), 0)]
+        else:
+            trees = [TreeShape(n, tuple(G.edges()), 0) for G in nx.nonisomorphic_trees(n)]
+        for T in trees:
+            branch = [v for v in range(T.n) if T.degree(v) >= 3]
+            if not all(T.distances_from(x)[y] >= 2 for i, x in enumerate(branch) for y in branch[i + 1:]):
+                continue
+            seen = set()
+            for leaf in T.leaves():
+                marked = TreeShape(T.n, T.edges, leaf)
+                canon = marked.canonical_marked()
+                if canon not in seen:
+                    seen.add(canon)
+                    yield marked, leaf
+
+
 def random_ic_shape(rng: random.Random, size: int):
     """Random iterated-clamping shape with exactly `size` elements."""
     if size == 1:

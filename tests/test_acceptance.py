@@ -8,7 +8,7 @@ worked examples.
 import functools
 import random
 
-from conftest import path_tree, random_ic_family, star_tree
+from conftest import admissible_marked_trees, path_tree, random_ic_family, star_tree
 from posetar.clamped import enumerate_clamped, is_clamped
 from posetar.corpus import corpus_poset, grid2, star_poset
 from posetar.homalg import (
@@ -479,38 +479,12 @@ def test_criterion_9():
 
 @criterion(10, "lattice-from-tree round trip over all small admissible trees")
 def test_criterion_10():
-    import networkx as nx
-
-    from posetar.ictree import TreeShape
-
     checked = 0
-    for n in range(1, 10):
-        if n == 1:
-            trees = [TreeShape(1, (), 0)]
-        else:
-            trees = []
-            for G in nx.nonisomorphic_trees(n):
-                trees.append(TreeShape(n, tuple(G.edges()), 0))
-        for T in trees:
-            branch = [v for v in range(T.n) if T.degree(v) >= 3]
-            ok = all(
-                T.distances_from(x)[y] >= 2
-                for i, x in enumerate(branch)
-                for y in branch[i + 1:]
-            )
-            if not ok:
-                continue
-            seen = set()
-            for leaf in T.leaves():
-                marked = TreeShape(T.n, T.edges, leaf)
-                canon = marked.canonical_marked()
-                if canon in seen:
-                    continue
-                seen.add(canon)
-                P = tree_to_poset(marked, leaf)
-                node = ic_plus_decompose(P)
-                assert node is not None, (T.edges, leaf)
-                back = build_tree(node, P)
-                assert marked_trees_isomorphic(back, marked), (T.edges, leaf)
-                checked += 1
+    for marked, leaf in admissible_marked_trees(9):
+        P = tree_to_poset(marked, leaf)
+        node = ic_plus_decompose(P)
+        assert node is not None, (marked.edges, leaf)
+        back = build_tree(node, P)
+        assert marked_trees_isomorphic(back, marked), (marked.edges, leaf)
+        checked += 1
     assert checked >= 100

@@ -229,7 +229,34 @@ def test_cli_contract_on_malformed_input(tmp_path, capsys):
     for argv in calls[:4]:
         assert codes[tuple(argv)] == 2, argv
     assert codes[("parse", str(tmp_path))] == 1
+    for text in (
+        "vertices a b\nedges a-b\nmark\n",  # a mark line that names no vertex
+        "vertices a b\nedges a-b\nmark a b\n",  # one that names two
+        "vertices a b a\nedges a-b\nmark a\n",  # a vertex declared twice
+    ):
+        bad_tree.write_text(text)
+        capsys.readouterr()
+        assert exit_code(["fromtree", str(bad_tree)]) == 1, text
+        err = capsys.readouterr().err
+        assert err.startswith("error (parse-error)") and "Traceback" not in err, text
     capsys.readouterr()
+
+
+def test_knit_tests_each_vertex_for_thinness_once(monkeypatch, capsys):
+    # the ZT embedding reads the support the knit stored on each of the 134 vertices
+    from posetar.rep import Representation
+
+    calls = []
+    real = Representation.is_thin_constant
+
+    def counting(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(Representation, "is_thin_constant", counting)
+    code, out, _ = run(capsys, "knit", "corpus:ex57")
+    assert code == 0 and out
+    assert len(calls) == 134
 
 
 def test_fcy_max_meshes_contract(monkeypatch, capsys):

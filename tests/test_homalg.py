@@ -189,7 +189,7 @@ def test_realize_labels_matches_direct_sum(source, field, kind):
     summand = projective if kind == "proj" else injective
     for labels in _label_multisets(P):
         S = realize_labels(P, field, kind, labels)
-        oracle, _, _ = direct_sum([summand(P, x, field) for x in labels])
+        oracle = direct_sum([summand(P, x, field) for x in labels])
         assert S.dims == oracle.dims
         assert S.maps == oracle.maps
 
@@ -444,7 +444,7 @@ def test_tau_restriction_commutation_named_op():
     a, b = P.id_of("2"), P.id_of("3")
     assert tau_commutes_with_restriction_check(P, a, b, simple(P, a))
 
-    S, _, _ = direct_sum([simple(P, a), simple(P, a)])
+    S = direct_sum([simple(P, a), simple(P, a)])
     with pytest.raises(NotIndecomposable):
         tau_commutes_with_restriction_check(P, a, b, S)
 

@@ -1,5 +1,7 @@
+import hashlib
 import itertools
 import random
+import sys
 
 import pytest
 import sympy
@@ -22,7 +24,7 @@ from posetar.ictree import (
 from posetar.poset import Poset, chain
 
 
-from conftest import path_tree, random_ic_family, random_ic_shape, star_tree
+from conftest import admissible_marked_trees, path_tree, random_ic_family, random_ic_shape, star_tree
 
 
 def test_chain_decomposition_depth():
@@ -227,6 +229,32 @@ def test_tree_to_poset_ex57_roundtrip():
     assert P.n == 10
     node = ic_plus_decompose(P)
     assert marked_trees_isomorphic(build_tree(node, P), T)
+
+
+# sha256 over tree_to_poset(T, leaf).to_text() for the 122 admissible marked
+# trees with at most nine vertices, in admissible_marked_trees order.  It pins
+# the element names, their order and the relations, not just the shape.
+FROMTREE_DIGEST = "6661130e21eabf2f8c63a1e27c924f26ac9e321baaa15015f4b9e0445b7043c6"
+
+
+def test_tree_to_poset_text_is_pinned():
+    h = hashlib.sha256()
+    count = 0
+    for T, leaf in admissible_marked_trees(9):
+        h.update(tree_to_poset(T, leaf).to_text().encode())
+        count += 1
+    assert count == 122
+    assert h.hexdigest() == FROMTREE_DIGEST
+
+
+def test_realize_shape_takes_chains_deeper_than_the_recursion_limit():
+    n = sys.getrecursionlimit() + 100
+    shape = ("point",)
+    for kind in ("adjoin-max", "adjoin-min") * (n // 2):
+        shape = (kind, shape)
+    P = realize_shape(shape)
+    assert P.n == n + 1 and len(P.covers) == n
+    assert P.unique_min_max() == (P.id_of(f"e{n + 1}"), P.id_of(f"e{n}"))
 
 
 def test_tree_to_poset_rejects_adjacent_branches():

@@ -58,10 +58,10 @@ def test_ar_sequence_rejects_projective():
 def test_ar_sequence_end_checks_projectivity_before_indecomposability():
     P = chain(3)
     with pytest.raises(IsProjective):
-        ar_sequence_end(direct_sum([projective(P, 0), projective(P, 1)])[0])
+        ar_sequence_end(direct_sum([projective(P, 0), projective(P, 1)]))
     with pytest.raises(NotIndecomposable):
-        ar_sequence_end(direct_sum([simple(P, 0), simple(P, 1)])[0])
-    seq = ar_sequence_end(direct_sum([simple(P, 0), simple(P, 1)])[0], check_indecomposable=False)
+        ar_sequence_end(direct_sum([simple(P, 0), simple(P, 1)]))
+    seq = ar_sequence_end(direct_sum([simple(P, 0), simple(P, 1)]), check_indecomposable=False)
     assert seq.tau_end.dims == (0, 1, 1)
 
 
@@ -257,6 +257,26 @@ def test_knit_bases_are_pinned(source):
         sort_keys=True,
     )
     assert hashlib.sha256(blob.encode()).hexdigest() == KNIT_DIGESTS[source]
+
+
+# sha256 over the translate and the middle terms, with their multiplicities,
+# of ar_sequence_end at every non-projective vertex of total dimension <= 14
+# of these knits: 26 sequences, bases included.
+AR_SEQUENCE_DIGEST = "a6e455de74876f29443dc1f0bb294f8aaa5d506b596fc13898788567360b76a7"
+
+
+def test_ar_sequences_are_pinned():
+    blob = []
+    for source in ("star-2-2", "ex33-poset1"):
+        for v in knit(corpus_poset(source)).vertices:
+            if v.proj is None and v.rep.total_dim() <= 14:
+                seq = ar_sequence_end(v.rep, random.Random(0))
+                blob.append({
+                    "tau": seq.tau_end.to_json(),
+                    "middles": [[m.to_json(), mult] for m, mult in seq.middles],
+                })
+    assert len(blob) == 26
+    assert hashlib.sha256(json.dumps(blob, sort_keys=True).encode()).hexdigest() == AR_SEQUENCE_DIGEST
 
 
 # The budgets README gives for the corpus ids whose knits do not stop soon at

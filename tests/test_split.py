@@ -49,7 +49,7 @@ def test_projectives_indecomposable():
 def test_diamond_three_summand_sum():
     P = corpus_poset("ex33-poset1")
     a, one, two = P.id_of("a"), P.id_of("1"), P.id_of("2")
-    S, _, _ = direct_sum([projective(P, a), simple(P, one), simple(P, two)])
+    S = direct_sum([projective(P, a), simple(P, one), simple(P, two)])
     parts = split_indecomposables(S)
     assert sum(m for _, m in parts) == 3
     dims = sorted(tuple(r.dims) for r, _ in parts)
@@ -66,7 +66,7 @@ def test_radical_of_largest_projective_indecomposable_ex57():
 def test_square_multiplicity():
     P = chain(3)
     M = constant_on(P, P.closed_interval(P.id_of("1"), P.id_of("2")))
-    S, _, _ = direct_sum([M, M])
+    S = direct_sum([M, M])
     parts = split_indecomposables(S)
     assert len(parts) == 1
     assert parts[0][1] == 2
@@ -77,7 +77,7 @@ def test_seed_independence():
     P = corpus_poset("ex33-poset2")
     a = P.id_of("a")
     R, _ = radical(projective(P, a))
-    S, _, _ = direct_sum([R, simple(P, P.id_of("4")), projective(P, P.id_of("2"))])
+    S = direct_sum([R, simple(P, P.id_of("4")), projective(P, P.id_of("2"))])
     outcomes = []
     for seed in (0, 1, 2):
         parts = split_indecomposables(S, random.Random(seed))
@@ -90,7 +90,7 @@ def test_dimension_accounting():
     P = corpus_poset("ex58-poset2")
     a, _ = P.unique_min_max()
     R, _ = radical(projective(P, a))
-    S, _, _ = direct_sum([R, R])
+    S = direct_sum([R, R])
     parts = split_indecomposables(S)
     total = [0] * P.n
     for rep, mult in parts:
@@ -148,7 +148,7 @@ def test_end_a_larger_field_than_q_raises():
 
 def test_split_once_splits_off_a_simple_beside_a_rootless_summand():
     P, M = _four_subspace_module()
-    S, _, _ = direct_sum([M, simple(P, P.id_of("w"))])
+    S = direct_sum([M, simple(P, P.id_of("w"))])
     parts = split_once(S, random.Random(0))
     assert parts is not None
     assert sorted(part.dims for part in parts) == [(0, 0, 0, 0, 1), M.dims]
@@ -217,5 +217,5 @@ def test_canonical_order_matches_full_key_sort_on_tied_dimension_vectors(source)
     groups = []
     for (x, y) in P.covers:
         groups.append([constant_on(P, {x, y})])
-        groups.append([direct_sum([simple(P, x), simple(P, y)])[0]])
+        groups.append([direct_sum([simple(P, x), simple(P, y)])])
     _assert_orders_agree(groups, P, random.Random(4))
