@@ -56,10 +56,10 @@ def _field(text: str) -> Field:
     raise argparse.ArgumentTypeError(f"unknown field {text!r} (use rationals or gf:<p>, p prime)")
 
 
-def _degree(text: str) -> int:
-    """argparse type of the Ext degree: a nonnegative integer."""
+def _nonnegative(text: str) -> int:
+    """argparse type of the Ext degree and the budgets: a nonnegative integer."""
     if not text.isdigit():
-        raise argparse.ArgumentTypeError(f"degree must be a nonnegative integer, not {text!r}")
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, not {text!r}")
     return int(text)
 
 
@@ -266,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("fcy", cmd_fcy)
     p.add_argument("poset")
     p.add_argument("--assume-infinite-type", action="store_true")
-    p.add_argument("--max-meshes", type=int, default=200)
+    p.add_argument("--max-meshes", type=_nonnegative, default=200)
     add("fintype", cmd_fintype).add_argument("poset")
     add("fromtree", cmd_fromtree).add_argument("treefile")
     p = add("resolve", cmd_resolve)
@@ -276,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("poset")
     p.add_argument("module_m")
     p.add_argument("module_n")
-    p.add_argument("degree", type=_degree)
+    p.add_argument("degree", type=_nonnegative)
     p = add("tau", cmd_tau)
     p.add_argument("poset")
     p.add_argument("module")
@@ -287,14 +287,14 @@ def build_parser() -> argparse.ArgumentParser:
     add("verify-slice", cmd_verify_slice).add_argument("poset")
     p = add("knit", cmd_knit)
     p.add_argument("poset")
-    p.add_argument("--max-meshes", type=int, default=2000)
-    p.add_argument("--max-dim", type=int, default=4000)
+    p.add_argument("--max-meshes", type=_nonnegative, default=2000)
+    p.add_argument("--max-dim", type=_nonnegative, default=4000)
     p.add_argument("--dot")
     p.add_argument("--json")
     p = add("witness", cmd_witness)
     p.add_argument("poset")
     p.add_argument("--assume-infinite-type", action="store_true")
-    p.add_argument("--max-meshes", type=int, default=200)
+    p.add_argument("--max-meshes", type=_nonnegative, default=200)
     p = add("corpus", cmd_corpus)
     p.add_argument("--write")
     return ap

@@ -78,7 +78,7 @@ class ICNode:
 class TreeShape:
     """Finite tree with one marked vertex and optional per-vertex data."""
 
-    __slots__ = ("n", "edges", "marked", "labels", "supports", "arrows")
+    __slots__ = ("n", "edges", "marked", "labels", "supports", "arrows", "_adj")
 
     def __init__(
         self,
@@ -97,20 +97,19 @@ class TreeShape:
         self.arrows = arrows
         if len(self.edges) != self.n - 1:
             raise PosetarError("edge count does not match a tree")
+        adj: list[list[int]] = [[] for _ in range(n)]
+        for a, b in self.edges:
+            adj[a].append(b)
+            adj[b].append(a)
+        self._adj = tuple(tuple(sorted(vs)) for vs in adj)
         if self.n > 0 and len(self.distances_from(0)) != self.n:
             raise PosetarError("tree is not connected")
 
-    def neighbors(self, v: int) -> list[int]:
-        out = []
-        for a, b in self.edges:
-            if a == v:
-                out.append(b)
-            elif b == v:
-                out.append(a)
-        return sorted(out)
+    def neighbors(self, v: int) -> tuple[int, ...]:
+        return self._adj[v]
 
     def degree(self, v: int) -> int:
-        return len(self.neighbors(v))
+        return len(self._adj[v])
 
     def leaves(self) -> list[int]:
         return [v for v in range(self.n) if self.degree(v) <= 1]

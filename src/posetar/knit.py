@@ -19,8 +19,8 @@ import random
 
 from .errors import IsProjective, MeshMismatch, NotEmbeddable, NotIndecomposable, PosetarError
 from .homalg import (
+    _blocks_from_generators,
     _hom_complex_map,
-    _layout,
     _resolution,
     _scalar_blocks,
     _tau_of_presentation,
@@ -136,18 +136,13 @@ def ar_sequence_end(M: Representation, rng: random.Random | None = None,
         raise PosetarError("socle of the extension space is trivial")
 
     # E = coker(P1 -> tM + P0).  The basis of the sum at w lists tM(w) before
-    # P0(w); column j of the f-block at w is generator j's value f_j in
-    # tM(y_j) carried up to w.
+    # P0(w); the f-block sends generator j of P1 to f_j in tM(y_j).
     S = direct_sum([tM, C.term(0)])
     neg = field.of_int(-1)
-    lay1 = _layout(P, "proj", L1)
+    gens = [(y, f[offs[j]: offs[j + 1]]) for j, y in enumerate(L1)]
+    f_blocks = _blocks_from_generators(P, field, tM.dims, gens, lambda x, y, v: tM.maps[(x, y)].apply(v))
     d_blocks = _scalar_blocks(P, "proj", L1, L0, d)
-    blocks = [
-        Mat.from_columns(
-            field, [tM.path_map(L1[j], w).apply(f[offs[j]: offs[j + 1]]) for j in lay1[w]], tM.dims[w]
-        ).vstack(d_blocks[w].scale(neg))
-        for w in P.elements()
-    ]
+    blocks = [f_blocks[w].vstack(d_blocks[w].scale(neg)) for w in P.elements()]
     E, _ = Morphism(C.term(1), S, blocks).cokernel()
     middles = split_indecomposables(E, rng)
     seq = ARSequence(tM, middles, M)

@@ -9,7 +9,7 @@ Fraction with denominator > 1 otherwise, never a float: nearly every entry
 the algebra layers meet is a small integer, and int arithmetic costs a
 fraction of Fraction's.  Every entry this module computes follows that
 contract: the results of rref, nullspace, solve, inverse, mul, apply, add,
-sub, scale and trace, and the Field methods.  The constructor accepts any
+sub and scale, and the Field methods.  The constructor accepts any
 ints or Fractions, and re-indexing (transpose, hstack, vstack, column,
 columns, from_columns) keeps the entries it was given.  No `/` is
 applied between two entries: a quotient goes through `_div`, which returns
@@ -34,7 +34,7 @@ add, sub, scale, mul, transpose, hstack, vstack, rref and solve) fix the
 shape of their result by construction, build its rows as tuples, and store
 them with `_mat`, which neither copies nor checks.  So do the few
 labelled-coordinate sites in `rep` and `homalg` whose comprehension fixes
-the shape: `_quotient_projection`, `realize_labels`, `_scalar_blocks` and
+the shape: `direct_sum`, `_quotient_projection`, `_scalar_blocks` and
 `_cokernel_into_projectives`.
 """
 
@@ -323,10 +323,6 @@ class Mat:
 
     def is_invertible(self) -> bool:
         return self.r == self.c and self.rank() == self.r
-
-    def trace(self):
-        acc = sum(self.rows[i][i] for i in range(min(self.r, self.c)))
-        return acc % self.field.p if self.field.p else _canon(acc)
 
 
 _new = object.__new__

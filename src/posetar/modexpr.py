@@ -118,7 +118,6 @@ def parse_module(P: Poset, text: str, field: Field = QQ) -> Representation:
     M = parser.expr()
     if parser.peek() is not None:
         raise ParseError(f"trailing tokens in module expression: {parser.toks[parser.i:]}")
-    M.name = text.replace(" ", "")
     return M
 
 

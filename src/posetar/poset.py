@@ -158,14 +158,12 @@ class Poset:
         return _bits(self.up[a] & self.down[b] & ~(1 << a) & ~(1 << b), self.n)
 
     def is_convex(self, subset) -> bool:
-        mask = _mask(subset)
+        """No element outside the subset lies above one member and below another."""
+        above = below = 0
         for a in subset:
-            for b in subset:
-                if self.leq(a, b):
-                    between = self.up[a] & self.down[b]
-                    if between & ~mask:
-                        return False
-        return True
+            above |= self.up[a]
+            below |= self.down[a]
+        return not above & below & ~_mask(subset)
 
     def connected_components(self, subset) -> list[frozenset[int]]:
         """Components of the comparability graph restricted to the subset."""

@@ -18,14 +18,13 @@ from .poset import Poset
 class Representation:
     """Functor from the poset to finite-dimensional vector spaces."""
 
-    __slots__ = ("poset", "field", "dims", "maps", "name", "_paths")
+    __slots__ = ("poset", "field", "dims", "maps", "_paths")
 
-    def __init__(self, poset: Poset, field: Field, dims, maps, name: str = "", check: bool = True):
+    def __init__(self, poset: Poset, field: Field, dims, maps, check: bool = True):
         self.poset = poset
         self.field = field
         self.dims = tuple(dims)
         self.maps = dict(maps)
-        self.name = name
         self._paths: dict[tuple[int, int], Mat] = {}
         for (x, y) in poset.covers:
             m = self.maps.get((x, y))
@@ -125,8 +124,7 @@ class Representation:
         return cone_label(self.poset, kind, self.support())
 
     def __repr__(self) -> str:
-        label = self.name or "module"
-        return f"{label}{list(self.dims)}"
+        return f"module{list(self.dims)}"
 
     # -- serialization ---------------------------------------------------------
 
@@ -161,12 +159,10 @@ class Morphism:
 
     __slots__ = ("source", "target", "blocks")
 
-    def __init__(self, source: Representation, target: Representation, blocks, check: bool = False):
+    def __init__(self, source: Representation, target: Representation, blocks):
         self.source = source
         self.target = target
         self.blocks = tuple(blocks)
-        if check:
-            self.assert_natural()
 
     def block(self, x: int) -> Mat:
         return self.blocks[x]
@@ -220,7 +216,8 @@ class Morphism:
 
     def image(self) -> tuple[Representation, "Morphism"]:
         """Image subrepresentation of the target, with its inclusion."""
-        return _subrep_from_bases(self.target, self.blocks)
+        N = self.target
+        return _subrep_from_bases(N, [span_basis(N.field, b.columns(), b.r) for b in self.blocks])
 
     def cokernel(self) -> tuple[Representation, "Morphism"]:
         """Cokernel representation with the projection from the target.
@@ -268,29 +265,29 @@ def _quotient_projection(field: Field, gens: Mat, dim: int) -> tuple[Mat, tuple[
 
 
 def _subrep_from_bases(M: Representation, bases: list[Mat]):
-    """The subrepresentation with the given per-element spans, and its inclusion.
+    """The subrepresentation with the given per-element bases, and its inclusion.
 
-    The spans must already form a submodule: every structure map carries the
-    span at x into the span at y.  bases[y] may be any spanning set; span_basis
-    keeps its leftmost independent columns.
+    bases[x] has linearly independent columns, which become the basis of the
+    subrepresentation at x and the block of its inclusion there.  Their spans
+    must already form a submodule: every structure map carries the span at x
+    into the span at y, and the cover map is the unique solution there.
     """
     P, field = M.poset, M.field
-    incl_blocks = [span_basis(field, bases[x].columns(), M.dims[x]) for x in P.elements()]
     maps = {}
     for y in P.linear_extension():
         for x in P.covers_below(y):
-            m = incl_blocks[y].solve(M.maps[(x, y)].mul(incl_blocks[x]))
+            m = bases[y].solve(M.maps[(x, y)].mul(bases[x]))
             if m is None:
                 raise PosetarError("spans are not closed under the structure maps")
             maps[(x, y)] = m
-    S = Representation(P, field, [b.c for b in incl_blocks], maps, check=False)
-    return S, Morphism(S, M, incl_blocks)
+    S = Representation(P, field, [b.c for b in bases], maps, check=False)
+    return S, Morphism(S, M, bases)
 
 
 # -- constructors -------------------------------------------------------------
 
 
-def constant_on(P: Poset, subset, field: Field = QQ, name: str = "") -> Representation:
+def constant_on(P: Poset, subset, field: Field = QQ) -> Representation:
     """k_Q: one-dimensional on a convex subset, identity maps inside."""
     subset = frozenset(subset)
     if not P.is_convex(subset):
@@ -301,25 +298,23 @@ def constant_on(P: Poset, subset, field: Field = QQ, name: str = "") -> Represen
     for (x, y) in P.covers:
         if x in subset and y in subset:
             maps[(x, y)] = Mat(field, [[one]], 1, 1)
-    if not name:
-        name = "k{" + ",".join(P.names[x] for x in P.sorted_ids(subset)) + "}"
-    return Representation(P, field, dims, maps, name=name, check=False)
+    return Representation(P, field, dims, maps, check=False)
 
 
 def projective(P: Poset, x: int, field: Field = QQ) -> Representation:
-    return constant_on(P, P.up_set(x), field, name=f"P({P.names[x]})")
+    return constant_on(P, P.up_set(x), field)
 
 
 def injective(P: Poset, x: int, field: Field = QQ) -> Representation:
-    return constant_on(P, P.down_set(x), field, name=f"I({P.names[x]})")
+    return constant_on(P, P.down_set(x), field)
 
 
 def simple(P: Poset, x: int, field: Field = QQ) -> Representation:
-    return constant_on(P, {x}, field, name=f"S({P.names[x]})")
+    return constant_on(P, {x}, field)
 
 
 def zero_rep(P: Poset, field: Field = QQ) -> Representation:
-    return Representation(P, field, [0] * P.n, {}, name="0", check=False)
+    return Representation(P, field, [0] * P.n, {}, check=False)
 
 
 def direct_sum(reps: list[Representation]) -> Representation:
@@ -353,7 +348,7 @@ def radical(M: Representation) -> tuple[Representation, Morphism]:
         cols = []
         for x in P.covers_below(y):
             cols.extend(M.maps[(x, y)].columns())
-        bases.append(Mat.from_columns(field, cols, M.dims[y]))
+        bases.append(span_basis(field, cols, M.dims[y]))
     return _subrep_from_bases(M, bases)
 
 
@@ -496,7 +491,7 @@ def restrict(M: Representation, subset) -> tuple[Representation, Poset, list[int
     maps = {}
     for (i, j) in sub.covers:
         maps[(i, j)] = M.path_map(ids[i], ids[j])
-    R = Representation(sub, M.field, dims, maps, name=M.name and f"{M.name}|", check=False)
+    R = Representation(sub, M.field, dims, maps, check=False)
     return R, sub, ids
 
 
@@ -506,7 +501,7 @@ def dualize(M: Representation) -> tuple[Representation, Poset]:
     maps = {}
     for (x, y) in M.poset.covers:
         maps[(y, x)] = M.maps[(x, y)].transpose()
-    D = Representation(Pop, M.field, M.dims, maps, name=f"D({M.name})" if M.name else "", check=False)
+    D = Representation(Pop, M.field, M.dims, maps, check=False)
     return D, Pop
 
 
@@ -525,4 +520,4 @@ def transport(M: Representation, target: Poset, ids: list[int]) -> Representatio
     for (x, y) in target.covers:
         if x in back and y in back:
             maps[(x, y)] = M.path_map(back[x], back[y])
-    return Representation(target, M.field, dims, maps, name=M.name, check=False)
+    return Representation(target, M.field, dims, maps, check=False)

@@ -189,6 +189,13 @@ def contract_calls(cid):
     ]
 
 
+NEGATIVE_BUDGETS = [
+    ["knit", "corpus:sec2-right", "--max-meshes", "-3"],
+    ["knit", "corpus:sec2-right", "--max-dim", "-1"],
+    ["witness", "corpus:sec2-right", "--max-meshes", "-1"],
+    ["fcy", "corpus:sec2-right", "--max-meshes", "-1"],
+]
+
 MALFORMED = [
     ["--field", "gf:4", "tau", "corpus:star-2-2", "S(c2_2)"],
     ["--field", "gf:abc", "fcy", "corpus:star-2-2"],
@@ -203,6 +210,7 @@ MALFORMED = [
     ["ext", "corpus:ex25-chain4", "S(1)", "S(2)", "one"],
     ["knit", "corpus:ex25-chain4", "--max-meshes", "x"],
     ["not-a-command"],
+    *NEGATIVE_BUDGETS,
 ]
 
 
@@ -226,7 +234,7 @@ def test_cli_contract_on_malformed_input(tmp_path, capsys):
     ]
     codes = {tuple(argv): exit_code(argv) for argv in calls}
     assert all(code in (1, 2) for code in codes.values()), codes
-    for argv in calls[:4]:
+    for argv in calls[:4] + NEGATIVE_BUDGETS:
         assert codes[tuple(argv)] == 2, argv
     assert codes[("parse", str(tmp_path))] == 1
     for text in (

@@ -257,6 +257,15 @@ def test_realize_shape_takes_chains_deeper_than_the_recursion_limit():
     assert P.unique_min_max() == (P.id_of(f"e{n + 1}"), P.id_of(f"e{n}"))
 
 
+def test_tree_to_poset_and_classify_tree_on_a_long_path():
+    # neighbors and degree read adjacency built once, so the tree side of
+    # this stays linear in the number of vertices
+    T = path_tree(3000)
+    assert str(classify_tree(T)) == "A3000"
+    P = tree_to_poset(T, 0)
+    assert P.n == 3000 and len(P.covers) == 2999
+
+
 def test_tree_to_poset_rejects_adjacent_branches():
     edges = ((0, 1), (1, 2), (1, 3), (2, 4), (2, 5), (3, 6))
     T = TreeShape(7, edges, 6)
