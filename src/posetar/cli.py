@@ -248,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument(
         "--seed",
         type=int,
-        default=int(os.environ.get("POSETAR_SEED", "0")),
+        default=os.environ.get("POSETAR_SEED", "0"),
         help="seed for the session PRNG (default: POSETAR_SEED or 0)",
     )
     sub = ap.add_subparsers(dest="command", required=True)
@@ -308,7 +308,7 @@ def main(argv=None) -> int:
     except PosetarError as exc:
         print(f"error ({exc.code}): {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -10,7 +10,7 @@ ADE class answers the fractional Calabi-Yau and finite-type questions.
 from __future__ import annotations
 
 from .errors import BranchTooClose, NotExtreme, ParseError, PosetarError
-from .poset import Poset
+from .poset import Poset, _mask
 
 
 class ICNode:
@@ -278,8 +278,9 @@ def classify_tree(T: TreeShape) -> TreeClass:
 
 
 def _extrema_in(P: Poset, subset: frozenset[int]):
-    mins = [x for x in subset if not any(P.lt(y, x) for y in subset)]
-    maxs = [x for x in subset if not any(P.lt(x, y) for y in subset)]
+    mask = _mask(subset)
+    mins = [x for x in subset if P.down[x] & mask == 1 << x]
+    maxs = [x for x in subset if P.up[x] & mask == 1 << x]
     return mins, maxs
 
 

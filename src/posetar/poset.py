@@ -1,11 +1,16 @@
-"""Finite posets: relation matrix, Hasse covers, intervals, parsing, DOT.
+"""Finite posets: one topological pass, Hasse covers, intervals, parsing, DOT.
 
-Elements are dense integer ids 0..n-1; display names are metadata.  The order
-relation is kept as per-element bitmasks (up-sets), which makes comparability,
-interval and convexity queries cheap at the scales this package targets.
+Elements are dense integer ids 0..n-1; display names are metadata.  The
+constructor makes one pass of Kahn's algorithm over the given relations,
+always taking the ready element with the smallest name.  That order is the
+stored linear extension; up-sets (down-sets) are ORed together along it in
+reverse (forward) order, and a given relation is a cover when nothing lies
+strictly between its ends.  Every later order query reads these bitmasks.
 """
 
 from __future__ import annotations
+
+from bisect import insort
 
 from .errors import CycleDetected, DuplicateElement, NotComparable, ParseError, UnknownElement
 
@@ -13,13 +18,15 @@ from .errors import CycleDetected, DuplicateElement, NotComparable, ParseError, 
 class Poset:
     """Immutable finite poset.
 
-    up[x] is a bitmask of {y : x <= y} (including x itself).
+    up[x] is a bitmask of {y : x <= y} (including x itself); down[x] likewise.
     covers is the transitive reduction as a sorted tuple of (x, y) pairs.
+    The linear extension and its position table are stored, so sort_key and
+    sorted_ids are lookups.
     """
 
     __slots__ = (
-        "n", "names", "up", "down", "covers", "name", "_linext", "_index", "_above", "_below",
-        "_opposite",
+        "n", "names", "up", "down", "covers", "name", "_order", "_pos", "_index", "_above",
+        "_below", "_opposite",
     )
 
     def __init__(self, names: list[str], relations, name: str = ""):
@@ -27,46 +34,46 @@ class Poset:
         if len(set(names)) != n:
             raise DuplicateElement("element names are not unique")
         self.n = n
-        self.names = tuple(names)
+        self.names = names = tuple(names)
         self.name = name
         self._index = {nm: i for i, nm in enumerate(names)}
 
-        up = [1 << i for i in range(n)]
-        for x, y in relations:
-            up[x] |= 1 << y
-        # Warshall-style transitive closure on bitmasks.
-        for k in range(n):
-            bit = 1 << k
-            for x in range(n):
-                if up[x] & bit:
-                    up[x] |= up[k]
-        for x in range(n):
-            for y in range(n):
-                if x != y and (up[x] >> y) & 1 and (up[y] >> x) & 1:
-                    raise CycleDetected(
-                        f"elements {names[x]!r} and {names[y]!r} are mutually comparable"
-                    )
-        self.up = tuple(up)
-        down = [0] * n
-        for x in range(n):
-            for y in range(n):
-                if (up[x] >> y) & 1:
-                    down[y] |= 1 << x
-        self.down = tuple(down)
+        rels = sorted({(x, y) for x, y in relations if x != y})
+        succ, pred = _adjacency(n, rels)
+        indeg = [len(p) for p in pred]
+        ready = sorted((x for x in range(n) if not indeg[x]), key=names.__getitem__)
+        order: list[int] = []
+        while ready:
+            x = ready.pop(0)
+            order.append(x)
+            for y in succ[x]:
+                indeg[y] -= 1
+                if not indeg[y]:
+                    insort(ready, y, key=names.__getitem__)
+        if len(order) < n:
+            x, y = _cycle_pair(pred, indeg)
+            raise CycleDetected(f"elements {names[x]!r} and {names[y]!r} are mutually comparable")
+        self._order = tuple(order)
+        pos = [0] * n
+        for i, x in enumerate(order):
+            pos[x] = i
+        self._pos = tuple(pos)
 
-        covers = []
-        for x in range(n):
-            strict = up[x] & ~(1 << x)
-            for y in range(n):
-                if (strict >> y) & 1:
-                    # (x,y) is a cover iff nothing sits strictly between.
-                    between = strict & self.down[y] & ~(1 << y)
-                    if between == 0:
-                        covers.append((x, y))
-        self.covers = tuple(sorted(covers))
-        self._above = tuple(tuple(y for a, y in self.covers if a == x) for x in range(n))
-        self._below = tuple(tuple(x for x, b in self.covers if b == y) for y in range(n))
-        self._linext = None
+        up = [1 << x for x in range(n)]
+        down = up[:]
+        for x in reversed(order):
+            for y in succ[x]:
+                up[x] |= up[y]
+        for y in order:
+            for x in pred[y]:
+                down[y] |= down[x]
+        self.up = tuple(up)
+        self.down = tuple(down)
+        # Every cover is a given relation; it is one when nothing lies strictly between.
+        self.covers = tuple((x, y) for x, y in rels if up[x] & down[y] == (1 << x) | (1 << y))
+        above, below = _adjacency(n, self.covers)
+        self._above = tuple(map(tuple, above))
+        self._below = tuple(map(tuple, below))
         self._opposite = None
 
     # -- queries -----------------------------------------------------------
@@ -87,16 +94,16 @@ class Poset:
         return range(self.n)
 
     def up_set(self, x: int) -> frozenset[int]:
-        return _bits(self.up[x], self.n)
+        return _bits(self.up[x])
 
     def down_set(self, x: int) -> frozenset[int]:
-        return _bits(self.down[x], self.n)
+        return _bits(self.down[x])
 
     def strict_up(self, x: int) -> frozenset[int]:
-        return _bits(self.up[x] & ~(1 << x), self.n)
+        return _bits(self.up[x] & ~(1 << x))
 
     def strict_down(self, x: int) -> frozenset[int]:
-        return _bits(self.down[x] & ~(1 << x), self.n)
+        return _bits(self.down[x] & ~(1 << x))
 
     def covers_above(self, x: int) -> tuple[int, ...]:
         return self._above[x]
@@ -119,43 +126,25 @@ class Poset:
 
     def linear_extension(self) -> tuple[int, ...]:
         """Deterministic topological order, ties broken by name."""
-        if self._linext is None:
-            indeg = {x: len(self.covers_below(x)) for x in range(self.n)}
-            ready = sorted((x for x in range(self.n) if indeg[x] == 0), key=lambda i: self.names[i])
-            order: list[int] = []
-            remaining = dict(indeg)
-            while ready:
-                x = ready.pop(0)
-                order.append(x)
-                changed = False
-                for y in self.covers_above(x):
-                    remaining[y] -= 1
-                    if remaining[y] == 0:
-                        ready.append(y)
-                        changed = True
-                if changed:
-                    ready.sort(key=lambda i: self.names[i])
-            self._linext = tuple(order)
-        return self._linext
+        return self._order
 
     def sort_key(self, x: int) -> int:
-        return self.linear_extension().index(x)
+        return self._pos[x]
 
     def sorted_ids(self, ids) -> list[int]:
-        pos = {x: i for i, x in enumerate(self.linear_extension())}
-        return sorted(ids, key=lambda x: pos[x])
+        return sorted(ids, key=self._pos.__getitem__)
 
     # -- intervals & convexity ----------------------------------------------
 
     def closed_interval(self, a: int, b: int) -> frozenset[int]:
         if not self.leq(a, b):
             raise NotComparable(f"{self.names[a]!r} is not below {self.names[b]!r}")
-        return _bits(self.up[a] & self.down[b], self.n)
+        return _bits(self.up[a] & self.down[b])
 
     def open_interval(self, a: int, b: int) -> frozenset[int]:
         if not self.leq(a, b):
             raise NotComparable(f"{self.names[a]!r} is not below {self.names[b]!r}")
-        return _bits(self.up[a] & self.down[b] & ~(1 << a) & ~(1 << b), self.n)
+        return _bits(self.up[a] & self.down[b] & ~(1 << a) & ~(1 << b))
 
     def is_convex(self, subset) -> bool:
         """No element outside the subset lies above one member and below another."""
@@ -167,23 +156,20 @@ class Poset:
 
     def connected_components(self, subset) -> list[frozenset[int]]:
         """Components of the comparability graph restricted to the subset."""
-        subset = set(subset)
+        rest = _mask(subset)
         comps: list[frozenset[int]] = []
-        seen: set[int] = set()
-        for start in self.sorted_ids(subset):
-            if start in seen:
+        for start in self.sorted_ids(_bits(rest)):
+            if not rest >> start & 1:
                 continue
-            stack, comp = [start], set()
-            while stack:
-                x = stack.pop()
-                if x in comp:
-                    continue
-                comp.add(x)
-                for y in subset:
-                    if y not in comp and (self.lt(x, y) or self.lt(y, x)):
-                        stack.append(y)
-            seen |= comp
-            comps.append(frozenset(comp))
+            comp = frontier = 1 << start
+            while frontier:
+                reach = 0
+                for x in _bits(frontier):
+                    reach |= self.up[x] | self.down[x]
+                frontier = reach & rest & ~comp
+                comp |= frontier
+            rest &= ~comp
+            comps.append(_bits(comp))
         return comps
 
     # -- derived posets ------------------------------------------------------
@@ -201,31 +187,23 @@ class Poset:
         """Subposet on the given elements; returns it plus the id map sub->parent."""
         ids = self.sorted_ids(subset)
         back = {x: i for i, x in enumerate(ids)}
-        rels = [
-            (back[x], back[y])
-            for x in ids
-            for y in ids
-            if self.lt(x, y)
-        ]
+        mask = _mask(ids)
+        rels = [(back[x], back[y]) for x in ids for y in _bits(self.up[x] & mask)]
         sub = Poset([self.names[x] for x in ids], rels)
         return sub, ids
 
     def is_lattice(self) -> bool:
+        """Every two elements have a join and a meet.
+
+        The common upper bounds of x and y have a least element exactly when
+        they are some element's up-set (dually for meets).  Comparable pairs
+        always pass, so only incomparable pairs are tested.
+        """
+        ups, downs = set(self.up), set(self.down)
         for x in range(self.n):
-            for y in range(self.n):
-                ub = self.up[x] & self.up[y]
-                if ub == 0:
-                    return False
-                mins = [z for z in _bits(ub, self.n) if not any(
-                    self.lt(w, z) for w in _bits(ub, self.n))]
-                if len(mins) != 1:
-                    return False
-                lb = self.down[x] & self.down[y]
-                if lb == 0:
-                    return False
-                maxs = [z for z in _bits(lb, self.n) if not any(
-                    self.lt(z, w) for w in _bits(lb, self.n))]
-                if len(maxs) != 1:
+            later = (1 << self.n) - (2 << x)
+            for y in _bits(later & ~(self.up[x] | self.down[x])):
+                if self.up[x] & self.up[y] not in ups or self.down[x] & self.down[y] not in downs:
                     return False
         return True
 
@@ -244,10 +222,9 @@ class Poset:
     def to_dot(self) -> str:
         """Hasse diagram; smaller elements drawn above larger ones."""
         order = self.linear_extension()
-        depth = {}
+        depth = [0] * self.n
         for x in order:
-            below = [depth[z] for z in self.strict_down(x) if z in depth]
-            depth[x] = 1 + max(below) if below else 0
+            depth[x] = max((depth[z] + 1 for z in self._below[x]), default=0)
         lines = ["digraph hasse {", "  rankdir=TB;", "  node [shape=plaintext];"]
         by_depth: dict[int, list[int]] = {}
         for x in order:
@@ -281,8 +258,9 @@ class Interval:
         return f"[{P.names[self.low]},{P.names[self.high]}]"
 
 
-def _bits(mask: int, n: int) -> frozenset[int]:
-    return frozenset(i for i in range(n) if (mask >> i) & 1)
+def _bits(mask: int) -> frozenset[int]:
+    """The ids whose bits are set in mask."""
+    return frozenset(i for i, c in enumerate(bin(mask)[:1:-1]) if c == "1")
 
 
 def _mask(subset) -> int:
@@ -292,14 +270,40 @@ def _mask(subset) -> int:
     return m
 
 
+def _adjacency(n: int, pairs) -> tuple[list[list[int]], list[list[int]]]:
+    """Successor and predecessor lists of the pairs, each in the pairs' order."""
+    succ: list[list[int]] = [[] for _ in range(n)]
+    pred: list[list[int]] = [[] for _ in range(n)]
+    for x, y in pairs:
+        succ[x].append(y)
+        pred[y].append(x)
+    return succ, pred
+
+
+def _cycle_pair(pred: list[list[int]], indeg: list[int]) -> tuple[int, int]:
+    """Two elements of a cycle among the elements Kahn's pass left over.
+
+    Each leftover element has a leftover predecessor, so walking back through
+    them from any leftover element repeats an element, closing a cycle.
+    """
+    x = next(x for x, d in enumerate(indeg) if d)
+    step: dict[int, int] = {}
+    while x not in step:
+        step[x] = len(step)
+        x = next(p for p in pred[x] if indeg[p])
+    cycle = sorted(y for y, i in step.items() if i >= step[x])
+    return cycle[0], cycle[1]
+
+
 def parse_poset(text: str, name: str = "") -> Poset:
     """Parse the `.poset` text format.
 
     Lines: optional `poset <name>`, zero or more `elements a b c`, a literal
     `covers` line, then one `x < y` relation per line.  `#` starts a comment.
-    Relations need not be covers; the closure is reduced afterwards.
+    Relations need not be covers; the closure is reduced afterwards, and a
+    relation `x < x` is ignored.
     """
-    declared: list[str] = []
+    index: dict[str, int] = {}
     relations: list[tuple[str, str]] = []
     explicit_elements = False
     in_covers = False
@@ -316,9 +320,9 @@ def parse_poset(text: str, name: str = "") -> Poset:
             if parts[0] == "elements":
                 explicit_elements = True
                 for nm in parts[1:]:
-                    if nm in declared:
+                    if nm in index:
                         raise DuplicateElement(f"element {nm!r} declared twice")
-                    declared.append(nm)
+                    index[nm] = len(index)
                 continue
             if parts[0] == "covers":
                 in_covers = True
@@ -330,20 +334,15 @@ def parse_poset(text: str, name: str = "") -> Poset:
             raise ParseError(f"bad relation line: {raw!r}")
     if not in_covers:
         raise ParseError("missing 'covers' line")
-    if explicit_elements:
+    if not explicit_elements:
         for a, b in relations:
-            for nm in (a, b):
-                if nm not in declared:
-                    raise UnknownElement(f"relation mentions undeclared element {nm!r}")
-        names = declared
-    else:
-        names = []
-        for a, b in relations:
-            for nm in (a, b):
-                if nm not in names:
-                    names.append(nm)
-    index = {nm: i for i, nm in enumerate(names)}
-    return Poset(names, [(index[a], index[b]) for a, b in relations], name=pname)
+            index.setdefault(a, len(index))
+            index.setdefault(b, len(index))
+    try:
+        rels = [(index[a], index[b]) for a, b in relations]
+    except KeyError as exc:
+        raise UnknownElement(f"relation mentions undeclared element {exc.args[0]!r}") from None
+    return Poset(list(index), rels, name=pname)
 
 
 def chain(n: int, names: list[str] | None = None) -> Poset:

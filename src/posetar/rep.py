@@ -12,7 +12,7 @@ import random
 
 from .errors import NotConvex, PosetarError
 from .linalg import Field, Mat, QQ, _mat, span_basis
-from .poset import Poset
+from .poset import Poset, _mask
 
 
 class Representation:
@@ -244,9 +244,7 @@ class Morphism:
 def cone_label(P: Poset, kind: str, sup: frozenset[int]) -> int | None:
     """The x in sup whose up-set (kind 'proj') or down-set (kind 'inj') is sup, or None."""
     cones = P.up if kind == "proj" else P.down
-    mask = 0
-    for x in sup:
-        mask |= 1 << x
+    mask = _mask(sup)
     return next((x for x in sup if cones[x] == mask), None)
 
 

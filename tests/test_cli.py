@@ -250,6 +250,22 @@ def test_cli_contract_on_malformed_input(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_bad_seed_in_the_environment_is_a_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv("POSETAR_SEED", "abc")
+    assert exit_code(["corpus"]) == 2
+    err = capsys.readouterr().err
+    assert "--seed" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("cmd", ["parse", "fromtree"])
+def test_undecodable_input_file_is_an_error(cmd, tmp_path, capsys):
+    f = tmp_path / "binary"
+    f.write_bytes(b"\xff\xfe\x00covers\n\x80 < \x81\n")
+    assert exit_code([cmd, str(f)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_knit_tests_each_vertex_for_thinness_once(monkeypatch, capsys):
     # the ZT embedding reads the support the knit stored on each of the 134 vertices
     from posetar.rep import Representation

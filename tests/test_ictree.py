@@ -258,8 +258,9 @@ def test_realize_shape_takes_chains_deeper_than_the_recursion_limit():
 
 
 def test_tree_to_poset_and_classify_tree_on_a_long_path():
-    # neighbors and degree read adjacency built once, so the tree side of
-    # this stays linear in the number of vertices
+    # neighbors and degree read adjacency built once, and the poset is built in
+    # one topological pass over its relations, so both sides stay near-linear
+    # in the number of vertices
     T = path_tree(3000)
     assert str(classify_tree(T)) == "A3000"
     P = tree_to_poset(T, 0)

@@ -1,7 +1,12 @@
+import random
+import re
+
+import networkx as nx
 import pytest
 
+from posetar.corpus import corpus_ids, corpus_poset
 from posetar.errors import CycleDetected, DuplicateElement, NotComparable, UnknownElement
-from posetar.poset import chain, parse_poset
+from posetar.poset import Poset, chain, parse_poset
 
 
 EX57_TEXT = """\
@@ -30,20 +35,26 @@ def test_parse_two_chain():
 
 
 def test_parse_cycle_detected():
-    with pytest.raises(CycleDetected):
+    with pytest.raises(CycleDetected, match=r"^elements 'a' and 'b' are mutually comparable$"):
         parse_poset("covers\na < b\nb < a")
+    with pytest.raises(CycleDetected) as exc:
+        parse_poset("covers\nd < e\nc < d\nz < a\na < b\nb < c\nc < a")  # d, e hang off the cycle
+    named = re.findall(r"'(\w+)'", str(exc.value))
+    assert len(set(named)) == 2 and set(named) <= {"a", "b", "c"}
 
 
 def test_parse_duplicate_and_unknown():
-    with pytest.raises(DuplicateElement):
+    with pytest.raises(DuplicateElement, match=r"^element 'a' declared twice$"):
         parse_poset("elements a a\ncovers\na < a")
-    with pytest.raises(UnknownElement):
+    with pytest.raises(UnknownElement, match=r"^relation mentions undeclared element 'c'$"):
         parse_poset("elements a b\ncovers\na < c")
 
 
 def test_parse_reduces_redundant_relations():
     P = parse_poset("elements a b c\ncovers\na < b\nb < c\na < c")
     assert P.covers == ((0, 1), (1, 2))
+    P = parse_poset("covers\na < a")  # a relation x < x is ignored
+    assert P.n == 1 and P.covers == ()
 
 
 def test_ex57_poset_shape():
@@ -125,6 +136,10 @@ def test_is_lattice():
     assert P.is_lattice()
     V = parse_poset("elements a b c\ncovers\na < b\na < c")
     assert not V.is_lattice()
+    assert not parse_poset("elements a b\ncovers").is_lattice()  # no upper bound
+    bowtie = "covers\na < c\na < d\nb < c\nb < d"
+    assert not parse_poset(bowtie).is_lattice()  # two minimal upper bounds
+    assert not parse_poset(bowtie + "\n0 < a\n0 < b\nc < 1\nd < 1").is_lattice()
 
 
 def test_ex57_is_self_dual():
@@ -186,3 +201,54 @@ def test_ex58_poset1_open_interval_components():
     names = sorted((frozenset(P.names[x] for x in c) for c in comps), key=len)
     assert names[0] == frozenset({"zeta"})
     assert names[1] == frozenset({"beta", "gamma", "delta", "epsilon"})
+
+
+# -- the order against networkx ------------------------------------------------
+
+
+def _assert_matches_networkx(P: Poset, relations, rng: random.Random) -> None:
+    """up, down, covers, linear extension and components of P, which was built
+    from the given relations, against networkx on the same relations."""
+    G = nx.DiGraph()
+    G.add_nodes_from(P.elements())
+    G.add_edges_from((x, y) for x, y in relations if x != y)
+    closure = nx.transitive_closure_dag(G)
+
+    def masks(neighbours):
+        return tuple(sum(1 << y for y in {x, *neighbours(x)}) for x in P.elements())
+
+    assert P.up == masks(closure.successors)
+    assert P.down == masks(closure.predecessors)
+    assert P.covers == tuple(sorted(nx.transitive_reduction(G).edges))
+    key = P.names.__getitem__
+    assert P.linear_extension() == tuple(nx.lexicographical_topological_sort(G, key=key))
+    for subset in (list(P.elements()), [x for x in P.elements() if rng.random() < 0.6]):
+        comparability = closure.subgraph(subset).to_undirected()
+        want = sorted(sorted(c) for c in nx.connected_components(comparability))
+        assert sorted(sorted(c) for c in P.connected_components(subset)) == want
+
+
+@pytest.mark.parametrize("cid", corpus_ids())
+def test_order_matches_networkx_on_the_corpus(cid):
+    rng = random.Random(cid)
+    P = corpus_poset(cid)
+    names = list(P.names)
+    _assert_matches_networkx(Poset(names, P.covers), P.covers, rng)
+    pairs = [(x, y) for x in P.elements() for y in P.strict_up(x)]
+    noisy = pairs + rng.sample(pairs, len(pairs) // 2) + [(x, x) for x in P.elements()]
+    rng.shuffle(noisy)
+    _assert_matches_networkx(Poset(names, noisy), noisy, rng)
+    _assert_matches_networkx(P.opposite(), [(y, x) for x, y in P.covers], rng)
+
+
+def test_order_matches_networkx_on_random_dags():
+    rng = random.Random(20240)
+    for _ in range(60):
+        n = rng.randint(0, 16)
+        rank = rng.sample(range(n), n)
+        p = rng.random() * 0.5
+        relations = [
+            (x, y) for x in range(n) for y in range(n) if rank[x] < rank[y] and rng.random() < p
+        ]
+        names = [f"v{rng.randrange(1000)}_{i}" for i in range(n)]
+        _assert_matches_networkx(Poset(names, relations), relations, rng)
