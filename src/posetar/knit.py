@@ -21,9 +21,9 @@ from .errors import IsProjective, MeshMismatch, NotEmbeddable, NotIndecomposable
 from .homalg import (
     _blocks_from_generators,
     _hom_complex_map,
+    _kernel_out_of_injectives,
     _resolution,
     _scalar_blocks,
-    _tau_of_presentation,
     tau_inverse,
 )
 from .ictree import ic_decompose
@@ -105,7 +105,7 @@ def ar_sequence_end(M: Representation, rng: random.Random | None = None,
     P, field = M.poset, M.field
     z = field.zero
     L1, L0, d = C.labels[1], C.labels[0], C.mats[0]
-    tM = _tau_of_presentation(P, field, L1, L0, d)
+    tM = _kernel_out_of_injectives(P, field, L1, L0, d)
     if tM.is_zero():
         raise PosetarError("translate vanished for a non-projective module")
 
@@ -291,7 +291,6 @@ def knit(
     arrows: list[tuple[int, int]] = []
     tau_map: dict[int, int] = {}
     tau_inv: dict[int, int] = {}
-    emitted: set[int] = set()
     attached: set[int] = set()
     notes: list[str] = []
 
@@ -303,7 +302,7 @@ def knit(
         return vid
 
     def processed(vid: int) -> bool:
-        return vid in emitted or vertices[vid].inj is not None
+        return vid in tau_inv or vertices[vid].inj is not None
 
     # seed: the simple projective at the maximum
     pw = add_vertex(constant_on(P, {omega}, field), [])
@@ -315,7 +314,7 @@ def knit(
             (
                 v.vid
                 for v in vertices
-                if v.vid not in emitted
+                if v.vid not in tau_inv
                 and v.inj is None
                 and all(processed(w) for w in in_srcs[v.vid])
             ),
@@ -357,7 +356,6 @@ def knit(
         tau_inv[u] = vnew
         for o in outs:
             arrows.append((o, vnew))
-        emitted.add(u)
         meshes += 1
 
     unprocessed = [v.vid for v in vertices if not processed(v.vid)]

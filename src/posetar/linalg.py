@@ -34,8 +34,8 @@ add, sub, scale, mul, transpose, hstack, vstack, rref and solve) fix the
 shape of their result by construction, build its rows as tuples, and store
 them with `_mat`, which neither copies nor checks.  So do the few
 labelled-coordinate sites in `rep` and `homalg` whose comprehension fixes
-the shape: `direct_sum`, `_quotient_projection`, `_scalar_blocks` and
-`_cokernel_into_projectives`.
+the shape: `direct_sum`, `_quotient_projection`, `_quotient_rep`,
+`realize_labels`, `_scalar_blocks` and `_cokernel_into_projectives`.
 """
 
 from __future__ import annotations

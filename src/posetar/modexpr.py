@@ -12,6 +12,7 @@ from .linalg import Field, QQ
 from .poset import Poset
 from .rep import (
     Representation,
+    cone_label,
     constant_on,
     direct_sum,
     hom,
@@ -115,7 +116,10 @@ def _quotient(A: Representation, B: Representation) -> Representation:
 
 def parse_module(P: Poset, text: str, field: Field = QQ) -> Representation:
     parser = _Parser(P, field, _tokenize(text))
-    M = parser.expr()
+    try:
+        M = parser.expr()
+    except RecursionError:
+        raise ParseError("module expression is nested too deeply") from None
     if parser.peek() is not None:
         raise ParseError(f"trailing tokens in module expression: {parser.toks[parser.i:]}")
     return M
@@ -128,7 +132,7 @@ def describe_module(P: Poset, M: Representation) -> str:
     sup = M.support()
     if M.is_thin_constant():
         for kind, sym in (("proj", "P"), ("inj", "I")):
-            x = M.thin_label(kind)
+            x = cone_label(P, kind, sup)
             if x is not None:
                 return f"{sym}({P.names[x]})"
         if len(sup) == 1:

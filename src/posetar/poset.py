@@ -184,11 +184,26 @@ class Poset:
         return self._opposite
 
     def induced(self, subset) -> tuple["Poset", list[int]]:
-        """Subposet on the given elements; returns it plus the id map sub->parent."""
+        """Subposet on the given elements; returns it plus the id map sub->parent.
+
+        Its relations pair each member with the first members reached from it
+        up the covers through non-members below some member.  They include
+        every cover of the subposet, and the constructor keeps just those.
+        """
         ids = self.sorted_ids(subset)
         back = {x: i for i, x in enumerate(ids)}
         mask = _mask(ids)
-        rels = [(back[x], back[y]) for x in ids for y in _bits(self.up[x] & mask)]
+        rels = []
+        for x in ids:
+            seen, stack = 1 << x, [x]
+            while stack:
+                for y in self._above[stack.pop()]:
+                    if self.up[y] & mask and not seen >> y & 1:
+                        seen |= 1 << y
+                        if y in back:
+                            rels.append((back[x], back[y]))
+                        else:
+                            stack.append(y)
         sub = Poset([self.names[x] for x in ids], rels)
         return sub, ids
 

@@ -220,25 +220,11 @@ class Morphism:
         return _subrep_from_bases(N, [span_basis(N.field, b.columns(), b.r) for b in self.blocks])
 
     def cokernel(self) -> tuple[Representation, "Morphism"]:
-        """Cokernel representation with the projection from the target.
-
-        q_x is in reduced echelon form, so the induced map A with
-        A q_x = q_y N(x->y) is the right side read at the pivots of q_x.
-        """
+        """Cokernel representation with the projection from the target."""
         N = self.target
-        P = N.poset
-        quots = [_quotient_projection(N.field, self.blocks[x], N.dims[x]) for x in P.elements()]
-        maps = {}
-        for (x, y) in P.covers:
-            q_x, pivots = quots[x]
-            m = quots[y][0].mul(N.maps[(x, y)])
-            A = Mat(N.field, [[row[p] for p in pivots] for row in m.rows], m.r, len(pivots))
-            if A.mul(q_x) != m:
-                raise PosetarError("map does not factor through quotient")
-            maps[(x, y)] = A
-        projs = [q for q, _ in quots]
-        C = Representation(P, N.field, [q.r for q in projs], maps, check=False)
-        return C, Morphism(N, C, projs)
+        quots = [_quotient_projection(N.field, b, d) for b, d in zip(self.blocks, N.dims)]
+        C = _quotient_rep(N.poset, N.field, quots, lambda x, y, q_y: q_y.mul(N.maps[(x, y)]))
+        return C, Morphism(N, C, [q for q, _ in quots])
 
 
 def cone_label(P: Poset, kind: str, sup: frozenset[int]) -> int | None:
@@ -260,6 +246,23 @@ def _quotient_projection(field: Field, gens: Mat, dim: int) -> tuple[Mat, tuple[
     k = sum(p < gens.c for p in pivots)  # the I-part gives full row rank: every row has a pivot
     rows = tuple([row[gens.c:] for row in R.rows[k:]])
     return _mat(field, rows, len(rows), dim), tuple(p - gens.c for p in pivots[k:])
+
+
+def _quotient_rep(P: Poset, field: Field, quots, along) -> Representation:
+    """The quotient with the echelon projections quots[x] = (q_x, pivots).
+
+    along(x, y, q_y) is q_y after the structure map on the cover x -> y.  q_x
+    is in reduced echelon form, so the induced map A with A q_x = along(x, y,
+    q_y) is the right side read at the pivots of q_x."""
+    maps = {}
+    for (x, y) in P.covers:
+        q_x, pivots = quots[x]
+        m = along(x, y, quots[y][0])
+        A = _mat(field, tuple([tuple([row[p] for p in pivots]) for row in m.rows]), m.r, len(pivots))
+        if A.mul(q_x) != m:
+            raise PosetarError("map does not factor through quotient")
+        maps[(x, y)] = A
+    return Representation(P, field, [q.r for q, _ in quots], maps, check=False)
 
 
 def _subrep_from_bases(M: Representation, bases: list[Mat]):

@@ -250,6 +250,14 @@ def test_cli_contract_on_malformed_input(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_deeply_nested_module_expression_is_a_parse_error(capsys):
+    text = "rad(" * 1000 + "P(1)" + ")" * 1000
+    assert exit_code(["resolve", "corpus:ex25-chain4", text]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error (parse-error)") and "nested too deeply" in err
+    assert "Traceback" not in err
+
+
 def test_bad_seed_in_the_environment_is_a_usage_error(monkeypatch, capsys):
     monkeypatch.setenv("POSETAR_SEED", "abc")
     assert exit_code(["corpus"]) == 2

@@ -8,7 +8,6 @@ from posetar.clamped import enumerate_clamped
 from posetar.homalg import (
     LabeledComplex,
     _assert_min_resolution,
-    _cokernel_into_projectives,
     _layout,
     coinduce,
     ext,
@@ -43,6 +42,7 @@ from posetar.rep import (
     restrict,
     simple,
     top,
+    zero_rep,
 )
 
 
@@ -175,10 +175,10 @@ def test_projective_cover_matches_top(source):
 
 
 def _label_multisets(P):
-    # every element once, plus repeats of the minimum, the maximum and a middle element
+    # the empty sum, every element once, plus repeats of the minimum, the maximum and a middle element
     lo, hi = P.unique_min_max()
     mid = P.linear_extension()[P.n // 2]
-    return [(lo,), tuple(P.elements()), (mid, hi, mid, lo, mid), (hi, hi, lo, lo)]
+    return [(), (lo,), tuple(P.elements()), (mid, hi, mid, lo, mid), (hi, hi, lo, lo)]
 
 
 @pytest.mark.parametrize("source", ["ex57", "star-2-2"])
@@ -189,7 +189,7 @@ def test_realize_labels_matches_direct_sum(source, field, kind):
     summand = projective if kind == "proj" else injective
     for labels in _label_multisets(P):
         S = realize_labels(P, field, kind, labels)
-        oracle = direct_sum([summand(P, x, field) for x in labels])
+        oracle = direct_sum([summand(P, x, field) for x in labels]) if labels else zero_rep(P, field)
         assert S.dims == oracle.dims
         assert S.maps == oracle.maps
 
@@ -353,16 +353,22 @@ def test_tau_oracle_agreement():
             assert is_isomorphic(t1, t2)
 
 
-def test_tau_duality_with_dualize():
+@pytest.mark.parametrize("source", ["star-2-2", "ex57", "ex33-poset3"])
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_tau_duality_with_dualize(source, field):
+    # dualize(tau(M)) over the opposite poset is tau_inverse(dualize(M)); tau is
+    # the Nakayama kernel and tau_inverse the transpose, so the routes are independent
     P = corpus_poset("ex58-poset2")
-    M = simple(P, P.id_of("gamma"))
-    t = tau(M)
-    D, Pop = dualize(M)
-    ti = tau_inverse(D)
-    Dt, _ = dualize(t)
-    # dualize(tau(M)) over the opposite poset is tau_inverse(dualize(M))
-    assert Dt.dims == ti.dims
-    assert is_isomorphic(ti, Dt)
+    mods = [simple(P, P.id_of("gamma"), field)] + [v.rep for v in knit(corpus_poset(source), field).vertices]
+    for M in mods:
+        t = tau(M)
+        ti = tau_inverse(dualize(M)[0])
+        if t is None:
+            assert ti is None
+            continue
+        Dt, _ = dualize(t)
+        assert Dt.dims == ti.dims
+        assert is_isomorphic(ti, Dt)
 
 
 def test_tau_mesh_dimension_identity_chain4():
@@ -641,13 +647,15 @@ def test_truncated_resolution_is_the_full_one_cut_on_knit_vertices(source):
         _assert_truncation_is_the_cut_resolution(v.rep)
 
 
-def test_cokernel_into_projectives_checks_the_factorisation():
+def test_cokernel_checks_the_factorisation():
     # on the chain 1 < 2 a "map" into P(1) hitting all of P(1) at 1 and none
-    # of it at 2 has no image subrepresentation, so nothing factors
+    # of it at 2 has no image subrepresentation, so nothing factors; every
+    # cokernel, labeled or realized, induces its maps through this one check
     P = chain(2)
+    P1 = projective(P, P.id_of("1"))
     blocks = [Mat(QQ, [[1]], 1, 1), Mat(QQ, [[0]], 1, 1)]
     with pytest.raises(PosetarError, match="factor"):
-        _cokernel_into_projectives(P, QQ, (P.id_of("1"),), blocks)
+        Morphism(P1, P1, blocks).cokernel()
 
 
 def _layout_by_leq(P, kind, labels):

@@ -252,3 +252,29 @@ def test_order_matches_networkx_on_random_dags():
         ]
         names = [f"v{rng.randrange(1000)}_{i}" for i in range(n)]
         _assert_matches_networkx(Poset(names, relations), relations, rng)
+
+
+# -- induced subposets against every comparable pair ---------------------------
+
+
+def _induced_by_all_pairs(P: Poset, subset) -> Poset:
+    """The subposet built from every comparable pair of the subset."""
+    ids = P.sorted_ids(subset)
+    back = {x: i for i, x in enumerate(ids)}
+    rels = [(back[x], back[y]) for x in ids for y in P.strict_up(x) if y in back]
+    return Poset([P.names[x] for x in ids], rels)
+
+
+@pytest.mark.parametrize("cid", corpus_ids())
+def test_induced_matches_all_comparable_pairs(cid):
+    rng = random.Random(cid)
+    P = corpus_poset(cid)
+    for Q in (P, P.opposite()):
+        subsets = [list(Q.elements()), []]
+        subsets += [[x for x in Q.elements() if rng.random() < p] for p in (0.2, 0.5, 0.8) for _ in range(12)]
+        for subset in subsets:
+            sub, ids = Q.induced(subset)
+            want = _induced_by_all_pairs(Q, subset)
+            assert ids == Q.sorted_ids(subset)
+            assert sub.up == want.up and sub.covers == want.covers
+            assert sub.linear_extension() == want.linear_extension()
