@@ -8,7 +8,6 @@ from .homalg import (
     induce,
     min_injective_resolution,
     min_projective_resolution,
-    nakayama,
     tau,
     tau_inverse,
     transpose_dual_tau,

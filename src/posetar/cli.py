@@ -162,7 +162,7 @@ def cmd_mesh(args, out) -> None:
 def cmd_slice(args, out) -> None:
     P = _load_poset(args.poset)
     sl = standard_slice(P, _decompose(P), args.field)
-    for v in sl.ordered_vertices():
+    for v in range(sl.tree.n):
         mark = " *" if v == sl.marked else ""
         print(f"{v}: {describe_module(P, sl.modules[v])}{mark}", file=out)
 

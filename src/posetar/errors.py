@@ -41,10 +41,6 @@ class SplitFailure(PosetarError):
     code = "split-failure"
 
 
-class UnlabeledComplex(PosetarError):
-    code = "unlabeled-complex"
-
-
 class MeshMismatch(PosetarError):
     code = "mesh-mismatch"
 

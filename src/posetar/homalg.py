@@ -33,7 +33,8 @@ is Tr D and transpose_dual_tau is D Tr.
 
 from __future__ import annotations
 
-from .errors import PosetarError, UnlabeledComplex
+from .clamped import is_clamped
+from .errors import NotIndecomposable, PosetarError
 from .linalg import Mat, _mat
 from .poset import Poset
 from .rep import (
@@ -43,7 +44,10 @@ from .rep import (
     _quotient_rep,
     _subrep_from_bases,
     dualize,
+    is_isomorphic,
+    restrict,
 )
+from .split import is_indecomposable
 
 
 class LabeledComplex:
@@ -350,17 +354,6 @@ def is_projective(M: Representation) -> bool:
     return sum(b.c for b in blocks) == M.total_dim()
 
 
-def is_injective_module(M: Representation) -> bool:
-    return is_projective(dualize(M)[0])
-
-
-def nakayama(C: LabeledComplex) -> LabeledComplex:
-    """Replace each projective label by the injective one, keep scalars."""
-    if C.kind != "proj":
-        raise UnlabeledComplex("nakayama acts on projective-labeled complexes")
-    return LabeledComplex(C.poset, C.field, "inj", C.labels, C.mats)
-
-
 def tau(M: Representation) -> Representation | None:
     """AR translate: kernel of the Nakayama image of a minimal presentation."""
     L1, L0, d = projective_presentation(M)
@@ -392,11 +385,6 @@ def transpose_dual_tau(M: Representation) -> Representation | None:
 def tau_commutes_with_restriction_check(P: Poset, a: int, b: int, M: Representation) -> bool:
     """For clamped [a,b] and M supported on [a,b): compare the translate of M
     restricted to the interval with the interval algebra's own translate."""
-    from .clamped import is_clamped
-    from .errors import NotIndecomposable
-    from .rep import is_isomorphic, restrict
-    from .split import is_indecomposable
-
     if not is_clamped(P, a, b).clamped:
         raise PosetarError("interval is not clamped")
     members = P.closed_interval(a, b)

@@ -11,6 +11,13 @@ whenever every irreducible map into a non-injective vertex is known, the mesh
 starting there is complete, and its right-hand term is realized exactly (via
 the inverse translate) and checked against mesh additivity.  Projectives are
 attached the moment their radical shows up; injectives terminate orbits.
+
+Every arrow runs from an older vertex to a newer one.  A projective's one
+in-arrow comes from the vertex whose mesh attached it.  The in-arrows of the
+end of a mesh come from the inverse translates of its start's in-sources and
+from the projectives attached in the same step, all made before it.  So when
+the walk reaches a vertex all its in-sources are processed, and creation
+order is a processing order.
 """
 
 from __future__ import annotations
@@ -160,15 +167,14 @@ class KnitVertex:
     """A knitted module.  thin_support is its support when it is k on that
     support (None otherwise), and proj/inj are the labels read off it."""
 
-    __slots__ = ("vid", "rep", "fomega", "falpha", "thin_support", "proj", "inj")
+    __slots__ = ("vid", "rep", "fomega", "thin_support", "proj", "inj")
 
     def __init__(
-        self, vid: int, rep: Representation, fomega: int, falpha: int, thin_support: frozenset[int] | None
+        self, vid: int, rep: Representation, fomega: int, thin_support: frozenset[int] | None
     ) -> None:
         self.vid = vid
         self.rep = rep
         self.fomega = fomega
-        self.falpha = falpha
         self.thin_support = thin_support
         P = rep.poset
         self.proj = None if thin_support is None else cone_label(P, "proj", thin_support)
@@ -176,14 +182,13 @@ class KnitVertex:
 
 
 class ARComponent:
-    __slots__ = ("poset", "field", "vertices", "arrows", "in_srcs", "tau_map", "status", "meshes", "notes")
+    __slots__ = ("poset", "field", "vertices", "in_srcs", "tau_map", "status", "meshes", "notes")
 
     def __init__(
         self,
         poset: Poset,
         field: Field,
         vertices: list[KnitVertex],
-        arrows: list[tuple[int, int]],
         in_srcs: dict[int, list[int]],  # vid -> sources of its in-arrows, in arrow order
         tau_map: dict[int, int],
         status: str,  # 'complete' | 'truncated'
@@ -193,12 +198,16 @@ class ARComponent:
         self.poset = poset
         self.field = field
         self.vertices = vertices
-        self.arrows = arrows
         self.in_srcs = in_srcs
         self.tau_map = tau_map
         self.status = status
         self.meshes = meshes
         self.notes = [] if notes is None else notes
+
+    @property
+    def arrows(self) -> list[tuple[int, int]]:
+        """Every arrow (source, target), by target in creation order."""
+        return [(s, t) for t, srcs in self.in_srcs.items() for s in srcs]
 
     def vertex(self, vid: int) -> KnitVertex:
         return self.vertices[vid]
@@ -275,7 +284,7 @@ def knit(
     mm = P.unique_min_max()
     if mm is None:
         raise PosetarError("knitting requires a unique minimum and maximum")
-    alpha, omega = mm
+    _, omega = mm
 
     rad_support = {
         x: P.strict_up(x) for x in P.elements() if x != omega
@@ -288,7 +297,6 @@ def knit(
 
     vertices: list[KnitVertex] = []
     in_srcs: dict[int, list[int]] = {}
-    arrows: list[tuple[int, int]] = []
     tau_map: dict[int, int] = {}
     tau_inv: dict[int, int] = {}
     attached: set[int] = set()
@@ -297,36 +305,24 @@ def knit(
     def add_vertex(rep: Representation, srcs: list[int]) -> int:
         vid = len(vertices)
         sup = rep.support() if rep.is_thin_constant() else None
-        vertices.append(KnitVertex(vid, rep, rep.dims[omega], rep.dims[alpha], sup))
+        vertices.append(KnitVertex(vid, rep, rep.dims[omega], sup))
         in_srcs[vid] = list(srcs)
         return vid
 
-    def processed(vid: int) -> bool:
-        return vid in tau_inv or vertices[vid].inj is not None
-
     # seed: the simple projective at the maximum
-    pw = add_vertex(constant_on(P, {omega}, field), [])
+    add_vertex(constant_on(P, {omega}, field), [])
     attached.add(omega)
 
-    meshes = 0
-    while True:
-        u = next(
-            (
-                v.vid
-                for v in vertices
-                if v.vid not in tau_inv
-                and v.inj is None
-                and all(processed(w) for w in in_srcs[v.vid])
-            ),
-            None,
-        )
-        if u is None or meshes >= max_meshes:
+    # walk the vertices in creation order; each mesh appends to the list
+    u = 0
+    while u < len(vertices):
+        if vertices[u].inj is not None:
+            u += 1
+            continue
+        if len(tau_map) >= max_meshes:
             break
         urep = vertices[u].rep
-        outs: list[int] = []
-        for w in in_srcs[u]:
-            if vertices[w].inj is None:
-                outs.append(tau_inv[w])
+        outs = [tau_inv[w] for w in in_srcs[u] if vertices[w].inj is None]
         sup = vertices[u].thin_support
         if sup is not None and sup in attach_by_support:
             for x in attach_by_support[sup]:
@@ -334,7 +330,6 @@ def knit(
                     continue
                 pv = add_vertex(constant_on(P, P.up_set(x), field), [u])
                 attached.add(x)
-                arrows.append((u, pv))
                 outs.append(pv)
         predicted_total = sum(vertices[o].rep.total_dim() for o in outs) - urep.total_dim()
         if predicted_total > max_total_dim:
@@ -354,16 +349,13 @@ def knit(
         vnew = add_vertex(tv, outs)
         tau_map[vnew] = u
         tau_inv[u] = vnew
-        for o in outs:
-            arrows.append((o, vnew))
-        meshes += 1
+        u += 1
 
-    unprocessed = [v.vid for v in vertices if not processed(v.vid)]
-    status = "complete" if not unprocessed else "truncated"
+    status = "complete" if u == len(vertices) else "truncated"
     missing = [P.names[x] for x in P.elements() if x not in attached]
     if missing and status == "complete":
         notes.append("projectives never attached: " + ", ".join(missing))
-    return ARComponent(P, field, vertices, arrows, in_srcs, tau_map, status, meshes, notes)
+    return ARComponent(P, field, vertices, in_srcs, tau_map, status, len(tau_map), notes)
 
 
 # -- embedding into ZT ----------------------------------------------------------------
@@ -383,9 +375,6 @@ class Embedding:
     def orbit_levels(self, orbit: int) -> tuple[int, int]:
         vids = self.orbits[orbit]
         return (self.coords[vids[0]][1], self.coords[vids[-1]][1])
-
-    def orbit_length(self, orbit: int) -> int:
-        return len(self.orbits.get(orbit, []))
 
 
 def embed_in_ZT(comp: ARComponent, sl: SliceData) -> Embedding:

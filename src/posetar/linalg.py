@@ -311,16 +311,6 @@ class Mat:
             X[pc] = R.rows[pi][c:]
         return _mat(f, tuple(X), c, B.c)
 
-    def inverse(self) -> "Mat | None":
-        if self.r != self.c:
-            return None
-        X = self.solve(Mat.identity(self.field, self.r))
-        if X is None:
-            return None
-        if X.mul(self).rows != Mat.identity(self.field, self.r).rows:
-            return None
-        return X
-
     def is_invertible(self) -> bool:
         return self.r == self.c and self.rank() == self.r
 

@@ -102,9 +102,6 @@ class Poset:
     def strict_up(self, x: int) -> frozenset[int]:
         return _bits(self.up[x] & ~(1 << x))
 
-    def strict_down(self, x: int) -> frozenset[int]:
-        return _bits(self.down[x] & ~(1 << x))
-
     def covers_above(self, x: int) -> tuple[int, ...]:
         return self._above[x]
 
@@ -140,11 +137,6 @@ class Poset:
         if not self.leq(a, b):
             raise NotComparable(f"{self.names[a]!r} is not below {self.names[b]!r}")
         return _bits(self.up[a] & self.down[b])
-
-    def open_interval(self, a: int, b: int) -> frozenset[int]:
-        if not self.leq(a, b):
-            raise NotComparable(f"{self.names[a]!r} is not below {self.names[b]!r}")
-        return _bits(self.up[a] & self.down[b] & ~(1 << a) & ~(1 << b))
 
     def is_convex(self, subset) -> bool:
         """No element outside the subset lies above one member and below another."""

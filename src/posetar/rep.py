@@ -8,8 +8,6 @@ images, Hom spaces, duality and (co)induction all live here.
 
 from __future__ import annotations
 
-import random
-
 from .errors import NotConvex, PosetarError
 from .linalg import Field, Mat, QQ, _mat, span_basis
 from .poset import Poset, _mask
@@ -116,12 +114,6 @@ class Representation:
                         c[y] = F.mul(m, c[x])
                         stack.append(y)
         return all(F.mul(m, c[x]) == c[y] for (x, y), m in scal.items())
-
-    def thin_label(self, kind: str) -> int | None:
-        """x when this is P(x) (kind 'proj') or I(x) (kind 'inj'), else None."""
-        if not self.is_thin_constant():
-            return None
-        return cone_label(self.poset, kind, self.support())
 
     def __repr__(self) -> str:
         return f"module{list(self.dims)}"
@@ -314,15 +306,11 @@ def simple(P: Poset, x: int, field: Field = QQ) -> Representation:
     return constant_on(P, {x}, field)
 
 
-def zero_rep(P: Poset, field: Field = QQ) -> Representation:
-    return Representation(P, field, [0] * P.n, {}, check=False)
-
-
 def direct_sum(reps: list[Representation]) -> Representation:
     """The direct sum.  Its basis at each element lists the summands' bases in
     order, so every cover map is block diagonal."""
     if not reps:
-        raise ValueError("empty direct sum needs an ambient poset; use zero_rep")
+        raise ValueError("empty direct sum needs an ambient poset")
     P, field = reps[0].poset, reps[0].field
     z = field.zero
     dims = [sum(r.dims[x] for r in reps) for x in P.elements()]
@@ -442,12 +430,12 @@ def _hom_system(M: Representation, N: Representation):
 
 
 def is_isomorphic(M: Representation, N: Representation) -> bool:
-    """Dimension-vector check plus a search for an invertible hom.
+    """Whether M and N are isomorphic; M or N must be indecomposable.
 
-    When M or N is indecomposable its endomorphism ring is local, so some
-    element of a basis of Hom(M, N) is an isomorphism exactly when M and N are
-    isomorphic: that loop is a certificate.  The random combinations after it
-    only matter when both are decomposable.
+    The endomorphism ring of an indecomposable is local, so M and N are
+    isomorphic exactly when some element of a basis of Hom(M, N) is an
+    isomorphism (Auslander, Reiten and Smalø, Representation Theory of Artin
+    Algebras, Ch. I).  For two decomposable modules a False may be wrong.
     """
     if M.dims != N.dims:
         return False
@@ -455,19 +443,7 @@ def is_isomorphic(M: Representation, N: Representation) -> bool:
         return True
     if M.is_thin_constant() and N.is_thin_constant():
         return M.support() == N.support()
-    basis = hom(M, N)
-    if not basis:
-        return False
-    for f in basis:
-        if f.is_isomorphism():
-            return True
-    field = M.field
-    rng = random.Random(0)
-    for _ in range(30):
-        f = linear_combination(basis, [field.of_int(rng.randint(-3, 3)) for _ in basis])
-        if f.is_isomorphism():
-            return True
-    return False
+    return any(f.is_isomorphism() for f in hom(M, N))
 
 
 def linear_combination(basis: list[Morphism], coeffs) -> Morphism:

@@ -11,6 +11,7 @@ oriented tree.
 
 from __future__ import annotations
 
+from .homalg import _ext_from_resolution, _resolution
 from .ictree import ICNode, TreeShape, build_tree
 from .linalg import Field, QQ
 from .poset import Poset
@@ -27,9 +28,6 @@ class SliceData:
         self.tree = tree
         self.modules = modules
         self.marked = marked
-
-    def ordered_vertices(self) -> list[int]:
-        return list(range(self.tree.n))
 
 
 def standard_slice(P: Poset, node: ICNode, field: Field = QQ) -> SliceData:
@@ -105,8 +103,6 @@ def verify_slice(sl: SliceData) -> SliceReport:
     P = sl.poset
     n = sl.tree.n
     ext_failures = []
-    from .homalg import _ext_from_resolution, _resolution
-
     resolutions = {v: _resolution(sl.modules[v])[0] for v in range(n)}
     for v in range(n):
         C = resolutions[v]

@@ -249,11 +249,12 @@ def test_criterion_6():
     assert len(comp.vertices) == 134  # regression constant
     assert len(comp.projective_vertices()) == 10
     assert len(comp.injective_vertices()) == 10
+    alpha = P.unique_min_max()[0]
     for v in comp.vertices:
         if v.proj is not None:
             assert v.fomega == 1
         if v.inj is not None:
-            assert v.falpha == 1
+            assert v.rep.dims[alpha] == 1
     sl = standard_slice(P, ic_decompose(P))
     emb = embed_in_ZT(comp, sl)
     by_support = {
@@ -336,7 +337,7 @@ def test_criterion_8():
         emb = embed_in_ZT(comp, sl)
         by_support = {frozenset(sl.tree.supports[v]): v for v in range(sl.tree.n)}
         boxed = {by_support[s] for s in _boxed_supports(P, boxed_specs)}
-        lengths = {o: emb.orbit_length(o) for o in emb.orbits}
+        lengths = {o: len(vids) for o, vids in emb.orbits.items()}
         boxed_max = max(lengths[o] for o in boxed)
         others = [
             lengths[o]

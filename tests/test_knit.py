@@ -99,7 +99,7 @@ def test_knit_chain4_complete():
 
 def test_component_notes_default_to_a_fresh_list():
     P = chain(1)
-    a, b = (ARComponent(P, QQ, [], [], {}, {}, "complete", 0) for _ in range(2))
+    a, b = (ARComponent(P, QQ, [], {}, {}, "complete", 0) for _ in range(2))
     a.notes.append("note")
     assert b.notes == []
 
@@ -143,7 +143,7 @@ def test_embed_chain4():
     emb = embed_in_ZT(comp, slice_of(P))
     assert len(emb.coords) == len(comp.vertices)
     # four orbits, omega-side ones longest
-    lengths = sorted(emb.orbit_length(o) for o in emb.orbits)
+    lengths = sorted(len(vids) for vids in emb.orbits.values())
     assert sum(lengths) == 10
     assert lengths == [1, 2, 3, 4]
 
@@ -214,7 +214,7 @@ def test_knit_ex58_poset1():
         if v.proj is not None:
             assert v.fomega == 1
     emb = embed_in_ZT(comp, slice_of(P))
-    lengths = {o: emb.orbit_length(o) for o in emb.orbits}
+    lengths = {o: len(vids) for o, vids in emb.orbits.items()}
     assert sum(lengths.values()) == len(comp.vertices)
 
 
@@ -291,23 +291,28 @@ def readme_knit(cid):
 
 @pytest.mark.parametrize("cid", corpus_ids())
 def test_in_arrows_match_the_arrow_scan(cid):
+    """Every arrow runs from an older vertex to a newer one, and the meshes are
+    knitted in the order their starting vertices were made: the premise and
+    the result of processing the vertices in creation order."""
     comp = readme_knit(cid)
     for v in comp.vertices:
         got = comp.in_arrows(v.vid)
         assert got == [a for a, b in comp.arrows if b == v.vid]
         got.append(-1)  # a copy: the component is not changed through it
         assert comp.in_arrows(v.vid) == got[:-1]
+    assert all(s < t for s, t in comp.arrows)
+    starts = list(comp.tau_map.values())
+    assert all(a < b for a, b in zip(starts, starts[1:]))
 
 
 @pytest.mark.parametrize("cid", corpus_ids())
-def test_knit_labels_and_attachments_match_thin_label(cid):
-    """The labels read off each vertex's thin support are its thin_label, and
-    P(x) hangs off the first emitted vertex that is k on the support of rad P(x)."""
+def test_knit_labels_and_attachments_match_the_thin_support(cid):
+    """The labels are the cone points of each vertex's thin support, and P(x)
+    hangs off the first emitted vertex that is k on the support of rad P(x)."""
     comp = readme_knit(cid)
     P = comp.poset
     omega = P.unique_min_max()[1]
     for v in comp.vertices:
-        assert (v.proj, v.inj) == (v.rep.thin_label("proj"), v.rep.thin_label("inj"))
         sup = v.rep.support() if v.rep.is_thin_constant() else None
         assert v.proj == next((x for x in sup or () if P.up_set(x) == sup), None)
         assert v.inj == next((x for x in sup or () if P.down_set(x) == sup), None)

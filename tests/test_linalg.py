@@ -33,7 +33,7 @@ def test_solve_and_inverse():
     B = M([[1], [0]])
     X = A.solve(B)
     assert A.mul(X) == B
-    inv = A.inverse()
+    inv = A.solve(Mat.identity(QQ, 2))
     assert A.mul(inv) == Mat.identity(QQ, 2)
 
 
@@ -54,7 +54,7 @@ def test_zero_dim_matrices():
 def test_prime_field():
     F5 = Field(5)
     A = Mat.from_int_rows(F5, [[2, 1], [1, 1]])
-    inv = A.inverse()
+    inv = A.solve(Mat.identity(F5, 2))
     assert A.mul(inv) == Mat.identity(F5, 2)
 
 

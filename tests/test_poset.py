@@ -90,7 +90,7 @@ def test_unique_min_max_absent():
 def test_connected_components_open_interval():
     P = parse_poset(EX57_TEXT)
     a, w = P.unique_min_max()
-    comps = P.connected_components(P.open_interval(a, w))
+    comps = P.connected_components(P.closed_interval(a, w) - {a, w})
     assert {P.names[x] for x in comps[0]} | {P.names[x] for x in comps[1]} == {
         "beta", "gamma", "delta", "epsilon", "zeta", "eta", "theta", "iota"
     }
@@ -186,7 +186,7 @@ def test_parse_closure_reduction_invariant():
 def test_diamond_open_interval_components():
     P = parse_poset("covers\na < 1\na < 2\n1 < b\n2 < b")
     a, w = P.unique_min_max()
-    comps = P.connected_components(P.open_interval(a, w))
+    comps = P.connected_components(P.closed_interval(a, w) - {a, w})
     assert sorted(len(c) for c in comps) == [1, 1]
 
 
@@ -197,7 +197,7 @@ def test_ex58_poset1_open_interval_components():
         "alpha < zeta\nzeta < omega"
     )
     a, w = P.unique_min_max()
-    comps = P.connected_components(P.open_interval(a, w))
+    comps = P.connected_components(P.closed_interval(a, w) - {a, w})
     names = sorted((frozenset(P.names[x] for x in c) for c in comps), key=len)
     assert names[0] == frozenset({"zeta"})
     assert names[1] == frozenset({"beta", "gamma", "delta", "epsilon"})
