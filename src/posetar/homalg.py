@@ -120,9 +120,13 @@ def _layout(P: Poset, kind: str, labels) -> list[list[int]]:
 
 
 def realize_labels(P: Poset, field, kind: str, labels) -> Representation:
-    """The labeled sum as a representation, read off its layout: on a cover
-    x -> y summand j at x goes to summand j at y, or to 0 when it vanishes there."""
-    lay = _layout(P, kind, labels)
+    """The labeled sum as a representation."""
+    return _realize_layout(P, field, _layout(P, kind, labels))
+
+
+def _realize_layout(P: Poset, field, lay) -> Representation:
+    """The labeled sum with layout lay, read off it: on a cover x -> y summand j
+    at x goes to summand j at y, or to 0 when it vanishes there."""
     z, o = field.zero, field.one
     maps = {}
     for (x, y) in P.covers:
@@ -137,22 +141,20 @@ def realize_scalar_map(P: Poset, field, kind: str, src_labels, dst_labels, scala
     scalar[k][j] multiplies the canonical map from src summand j to dst
     summand k; it must vanish unless dst label <= src label.
     """
-    blocks = _scalar_blocks(P, kind, src_labels, dst_labels, scalar)
-    src = realize_labels(P, field, kind, src_labels)
-    dst = realize_labels(P, field, kind, dst_labels)
-    return Morphism(src, dst, blocks)
+    slay, dlay = _layout(P, kind, src_labels), _layout(P, kind, dst_labels)
+    blocks = _scalar_blocks(P, src_labels, dst_labels, slay, dlay, scalar)
+    return Morphism(_realize_layout(P, field, slay), _realize_layout(P, field, dlay), blocks)
 
 
-def _scalar_blocks(P: Poset, kind: str, src_labels, dst_labels, scalar: Mat) -> list[Mat]:
-    """The per-element blocks of a scalar map: its rows and columns nonzero there."""
+def _scalar_blocks(P: Poset, src_labels, dst_labels, slay, dlay, scalar: Mat) -> list[Mat]:
+    """The per-element blocks of a scalar map between the labeled sums with
+    layouts slay and dlay: its rows and columns nonzero there."""
     z = scalar.field.zero
     rows = scalar.rows
     for k, y in enumerate(dst_labels):
         for j, x in enumerate(src_labels):
             if rows[k][j] != z and not P.leq(y, x):
                 raise PosetarError("scalar entry on a non-existent canonical map")
-    slay = _layout(P, kind, src_labels)
-    dlay = _layout(P, kind, dst_labels)
     return [
         _mat(scalar.field, tuple([tuple([rows[k][j] for j in slay[w]]) for k in dlay[w]]), len(dlay[w]), len(slay[w]))
         for w in P.elements()
@@ -168,8 +170,8 @@ def _cokernel_into_projectives(P: Poset, field, src, dst, scalar: Mat) -> Repres
     tau_inverse: on 230 knit vertices of four corpus posets the realized
     route took 0.231 s against 0.188 s (in-process medians, 2-core Xeon).
     """
-    blocks = _scalar_blocks(P, "proj", src, dst, scalar)
     lay = _layout(P, "proj", dst)
+    blocks = _scalar_blocks(P, src, dst, _layout(P, "proj", src), lay, scalar)
     pos = [{j: k for k, j in enumerate(js)} for js in lay]
     quots = [_quotient_projection(field, blocks[x], len(lay[x])) for x in P.elements()]
 
@@ -182,8 +184,9 @@ def _cokernel_into_projectives(P: Poset, field, src, dst, scalar: Mat) -> Repres
 
 def _kernel_out_of_injectives(P: Poset, field, src, dst, scalar: Mat) -> Representation:
     """Kernel of the scalar map from the labeled sum of I(src) to that of I(dst)."""
-    blocks = _scalar_blocks(P, "inj", src, dst, scalar)
-    S = realize_labels(P, field, "inj", src)
+    lay = _layout(P, "inj", src)
+    blocks = _scalar_blocks(P, src, dst, lay, _layout(P, "inj", dst), scalar)
+    S = _realize_layout(P, field, lay)
     K, _ = _subrep_from_bases(S, [Mat.from_columns(field, b.nullspace(), b.c) for b in blocks])
     return K
 

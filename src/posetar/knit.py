@@ -29,6 +29,8 @@ from .homalg import (
     _blocks_from_generators,
     _hom_complex_map,
     _kernel_out_of_injectives,
+    _layout,
+    _realize_layout,
     _resolution,
     _scalar_blocks,
     tau_inverse,
@@ -144,13 +146,14 @@ def ar_sequence_end(M: Representation, rng: random.Random | None = None,
 
     # E = coker(P1 -> tM + P0).  The basis of the sum at w lists tM(w) before
     # P0(w); the f-block sends generator j of P1 to f_j in tM(y_j).
-    S = direct_sum([tM, C.term(0)])
+    lay1, lay0 = _layout(P, "proj", L1), _layout(P, "proj", L0)
+    S = direct_sum([tM, _realize_layout(P, field, lay0)])
     neg = field.of_int(-1)
     gens = [(y, f[offs[j]: offs[j + 1]]) for j, y in enumerate(L1)]
     f_blocks = _blocks_from_generators(P, field, tM.dims, gens, lambda x, y, v: tM.maps[(x, y)].apply(v))
-    d_blocks = _scalar_blocks(P, "proj", L1, L0, d)
+    d_blocks = _scalar_blocks(P, L1, L0, lay1, lay0, d)
     blocks = [f_blocks[w].vstack(d_blocks[w].scale(neg)) for w in P.elements()]
-    E, _ = Morphism(C.term(1), S, blocks).cokernel()
+    E, _ = Morphism(_realize_layout(P, field, lay1), S, blocks).cokernel()
     middles = split_indecomposables(E, rng)
     seq = ARSequence(tM, middles, M)
     if seq.middle_dims() != tuple(

@@ -8,8 +8,10 @@ images, Hom spaces, duality and (co)induction all live here.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .errors import NotConvex, PosetarError
-from .linalg import Field, Mat, QQ, _mat, span_basis
+from .linalg import _MEMO_CELLS, _MEMO_SIZE, Field, Mat, QQ, _eliminate, _mat, span_basis
 from .poset import Poset, _mask
 
 
@@ -227,17 +229,25 @@ def cone_label(P: Poset, kind: str, sup: frozenset[int]) -> int | None:
 
 
 def _quotient_projection(field: Field, gens: Mat, dim: int) -> tuple[Mat, tuple[int, ...]]:
-    """Projection k^dim -> k^dim / span(gens) in reduced echelon form, with its pivots.
+    """Projection k^dim -> k^dim / span(gens) in reduced echelon form, with its pivots."""
+    small = dim * (gens.c + dim) <= _MEMO_CELLS
+    rows, pivots = (_quotient_memo if small else _quotient)(field.p, gens.rows, gens.c, dim)
+    return _mat(field, rows, len(rows), dim), pivots
+
+
+def _quotient(p: int, gens: tuple, gc: int, dim: int) -> tuple[tuple, tuple[int, ...]]:
+    """The rows and pivots of _quotient_projection for the rows gens of a dim x gc matrix.
 
     The rows of rref[gens | I] whose gens-part vanished are the echelon basis
     of the functionals killing gens, so they depend only on the span of gens.
     """
-    z, o = field.zero, field.one
-    rows = tuple([g + tuple([o if c == r else z for c in range(dim)]) for r, g in enumerate(gens.rows)])
-    R, pivots = _mat(field, rows, dim, gens.c + dim).rref()
-    k = sum(p < gens.c for p in pivots)  # the I-part gives full row rank: every row has a pivot
-    rows = tuple([row[gens.c:] for row in R.rows[k:]])
-    return _mat(field, rows, len(rows), dim), tuple(p - gens.c for p in pivots[k:])
+    rows = tuple([g + (0,) * r + (1,) + (0,) * (dim - r - 1) for r, g in enumerate(gens)])
+    R, pivots = _eliminate(p, rows, gc + dim)
+    k = sum(q < gc for q in pivots)  # the I-part gives full row rank: every row has a pivot
+    return tuple([row[gc:] for row in R[k:]]), tuple(q - gc for q in pivots[k:])
+
+
+_quotient_memo = lru_cache(maxsize=_MEMO_SIZE)(_quotient)
 
 
 def _quotient_rep(P: Poset, field: Field, quots, along) -> Representation:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 
 from .clamped import enumerate_clamped
-from .homalg import _resolution, _scalar_blocks, is_projective, tau_inverse
+from .homalg import _layout, _resolution, _scalar_blocks, is_projective, tau_inverse
 from .ictree import build_tree, classify_tree, ic_plus_decompose
 from .knit import ar_sequence_end, knit
 from .linalg import Field, QQ
@@ -36,7 +36,8 @@ def derived_translate_is_module(M: Representation) -> bool:
     C, _ = _resolution(M, max_length=2)
     if C.length() != 1:
         return False
-    blocks = _scalar_blocks(M.poset, "inj", C.labels[1], C.labels[0], C.mats[0])
+    P, (L0, L1) = M.poset, C.labels
+    blocks = _scalar_blocks(P, L1, L0, _layout(P, "inj", L1), _layout(P, "inj", L0), C.mats[0])
     return all(b.rank() == b.r for b in blocks)
 
 

@@ -18,6 +18,7 @@ from posetar.knit import (
     knit,
     wing_window,
 )
+from posetar import linalg, rep as rep_module
 from posetar.linalg import QQ, Field, Mat
 from posetar.poset import Poset, chain
 from posetar.rep import (
@@ -257,6 +258,33 @@ def test_knit_bases_are_pinned(source):
         sort_keys=True,
     )
     assert hashlib.sha256(blob.encode()).hexdigest() == KNIT_DIGESTS[source]
+
+
+def _knit_blob(source: str, field: Field) -> str:
+    """The JSON that KNIT_DIGESTS hashes, over the given field."""
+    comp = knit(corpus_poset(source), field)
+    return json.dumps(
+        {"knit": comp.to_json(), "reps": [v.rep.to_json() for v in comp.vertices]},
+        sort_keys=True,
+    )
+
+
+@pytest.mark.parametrize("field", [QQ, Field(5)], ids=str)
+def test_knit_does_not_depend_on_the_memo_state(field):
+    """The exact kernels' memos only replay results: a knit from empty memos,
+    one after other posets and the other field have filled them, and one
+    right after itself give the same JSON, bases included."""
+    linalg._rref_memo.cache_clear()
+    linalg._null_basis_memo.cache_clear()
+    rep_module._quotient_memo.cache_clear()
+    cold = _knit_blob("ex57", field)
+    if field == QQ:
+        assert hashlib.sha256(cold.encode()).hexdigest() == KNIT_DIGESTS["ex57"]
+    other = Field(5) if field == QQ else QQ
+    for source, f in (("star-2-2", field), ("ex33-poset3", field), ("sec2-right", field), ("ex57", other)):
+        _knit_blob(source, f)
+    assert _knit_blob("ex57", field) == cold
+    assert _knit_blob("ex57", field) == cold
 
 
 # sha256 over the translate and the middle terms, with their multiplicities,

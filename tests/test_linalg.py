@@ -6,6 +6,7 @@ import pytest
 from posetar.corpus import corpus_poset
 from posetar.homalg import tau, tau_inverse, transpose_dual_tau
 from posetar.knit import ar_sequence_end, knit
+from posetar import linalg, rep
 from posetar.linalg import Field, Mat, QQ, span_basis
 from posetar.rep import _quotient_projection
 
@@ -70,6 +71,13 @@ def test_fields_compare_and_hash_by_characteristic():
     assert Field(5) != Field(7)
     assert Field(0) == QQ
     assert len({Field(5), Field(5), QQ}) == 2
+
+
+def test_matrices_compare_and_hash_by_characteristic():
+    assert Mat(QQ, [[1]]) != Mat(Field(5), [[1]])
+    assert Mat(Field(5), [[1]]) == Mat(Field(5), [[1]])
+    assert hash(Mat(Field(5), [[1]])) == hash(Mat(Field(5), [[1]]))
+    assert len({Mat(QQ, [[1]]), Mat(Field(5), [[1]]), Mat(Field(0), [[1]])}) == 2
 
 
 def test_span_basis():
@@ -371,3 +379,75 @@ def test_constructor_still_checks_its_shape():
     with pytest.raises(ValueError):
         Mat.from_columns(QQ, [(1, 2), (3,)], 2)
     assert Mat(QQ, [[1, 2], [3, 4]]).rows == ((1, 2), (3, 4))
+
+
+# -- the memo of the exact kernels ----------------------------------------------
+
+
+def clear_memos():
+    linalg._rref_memo.cache_clear()
+    linalg._null_basis_memo.cache_clear()
+    rep._quotient_memo.cache_clear()
+
+
+@pytest.mark.parametrize("first", [QQ, Field(5)], ids=str)
+def test_memo_keeps_each_field_apart(first):
+    """The same rows give each field its own echelon form, whichever came first."""
+    clear_memos()
+    want = {  # rref of [2 1], its kernel, and the projection killing its transpose
+        QQ: (((1, Fraction(1, 2)),), [(Fraction(-1, 2), 1)], ((1, -2),)),
+        Field(5): (((1, 3),), [(2, 1)], ((1, 3),)),
+    }
+    for field in (first, Field(5) if first == QQ else QQ):
+        A = Mat(field, [[2, 1]])
+        R, pivots = A.rref()
+        assert (R.field, R.rows, pivots) == (field, want[field][0], (0,))
+        assert A.nullspace() == want[field][1]
+        q, _ = _quotient_projection(field, A.transpose(), 2)
+        assert (q.field, q.rows) == (field, want[field][2])
+
+
+def test_memo_hands_out_a_fresh_nullspace_list():
+    clear_memos()
+    A = Mat(QQ, [[1, 1, 0], [0, 0, 1]])
+    kernel = A.nullspace()
+    kernel.append((9, 9, 9))
+    kernel[0] = (0, 0, 0)
+    assert A.nullspace() == [(-1, 1, 0)]
+    assert linalg._null_basis_memo.cache_info().hits == 1
+
+
+@pytest.mark.parametrize("ints_first", [True, False])
+def test_memo_gives_canonical_entries_for_integral_fractions(ints_first):
+    """Fraction(n, 1) rows share the key of their int rows; both get ints back."""
+    clear_memos()
+    ints = [[2, 4, 6], [1, 3, 5]]
+    fracs = [[Fraction(v, 1) for v in row] for row in ints]
+    for rows in (ints, fracs) if ints_first else (fracs, ints):
+        A = Mat(QQ, rows)
+        R, _ = A.rref()
+        assert R.rows == ((1, 0, -1), (0, 1, 2))
+        for M_ in (R, Mat.from_columns(QQ, A.nullspace(), 3), _quotient_projection(QQ, A.transpose(), 3)[0]):
+            assert_canonical(M_)
+    assert linalg._rref_memo.cache_info().hits == 1
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_memo_stores_no_input_above_the_cell_limit(field):
+    clear_memos()
+    rng = random.Random(3)
+    r, c = 8, linalg._MEMO_CELLS // 8 + 1
+    A = random_mat(rng, field, r, c, 0.5)
+    for _ in range(2):
+        R, pivots = A.rref()
+        R_ref, pivots_ref = ref_rref(A)
+        assert (R.rows, pivots) == (R_ref.rows, pivots_ref)
+        assert A.nullspace() == ref_nullspace(A)
+        q, _ = _quotient_projection(field, A, r)
+        assert q.r == r - len(pivots) and q.mul(A).is_zero()
+    for memo in (linalg._rref_memo, linalg._null_basis_memo, rep._quotient_memo):
+        assert memo.cache_info().currsize == 0
+    small = Mat(field, A.rows[:2])
+    small.rref()
+    small.nullspace()
+    assert linalg._rref_memo.cache_info().currsize == linalg._null_basis_memo.cache_info().currsize == 1
