@@ -7,42 +7,43 @@ with respect to the canonical one-dimensional hom spaces between labeled
 summands, which is exactly what makes the Nakayama functor a relabeling:
 replace each projective label by the injective one and keep the scalars.
 
-A minimal projective resolution repeats one step.  A step covers a
-submodule given by a basis at each element: the generators at y are the
-basis vectors that are pivots of one echelon form of [radical | basis] at y,
-and each generator's value is walked up the covers once to give the blocks
-of the cover.  The projective cover is the step on the module itself, with
-the unit vectors as its basis and its structure maps carrying them.  Every
-later step covers the syzygy in labeled coordinates: the basis of a labeled
-sum at w is its summands nonzero at w, in label order, and its structure maps
-are 0/1 re-indexings.  The syzygy basis is a nullspace of the last block,
-and the generators' vectors are the next scalar matrix.  No syzygy module is
-built.  Injective resolutions are projective resolutions over the opposite
-poset.
+Rows in, objects out: the helpers take a module as its dimensions and the
+rows of its cover maps, the dual D M as those rows transposed over the
+opposite poset, and pass rows between them.  Only a public function builds a
+Mat, Morphism or Representation, for what it returns.
+
+A minimal projective resolution repeats one step, which covers a submodule
+given by a basis at each element: the generators at y are the basis vectors
+that are pivots of one echelon form of [radical | basis] at y.  The
+projective cover is the step on the module itself, with the unit vectors as
+its basis; each later step covers the syzygy, a nullspace of the last
+block, in the labeled coordinates of the last term: the summands nonzero at
+w, in label order, whose structure maps are 0/1 re-indexings.  No syzygy
+module is built.  Injective resolutions are projective resolutions of D M.
 
 Every translate is read off a minimal presentation P(L1) -> P(L0) with
-scalar matrix d by one of two labeled helpers, whose blocks at w are d read
+scalar rows d by one of two labeled helpers, whose blocks at w are d read
 at the summands nonzero at w.  A kernel out of a sum of injectives has the
 nullspace of the block at w as its basis there: tau is the kernel of the
 Nakayama image I(L1) -> I(L0), and coinduce is one too.  A cokernel into a
 sum of projectives realizes no sum: q_y after a 0/1 structure map is q_y
 read at the summands of x.  induce is one, and so is the transpose Tr M,
-P(L0) -> P(L1) with the transpose of d over the opposite poset.  tau_inverse
-is Tr D and transpose_dual_tau is D Tr.
+P(L0) -> P(L1) with d transposed over the opposite poset.  tau_inverse is
+Tr D and transpose_dual_tau is D Tr.
 """
 
 from __future__ import annotations
 
 from .clamped import is_clamped
 from .errors import NotIndecomposable, PosetarError
-from .linalg import Mat, _mat
+from .linalg import Mat, _cols, _dots, _mat, _null_rows, _rref_rows
 from .poset import Poset
 from .rep import (
     Morphism,
     Representation,
-    _quotient_projection,
     _quotient_rep,
-    _subrep_from_bases,
+    _quotient_rows,
+    _rep,
     dualize,
     is_isomorphic,
     restrict,
@@ -132,7 +133,7 @@ def _realize_layout(P: Poset, field, lay) -> Representation:
     for (x, y) in P.covers:
         rows = tuple([tuple([o if j == i else z for j in lay[x]]) for i in lay[y]])
         maps[(x, y)] = _mat(field, rows, len(lay[y]), len(lay[x]))
-    return Representation(P, field, [len(js) for js in lay], maps, check=False)
+    return _rep(P, field, [len(js) for js in lay], maps)
 
 
 def realize_scalar_map(P: Poset, field, kind: str, src_labels, dst_labels, scalar: Mat) -> Morphism:
@@ -142,53 +143,66 @@ def realize_scalar_map(P: Poset, field, kind: str, src_labels, dst_labels, scala
     summand k; it must vanish unless dst label <= src label.
     """
     slay, dlay = _layout(P, kind, src_labels), _layout(P, kind, dst_labels)
-    blocks = _scalar_blocks(P, src_labels, dst_labels, slay, dlay, scalar)
+    blocks = _scalar_blocks(P, src_labels, dst_labels, slay, dlay, scalar.rows)
+    blocks = [_mat(field, b, len(dk), len(sj)) for b, dk, sj in zip(blocks, dlay, slay)]
     return Morphism(_realize_layout(P, field, slay), _realize_layout(P, field, dlay), blocks)
 
 
-def _scalar_blocks(P: Poset, src_labels, dst_labels, slay, dlay, scalar: Mat) -> list[Mat]:
-    """The per-element blocks of a scalar map between the labeled sums with
-    layouts slay and dlay: its rows and columns nonzero there."""
-    z = scalar.field.zero
-    rows = scalar.rows
-    for k, y in enumerate(dst_labels):
-        for j, x in enumerate(src_labels):
-            if rows[k][j] != z and not P.leq(y, x):
+def _scalar_blocks(P: Poset, src_labels, dst_labels, slay, dlay, d) -> list[tuple]:
+    """The blocks at each w, as rows, of the scalar rows d between the labeled sums
+    with layouts slay and dlay; every nonzero scalar must lie on a canonical map."""
+    for y, row in zip(dst_labels, d):
+        for x, v in zip(src_labels, row):
+            if v and not P.up[y] >> x & 1:
                 raise PosetarError("scalar entry on a non-existent canonical map")
-    return [
-        _mat(scalar.field, tuple([tuple([rows[k][j] for j in slay[w]]) for k in dlay[w]]), len(dlay[w]), len(slay[w]))
-        for w in P.elements()
-    ]
+    return [tuple([tuple([d[k][j] for j in sj]) for k in dk]) for dk, sj in zip(dlay, slay)]
 
 
-def _cokernel_into_projectives(P: Poset, field, src, dst, scalar: Mat) -> Representation:
-    """Cokernel of the scalar map from the labeled sum of P(src) to that of P(dst).
+def _cokernel_into_projectives(P: Poset, field, src, dst, d) -> Representation:
+    """Cokernel of the scalar rows d from the labeled sum of P(src) to that of P(dst).
 
     On a cover x -> y the sum sends summand j at x to summand j at y, so the
-    echelon projection q_y after it is q_y read at the summands of x.  This
-    is Morphism.cokernel without realizing the sum, which runs in every
-    tau_inverse: on 230 knit vertices of four corpus posets the realized
-    route took 0.231 s against 0.188 s (in-process medians, 2-core Xeon).
+    echelon projection q_y after it is q_y read at the summands of x.
     """
-    lay = _layout(P, "proj", dst)
-    blocks = _scalar_blocks(P, src, dst, _layout(P, "proj", src), lay, scalar)
-    pos = [{j: k for k, j in enumerate(js)} for js in lay]
-    quots = [_quotient_projection(field, blocks[x], len(lay[x])) for x in P.elements()]
+    slay, lay = _layout(P, "proj", src), _layout(P, "proj", dst)
+    blocks = _scalar_blocks(P, src, dst, slay, lay, d)
+    quots = [_quotient_rows(field.p, b, len(sj), len(js)) for b, sj, js in zip(blocks, slay, lay)]
 
     def along(x, y, q_y):
-        at = [pos[y][j] for j in lay[x]]
-        return _mat(field, tuple([tuple([row[k] for k in at]) for row in q_y.rows]), q_y.r, len(at))
+        at = [lay[y].index(j) for j in lay[x]]
+        return tuple([tuple([row[k] for k in at]) for row in q_y])
 
     return _quotient_rep(P, field, quots, along)
 
 
-def _kernel_out_of_injectives(P: Poset, field, src, dst, scalar: Mat) -> Representation:
-    """Kernel of the scalar map from the labeled sum of I(src) to that of I(dst)."""
+def _kernel_out_of_injectives(P: Poset, field, src, dst, d) -> Representation:
+    """Kernel of the scalar rows d from the labeled sum of I(src) to that of I(dst).
+
+    Its basis at w is the nullspace of the block there, so a kernel vector's
+    coordinates are its entries at the free columns.  The sum drops the
+    summands that vanish along a cover x -> y, so the map there reads each
+    basis vector at x at the summands of the free columns at y.
+    """
     lay = _layout(P, "inj", src)
-    blocks = _scalar_blocks(P, src, dst, lay, _layout(P, "inj", dst), scalar)
-    S = _realize_layout(P, field, lay)
-    K, _ = _subrep_from_bases(S, [Mat.from_columns(field, b.nullspace(), b.c) for b in blocks])
-    return K
+    blocks = _scalar_blocks(P, src, dst, lay, _layout(P, "inj", dst), d)
+    null = [_null_rows(field.p, b, len(js)) for b, js in zip(blocks, lay)]
+    free = [[lay[w][max(i for i, a in enumerate(v) if a)] for v in vs] for w, vs in enumerate(null)]
+    maps = {}
+    for (x, y) in P.covers:
+        at = [lay[x].index(j) for j in free[y]]
+        rows = tuple([tuple([v[k] for v in null[x]]) for k in at])
+        maps[(x, y)] = _mat(field, rows, len(at), len(null[x]))
+    return _rep(P, field, [len(vs) for vs in null], maps)
+
+
+def _rows(M: Representation) -> dict:
+    """The rows of M's structure map on each cover."""
+    return {c: m.rows for c, m in M.maps.items()}
+
+
+def _dual_rows(M: Representation) -> dict:
+    """The rows of D M's structure maps, on the covers of the opposite poset."""
+    return {(y, x): _cols(m.rows, m.c) for (x, y), m in M.maps.items()}
 
 
 def min_projective_resolution(M: Representation, max_length: int | None = None):
@@ -198,114 +212,106 @@ def min_projective_resolution(M: Representation, max_length: int | None = None):
     steps (enough for presentations); otherwise it runs to exactness with a
     global-dimension safety bound of |P| + 1.
     """
-    C, blocks = _resolution(M, max_length)
-    return C, Morphism(C.term(0), M, blocks)
+    C, cover = _resolution(M, max_length)
+    return C, Morphism(C.term(0), M, [Mat.from_columns(M.field, c, d) for c, d in zip(cover, M.dims)])
 
 
 def _resolution(M: Representation, max_length: int | None = None):
-    """The complex of min_projective_resolution and the blocks of its cover.
+    """The complex of min_projective_resolution and the columns of its cover's blocks."""
+    labels, mats, cover = _resolve(M.poset, M.field, M.dims, _rows(M), max_length)
+    mats = tuple(_mat(M.field, d, len(d), len(L)) for d, L in zip(mats, labels[1:]))
+    return LabeledComplex(M.poset, M.field, "proj", labels, mats), cover
+
+
+def _resolve(P: Poset, field, dims, maps, max_length: int | None = None):
+    """The labels of the minimal projective resolution of the module with
+    dimensions dims and cover map rows maps, the rows of its scalar matrices,
+    and the columns of its cover's block at each element.
 
     Nothing is realized.  Each step covers a submodule given by a basis at
-    every element, in an ambient space whose vectors are carried along each
-    cover x -> y by a function carry(x, y, v): _generators picks the
-    generators and _blocks_from_generators writes the blocks of the cover.
-    The first step covers M itself, with the unit vectors of M as its basis,
-    carried by M's structure maps.  Every later step covers the syzygy in the
+    every element, and _generators picks its generators.  The first step
+    covers the module, with the unit vectors as its basis and the cover maps
+    into y spanning its radical at y; _blocks_from_generators walks the
+    generators up the covers.  Every later step covers the syzygy in the
     labeled coordinates of the previous term T, whose basis at w lists the
-    summands nonzero there in label order.  With d(w): T(w) -> (previous
-    space)(w) the block of the last map:
+    summands nonzero there in label order.  With d(w) the block at w of the
+    last scalar matrix, the syzygy basis at w is nullspace(d(w)), carried by
+    re-indexing since the structure maps of a labeled sum are 0/1, and the
+    next scalar matrix has generator j's vector at its label in column j.
+    This is the complex that covering the realized syzygy K would give:
+    K(y) -> T(y) is injective, so the pivots of [rad | I] in K-coordinates
+    are those of [rad | basis] in T-coordinates, and an injective map on the
+    left leaves the next block's rref, hence its nullspace, unchanged.
 
-    - the syzygy basis at w is nullspace(d(w));
-    - it is carried by re-indexing, since the structure maps of a labeled
-      sum are 0/1;
-    - the next scalar matrix has generator j's vector at its label in
-      column j.
-
-    This gives the complex that covering the realized syzygy K would give:
-
-    - the kernel's basis at y is exactly the nullspace columns;
-    - K(y) -> T(y) is injective, so the pivots of [rad | I] in K-coordinates
-      are those of [rad | basis] in T-coordinates;
-    - an injective map on the left leaves the row space of the next block
-      unchanged, so its rref, and hence the next nullspace, is unchanged;
-    - the scalar of generator j read off at its label is the basis vector
-      it lifts, written in T-coordinates.
-
-    The last step of a truncated resolution stops at its scalar matrix: the
-    blocks and layout of its term would feed only a syzygy nobody reads.
+    A truncated resolution stops at its last scalar matrix.
     """
-    P, field = M.poset, M.field
+    p, z, o = field.p, field.zero, field.one
+    units = [[(z,) * i + (o,) + (z,) * (d - i - 1) for i in range(d)] for d in dims]
 
-    def along_M(x, y, v):
-        return M.maps[(x, y)].apply(v)
+    def top(y):  # [the cover maps into y | I], read by rows
+        ins = [maps[(x, y)] for x in P.covers_below(y)]
+        return tuple([sum(t, ()) for t in zip(*ins, units[y])]), sum([len(m[0]) for m in ins])
 
-    z, o = field.zero, field.one
-    units = [[(z,) * i + (o,) + (z,) * (d - i - 1) for i in range(d)] for d in M.dims]
-    gens = _generators(P, field, M.dims, units, along_M)
-    cover = blocks = _blocks_from_generators(P, field, M.dims, gens, along_M)
+    gens = _generators(P, p, units, top)
+    cover = _blocks_from_generators(P, field, gens, maps)
+    blocks = [(_cols(c, d), len(c)) for c, d in zip(cover, dims)]
     labels = tuple(x for x, _ in gens)
-    labels_list = [labels]
-    mats: list[Mat] = []
-    step = 0
+    labels_list, mats, step = [labels], [], 0
+    lay = _layout(P, "proj", labels)
     while step != max_length:
-        syz = [b.nullspace() for b in blocks]
+        syz = [_null_rows(p, b, c) for b, c in blocks]
         if not any(syz):
             break
         if step == P.n + 1:
             raise PosetarError("resolution exceeded the global-dimension safety bound")
-        lay = _layout(P, "proj", labels)
-        pos = [{j: k for k, j in enumerate(js)} for js in lay]
-        dims = [len(js) for js in lay]
+        pos = [{j: k for k, j in enumerate(js)} if s else None for js, s in zip(lay, syz)]
 
-        def push(x, y, v):
-            return _push(v, lay[x], pos[y], z)
+        def radical(y):
+            rad = [tuple([v[pos[x][j]] if j in pos[x] else z for j in lay[y]])
+                   for x in P.covers_below(y) for v in syz[x]]
+            return tuple(zip(*rad, *syz[y])), len(rad)
 
-        gens = _generators(P, field, dims, syz, push)
-        rows = [[z] * len(gens) for _ in labels]
-        for j, (x, vec) in enumerate(gens):
-            for k, v in zip(lay[x], vec):
-                rows[k][j] = v
-        mats.append(Mat(field, rows, len(labels), len(gens)))
+        gens = _generators(P, p, syz, radical)
+        d = tuple([tuple([v[pos[x][k]] if k in pos[x] else z for x, v in gens]) for k in range(len(labels))])
+        mats.append(d)
         labels = tuple(x for x, _ in gens)
         labels_list.append(labels)
         step += 1
         if step == max_length:
             break
-        blocks = _blocks_from_generators(P, field, dims, gens, push)
-    C = LabeledComplex(P, field, "proj", tuple(labels_list), tuple(mats))
-    _assert_min_resolution(C)
-    return C, cover
+        new = _layout(P, "proj", labels)
+        blocks = list(zip(_scalar_blocks(P, labels, labels_list[-2], new, lay, d), map(len, new)))
+        lay = new
+    _assert_min_resolution(labels_list, mats)
+    return tuple(labels_list), mats, cover
 
 
-def _generators(P: Poset, field, dims, basis, carry) -> list[tuple[int, tuple]]:
-    """Generators (y, vector) of the submodule with the given bases, in
-    linear-extension order.
+def _generators(P: Poset, p: int, basis, radical) -> list[tuple[int, tuple]]:
+    """Generators (y, vector) of the submodule with the independent vectors
+    basis[y] at each y, in linear-extension order.
 
-    basis[y] lists independent vectors of a space of dimension dims[y], and
-    carry(x, y, v) sends v along the cover x -> y.  The radical at y is
-    spanned by the bases at the covers below y carried up to y.  The basis
-    columns that are pivots of rref([radical | basis[y]]) lie outside the
-    span of the radical and of the columns before them, so they lift a basis
-    of the top at y: each generates one summand P(y) of the cover.
+    radical(y) gives the rows of [radical | basis[y]] and the number n of
+    radical columns, which span the bases at the covers below y carried up
+    to y.  The basis columns that are pivots of its rref lift a basis of the
+    top at y: each generates one summand P(y) of the cover.
     """
     gens: list[tuple[int, tuple]] = []
     for y in P.linear_extension():
         if not basis[y]:
             continue
-        rad = [carry(x, y, v) for x in P.covers_below(y) for v in basis[x]]
-        _, pivots = Mat.from_columns(field, rad + basis[y], dims[y]).rref()
-        gens += [(y, basis[y][p - len(rad)]) for p in pivots if p >= len(rad)]
+        rows, n = radical(y)
+        pivots = _rref_rows(p, rows, n + len(basis[y]))[1] if n else range(len(basis[y]))
+        gens += [(y, basis[y][q - n]) for q in pivots if q >= n]
     return gens
 
 
-def _blocks_from_generators(P: Poset, field, dims, gens, carry) -> list[Mat]:
-    """Blocks of the map sending summand j of the labeled sum of P(x_j) to
-    the value v_j of generator j = (x_j, v_j).
+def _blocks_from_generators(P: Poset, field, gens, maps) -> list[list[tuple]]:
+    """The columns at each w of the map sending summand j of the labeled sum
+    of P(x_j) to generator j = (x_j, v_j) of the module with cover map rows
+    maps: the generators with x_j <= w in order, the labeled basis there.
 
     Each value is walked up the covers once: it reaches w from the first
-    cover y below w that holds it, as carry(y, w, its value at y).  The
-    columns at w are the generators with x_j <= w in order, the labeled
-    basis there.
+    cover y below w that holds it, times the map on y -> w.
     """
     at: list[dict[int, tuple]] = [{} for _ in P.elements()]  # at[w][j]: generator j at w
     for j, (x, v) in enumerate(gens):
@@ -315,73 +321,73 @@ def _blocks_from_generators(P: Poset, field, dims, gens, carry) -> list[Mat]:
         for y in P.covers_below(w):
             for j, u in at[y].items():
                 if j not in col:
-                    col[j] = carry(y, w, u)
-    return [Mat.from_columns(field, [col[j] for j in sorted(col)], dims[w]) for w, col in enumerate(at)]
+                    col[j] = _dots(u, maps[(y, w)], field)
+    return [[col[j] for j in sorted(col)] for col in at]
 
 
-def _push(vec, src: list[int], dst: dict[int, int], zero) -> tuple:
-    """A vector on the summands src, carried to where summand j is coordinate dst[j]."""
-    out = [zero] * len(dst)
-    for j, v in zip(src, vec):
-        out[dst[j]] = v
-    return tuple(out)
-
-
-def _assert_min_resolution(C: LabeledComplex) -> None:
+def _assert_min_resolution(labels, mats) -> None:
     """Radical differentials of a projective complex: no unit scalar between equal labels."""
-    for i, m in enumerate(C.mats):
-        for k, y in enumerate(C.labels[i]):
-            for j, x in enumerate(C.labels[i + 1]):
-                if x == y and m.rows[k][j] != C.field.zero:
+    for i, d in enumerate(mats):
+        for y, row in zip(labels[i], d):
+            for x, v in zip(labels[i + 1], row):
+                if x == y and v:
                     raise PosetarError("resolution is not minimal")
 
 
 def min_injective_resolution(N: Representation, max_length: int | None = None):
     """Minimal injective resolution via duality, plus the coaugmentation (the dual cover of D(N))."""
-    C, cover = _resolution(dualize(N)[0], max_length)
-    C = LabeledComplex(N.poset, N.field, "inj", C.labels, tuple(m.transpose() for m in C.mats))
-    return C, Morphism(N, C.term(0), [b.transpose() for b in cover])
+    P, field = N.poset, N.field
+    labels, mats, cover = _resolve(P.opposite(), field, N.dims, _dual_rows(N), max_length)
+    mats = tuple(_mat(field, _cols(d, len(L)), len(L), len(d)) for d, L in zip(mats, labels[1:]))
+    C = LabeledComplex(P, field, "inj", labels, mats)
+    return C, Morphism(N, C.term(0), [_mat(field, tuple(c), len(c), d) for c, d in zip(cover, N.dims)])
+
+
+def _presentation(P: Poset, field, dims, maps):
+    """Labels (L1, L0) and scalar rows of the minimal presentation."""
+    labels, mats, _ = _resolve(P, field, dims, maps, max_length=1)
+    if not mats:
+        return None, labels[0], None
+    return labels[1], labels[0], mats[0]
 
 
 def projective_presentation(M: Representation):
     """Labels (L1, L0) and scalar matrix of the minimal presentation."""
-    C, _ = _resolution(M, max_length=1)
-    if C.length() == 0:
-        return None, C.labels[0], None
-    return C.labels[1], C.labels[0], C.mats[0]
+    L1, L0, d = _presentation(M.poset, M.field, M.dims, _rows(M))
+    return L1, L0, None if d is None else _mat(M.field, d, len(L0), len(L1))
 
 
 def is_projective(M: Representation) -> bool:
     """The projective cover is onto, so M is projective iff it has M's dimension."""
-    _, blocks = _resolution(M, max_length=0)
-    return sum(b.c for b in blocks) == M.total_dim()
+    _, _, cover = _resolve(M.poset, M.field, M.dims, _rows(M), max_length=0)
+    return sum(map(len, cover)) == M.total_dim()
 
 
 def tau(M: Representation) -> Representation | None:
     """AR translate: kernel of the Nakayama image of a minimal presentation."""
-    L1, L0, d = projective_presentation(M)
+    L1, L0, d = _presentation(M.poset, M.field, M.dims, _rows(M))
     if L1 is None:
         return None
     return _kernel_out_of_injectives(M.poset, M.field, L1, L0, d)
 
 
-def _transpose(M: Representation) -> Representation | None:
-    """Tr M over the opposite poset: the cokernel of P(L0) -> P(L1) with the
-    transposed scalars of a minimal presentation P(L1) -> P(L0) of M."""
-    L1, L0, d = projective_presentation(M)
+def _transpose(P: Poset, field, dims, maps) -> Representation | None:
+    """Tr over the opposite poset: the cokernel of P(L0) -> P(L1) with the
+    transposed scalars of a minimal presentation P(L1) -> P(L0)."""
+    L1, L0, d = _presentation(P, field, dims, maps)
     if L1 is None:
         return None
-    return _cokernel_into_projectives(M.poset.opposite(), M.field, L0, L1, d.transpose())
+    return _cokernel_into_projectives(P.opposite(), field, L0, L1, _cols(d, len(L1)))
 
 
 def tau_inverse(M: Representation) -> Representation | None:
-    """Inverse translate Tr D: the transpose of the dual, over the poset of M."""
-    return _transpose(dualize(M)[0])
+    """Inverse translate Tr D: the transpose of the dual, read off M's maps."""
+    return _transpose(M.poset.opposite(), M.field, M.dims, _dual_rows(M))
 
 
 def transpose_dual_tau(M: Representation) -> Representation | None:
     """Independent route to tau: D Tr, the dual of the transpose."""
-    TrM = _transpose(M)
+    TrM = _transpose(M.poset, M.field, M.dims, _rows(M))
     return None if TrM is None else dualize(TrM)[0]
 
 
@@ -467,19 +473,17 @@ def _ext_from_resolution(C: LabeledComplex, N: Representation, i: int) -> int:
 
 def induce(U: Representation, P: Poset, ids: list[int]) -> Representation:
     """Left adjoint of restriction: H0 of the termwise-induced presentation."""
-    L1, L0, d = projective_presentation(U)
+    L1, L0, d = _presentation(U.poset, U.field, U.dims, _rows(U))
     amb0 = tuple(ids[x] for x in L0)
     if L1 is None:
         return realize_labels(P, U.field, "proj", amb0)
-    amb1 = tuple(ids[x] for x in L1)
-    return _cokernel_into_projectives(P, U.field, amb1, amb0, d)
+    return _cokernel_into_projectives(P, U.field, tuple(ids[x] for x in L1), amb0, d)
 
 
 def coinduce(U: Representation, P: Poset, ids: list[int]) -> Representation:
     """Right adjoint of restriction: the kernel of the coinduced dual of D(U)'s presentation."""
-    L1, L0, d = projective_presentation(dualize(U)[0])
+    L1, L0, d = _presentation(U.poset.opposite(), U.field, U.dims, _dual_rows(U))
     amb0 = tuple(ids[x] for x in L0)
     if L1 is None:
         return realize_labels(P, U.field, "inj", amb0)
-    amb1 = tuple(ids[x] for x in L1)
-    return _kernel_out_of_injectives(P, U.field, amb0, amb1, d.transpose())
+    return _kernel_out_of_injectives(P, U.field, amb0, tuple(ids[x] for x in L1), _cols(d, len(L1)))

@@ -30,21 +30,21 @@ from .homalg import (
     _hom_complex_map,
     _kernel_out_of_injectives,
     _layout,
-    _realize_layout,
     _resolution,
+    _rows,
     _scalar_blocks,
     tau_inverse,
 )
 from .ictree import ic_decompose
-from .linalg import Field, Mat, QQ
+from .linalg import Field, Mat, QQ, _cols, _dots, _reduce
 from .poset import Poset
 from .rep import (
-    Morphism,
     Representation,
     _quotient_projection,
+    _quotient_rep,
+    _quotient_rows,
     cone_label,
     constant_on,
-    direct_sum,
     is_isomorphic,
     linear_combination,
     radical,
@@ -113,7 +113,7 @@ def ar_sequence_end(M: Representation, rng: random.Random | None = None,
         raise NotIndecomposable("almost split sequences end at indecomposables")
     P, field = M.poset, M.field
     z = field.zero
-    L1, L0, d = C.labels[1], C.labels[0], C.mats[0]
+    L1, L0, d = C.labels[1], C.labels[0], C.mats[0].rows
     tM = _kernel_out_of_injectives(P, field, L1, L0, d)
     if tM.is_zero():
         raise PosetarError("translate vanished for a non-projective module")
@@ -145,15 +145,22 @@ def ar_sequence_end(M: Representation, rng: random.Random | None = None,
         raise PosetarError("socle of the extension space is trivial")
 
     # E = coker(P1 -> tM + P0).  The basis of the sum at w lists tM(w) before
-    # P0(w); the f-block sends generator j of P1 to f_j in tM(y_j).
+    # P0(w); the f-block sends generator j of P1 to f_j in tM(y_j).  On a
+    # cover x -> y the sum's structure map is tM's beside the 0/1 one of P0.
     lay1, lay0 = _layout(P, "proj", L1), _layout(P, "proj", L0)
-    S = direct_sum([tM, _realize_layout(P, field, lay0)])
-    neg = field.of_int(-1)
     gens = [(y, f[offs[j]: offs[j + 1]]) for j, y in enumerate(L1)]
-    f_blocks = _blocks_from_generators(P, field, tM.dims, gens, lambda x, y, v: tM.maps[(x, y)].apply(v))
-    d_blocks = _scalar_blocks(P, L1, L0, lay1, lay0, d)
-    blocks = [f_blocks[w].vstack(d_blocks[w].scale(neg)) for w in P.elements()]
-    E, _ = Morphism(_realize_layout(P, field, lay1), S, blocks).cokernel()
+    f_cols = _blocks_from_generators(P, field, gens, _rows(tM))
+    d_rows = _scalar_blocks(P, L1, L0, lay1, lay0, _reduce(field.p, [[-v for v in row] for row in d]))
+    quots = [_quotient_rows(field.p, _cols(fc, t) + dr, len(js), t + len(dr))
+             for fc, dr, js, t in zip(f_cols, d_rows, lay1, tM.dims)]
+
+    def along(x, y, q_y):
+        t, m = tM.dims[y], tM.maps[(x, y)]
+        cols = _cols(m.rows, m.c)
+        at = [t + lay0[y].index(j) for j in lay0[x]]
+        return tuple([_dots(row[:t], cols, field) + tuple([row[k] for k in at]) for row in q_y])
+
+    E = _quotient_rep(P, field, quots, along)
     middles = split_indecomposables(E, rng)
     seq = ARSequence(tM, middles, M)
     if seq.middle_dims() != tuple(

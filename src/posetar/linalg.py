@@ -27,35 +27,36 @@ as elimination over Fraction.  Over GF(p) the same loop reduces mod p in
 place of the gcd step and finishes with the inverse of the pivot.  A matrix
 with no rows or no columns is its own echelon form.
 
-The eliminating kernels are memoized: `Mat.rref`, `Mat.nullspace` and
-`rep._quotient_projection` (the cokernel projection) each keep one
+The eliminating kernels are memoized: `_rref_rows`, `_null_rows` and
+`rep._quotient_rows` (the cokernel projection), behind `Mat.rref`,
+`Mat.nullspace` and `rep._quotient_projection`, each keep one
 `functools.lru_cache` of `_MEMO_SIZE` = 128 entries, and only inputs of at
-most `_MEMO_CELLS` = 64 entries (r * c; dim * (gens.c + dim) for the
+most `_MEMO_CELLS` = 64 entries (r * c; dim * (gc + dim) for the
 projection) go through it.  The key is the content: the characteristic p as
-an int, the rows and c, plus dim for the projection; never the Mat, nor the
+an int, the rows and c, plus dim for the projection; never a Mat, nor the
 Field, whose hash is a Python-level call.  A hit is sound because the
 reduced echelon form of a matrix is unique, so the stored result is the one
 a fresh elimination would compute; `Fraction(n, 1)` and `n` share a key and
-both give the canonical ints.  The memo stores tuples: rref and the
-projection wrap them in a Mat over the caller's field, and nullspace hands
-out a fresh list.  It is process-wide, but the reuse is within one call:
-tau_inverse asks the same small questions many times.  One family-sweep
-pass of the benchmark (seed 20240) made 20,063 rref calls on 982 distinct
-inputs, of which nullspace made 7,931 on 398 and the projection 4,675 on
-106.  With the memo a pass runs about 1,170 eliminations: 914 misses and
-259 inputs above the bound, which made 259 of the 20,063 rref calls on 211
-distinct inputs.  So the bound keeps out what rarely repeats and would hold
-most of the memory.
+both give the canonical ints.  The memo stores tuples, which the labelled
+helpers of `rep` and `homalg` read as rows; the Mat methods wrap them, and
+nullspace hands out a fresh list.  It is process-wide, but the reuse is
+within one call: tau_inverse asks the same small questions many times.  One
+family-sweep pass of the benchmark (seed 20240) asks the three 15,510
+questions on 965 distinct inputs: rref 4,274 on 462, nullspace 7,931 on 398
+and the projection 3,305 on 105; 248 of them, on 210 inputs, are above the
+bound.  With the memo a pass runs about 1,090 eliminations.  So the bound
+keeps out what rarely repeats and would hold most of the memory.
 
 `Mat(field, rows, r, c)` copies any iterable of rows into a tuple of tuples
 and raises ValueError unless it has r rows of length c; every caller not
 named below gets that check.  The kernels here (zero, identity, from_columns,
 add, sub, scale, mul, transpose, hstack, vstack, rref and solve) fix the
 shape of their result by construction, build its rows as tuples, and store
-them with `_mat`, which neither copies nor checks.  So do the few
-labelled-coordinate sites in `rep` and `homalg` whose comprehension fixes
-the shape: `direct_sum`, `_quotient_projection`, `_quotient_rep`,
-`_realize_layout`, `_scalar_blocks` and `_cokernel_into_projectives`.
+them with `_mat`, which neither copies nor checks.  So do the sites in `rep`
+and `homalg` that wrap labelled rows whose shape they know: `direct_sum`,
+`Morphism.cokernel`, `_quotient_projection`, `_quotient_rep`,
+`_realize_layout`, `_kernel_out_of_injectives`, `realize_scalar_map`,
+`projective_presentation` and both resolutions.
 """
 
 from __future__ import annotations
@@ -246,8 +247,7 @@ class Mat:
         return _dots(vec, self.rows, self.field)
 
     def transpose(self) -> "Mat":
-        cols = tuple(zip(*self.rows)) if self.r else ((),) * self.c
-        return _mat(self.field, cols, self.c, self.r)
+        return _mat(self.field, _cols(self.rows, self.c), self.c, self.r)
 
     def hstack(self, other: "Mat") -> "Mat":
         if self.r != other.r:
@@ -269,10 +269,7 @@ class Mat:
 
     def rref(self) -> tuple["Mat", tuple[int, ...]]:
         """Reduced row echelon form and pivot column indices."""
-        if not self.r or not self.c:
-            return self, ()
-        small = self.r * self.c <= _MEMO_CELLS
-        rows, pivots = (_rref_memo if small else _eliminate)(self.field.p, self.rows, self.c)
+        rows, pivots = _rref_rows(self.field.p, self.rows, self.c)
         return _mat(self.field, rows, self.r, self.c), pivots
 
     def rank(self) -> int:
@@ -280,8 +277,7 @@ class Mat:
 
     def nullspace(self) -> list[tuple]:
         """Basis of the right kernel, as column vectors."""
-        small = self.r * self.c <= _MEMO_CELLS
-        return list((_null_basis_memo if small else _null_basis)(self.field.p, self.rows, self.c))
+        return list(_null_rows(self.field.p, self.rows, self.c))
 
     def solve(self, B: "Mat") -> "Mat | None":
         """Return one X with self @ X = B, or None if inconsistent."""
@@ -372,6 +368,23 @@ _rref_memo = lru_cache(maxsize=_MEMO_SIZE)(_eliminate)
 _null_basis_memo = lru_cache(maxsize=_MEMO_SIZE)(_null_basis)
 
 
+def _rref_rows(p: int, rows: tuple, c: int) -> tuple[tuple, tuple[int, ...]]:
+    """Mat.rref on the rows of an r x c matrix: its echelon rows and pivots."""
+    if not rows or not c:
+        return rows, ()
+    return (_rref_memo if len(rows) * c <= _MEMO_CELLS else _eliminate)(p, rows, c)
+
+
+def _null_rows(p: int, rows: tuple, c: int) -> tuple[tuple, ...]:
+    """Mat.nullspace on rows: basis vector i ends in a 1 at the i-th free column, 0 at the others."""
+    return () if not c else (_null_basis_memo if len(rows) * c <= _MEMO_CELLS else _null_basis)(p, rows, c)
+
+
+def _cols(rows: tuple, c: int) -> tuple:
+    """The columns of an r x c matrix given by its rows."""
+    return tuple(zip(*rows)) if rows else ((),) * c
+
+
 def _reduce(p: int, rows):
     """Rows reduced mod p; over the rationals (p == 0) with integral entries as ints."""
     if p:
@@ -385,7 +398,7 @@ def _divide_row(p: int, row, piv):
     if p:
         inv = pow(piv, p - 2, p)
         return tuple([v * inv % p for v in row])
-    return tuple(row) if piv == 1 else tuple([_div(v, piv) for v in row])
+    return tuple(row) if piv == 1 else tuple([_div(v, piv) if v else 0 for v in row])
 
 
 def _dots(vec, rows, field: Field) -> tuple:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import NotConvex, PosetarError
-from .linalg import _MEMO_CELLS, _MEMO_SIZE, Field, Mat, QQ, _eliminate, _mat, span_basis
+from .linalg import _MEMO_CELLS, _MEMO_SIZE, Field, Mat, QQ, _cols, _dots, _eliminate, _mat, _null_basis, span_basis
 from .poset import Poset, _mask
 
 
@@ -148,6 +148,14 @@ class Representation:
         return Representation(P, field, dims, maps)
 
 
+def _rep(poset: Poset, field: Field, dims, maps: dict) -> Representation:
+    """A Representation holding maps as given: a Mat of shape dims[y] x dims[x]
+    on every cover x -> y, neither checked nor completed."""
+    M = object.__new__(Representation)
+    M.poset, M.field, M.dims, M.maps, M._paths = poset, field, tuple(dims), maps, {}
+    return M
+
+
 class Morphism:
     """Natural transformation between two representations of one poset."""
 
@@ -215,10 +223,11 @@ class Morphism:
 
     def cokernel(self) -> tuple[Representation, "Morphism"]:
         """Cokernel representation with the projection from the target."""
-        N = self.target
-        quots = [_quotient_projection(N.field, b, d) for b, d in zip(self.blocks, N.dims)]
-        C = _quotient_rep(N.poset, N.field, quots, lambda x, y, q_y: q_y.mul(N.maps[(x, y)]))
-        return C, Morphism(N, C, [q for q, _ in quots])
+        N, field = self.target, self.target.field
+        quots = [_quotient_rows(field.p, b.rows, b.c, d) for b, d in zip(self.blocks, N.dims)]
+        C = _quotient_rep(N.poset, field, quots,
+                          lambda x, y, q: _mat(field, q, len(q), N.dims[y]).mul(N.maps[(x, y)]).rows)
+        return C, Morphism(N, C, [_mat(field, q, len(q), d) for (q, _), d in zip(quots, N.dims)])
 
 
 def cone_label(P: Poset, kind: str, sup: frozenset[int]) -> int | None:
@@ -230,41 +239,53 @@ def cone_label(P: Poset, kind: str, sup: frozenset[int]) -> int | None:
 
 def _quotient_projection(field: Field, gens: Mat, dim: int) -> tuple[Mat, tuple[int, ...]]:
     """Projection k^dim -> k^dim / span(gens) in reduced echelon form, with its pivots."""
-    small = dim * (gens.c + dim) <= _MEMO_CELLS
-    rows, pivots = (_quotient_memo if small else _quotient)(field.p, gens.rows, gens.c, dim)
+    rows, pivots = _quotient_rows(field.p, gens.rows, gens.c, dim)
     return _mat(field, rows, len(rows), dim), pivots
+
+
+def _quotient_rows(p: int, gens: tuple, gc: int, dim: int) -> tuple[tuple, tuple[int, ...]]:
+    """_quotient_projection on the rows gens of a dim x gc matrix."""
+    if not dim:
+        return (), ()
+    return (_quotient_memo if dim * (gc + dim) <= _MEMO_CELLS else _quotient)(p, gens, gc, dim)
 
 
 def _quotient(p: int, gens: tuple, gc: int, dim: int) -> tuple[tuple, tuple[int, ...]]:
     """The rows and pivots of _quotient_projection for the rows gens of a dim x gc matrix.
 
-    The rows of rref[gens | I] whose gens-part vanished are the echelon basis
-    of the functionals killing gens, so they depend only on the span of gens.
+    They are the reduced echelon basis of the functionals killing gens, which
+    depends only on the span of gens: the nullspace of gens transposed, reduced.
     """
-    rows = tuple([g + (0,) * r + (1,) + (0,) * (dim - r - 1) for r, g in enumerate(gens)])
-    R, pivots = _eliminate(p, rows, gc + dim)
-    k = sum(q < gc for q in pivots)  # the I-part gives full row rank: every row has a pivot
-    return tuple([row[gc:] for row in R[k:]]), tuple(q - gc for q in pivots[k:])
+    null = _null_basis(p, _cols(gens, gc), dim)
+    return _eliminate(p, null, dim) if null else ((), ())
 
 
 _quotient_memo = lru_cache(maxsize=_MEMO_SIZE)(_quotient)
 
 
 def _quotient_rep(P: Poset, field: Field, quots, along) -> Representation:
-    """The quotient with the echelon projections quots[x] = (q_x, pivots).
+    """The quotient with the echelon projections quots[x] = (rows of q_x, pivots).
 
-    along(x, y, q_y) is q_y after the structure map on the cover x -> y.  q_x
-    is in reduced echelon form, so the induced map A with A q_x = along(x, y,
-    q_y) is the right side read at the pivots of q_x."""
+    along(x, y, q_y) gives the rows of q_y after the structure map on the
+    cover x -> y.  q_x is in reduced echelon form, so the induced map A with
+    A q_x = along(x, y, q_y) is the right side read at the pivots of q_x,
+    where the two agree, and the factorization is checked at the others."""
     maps = {}
     for (x, y) in P.covers:
         q_x, pivots = quots[x]
-        m = along(x, y, quots[y][0])
-        A = _mat(field, tuple([tuple([row[p] for p in pivots]) for row in m.rows]), m.r, len(pivots))
-        if A.mul(q_x) != m:
-            raise PosetarError("map does not factor through quotient")
-        maps[(x, y)] = A
-    return Representation(P, field, [q.r for q, _ in quots], maps, check=False)
+        q_y = quots[y][0]
+        if not q_y:
+            maps[(x, y)] = _mat(field, (), 0, len(q_x))
+            continue
+        A = m = along(x, y, q_y)
+        if len(pivots) < len(m[0]):  # else q_x is the identity and A is m
+            A = tuple([tuple([row[c] for c in pivots]) for row in m])
+            free = [c for c in range(len(m[0])) if c not in pivots]
+            cols = [tuple([row[c] for row in q_x]) for c in free]
+            if any(_dots(a, cols, field) != tuple([row[c] for c in free]) for a, row in zip(A, m)):
+                raise PosetarError("map does not factor through quotient")
+        maps[(x, y)] = _mat(field, A, len(q_y), len(q_x))
+    return _rep(P, field, [len(q) for q, _ in quots], maps)
 
 
 def _subrep_from_bases(M: Representation, bases: list[Mat]):
@@ -488,8 +509,7 @@ def dualize(M: Representation) -> tuple[Representation, Poset]:
     maps = {}
     for (x, y) in M.poset.covers:
         maps[(y, x)] = M.maps[(x, y)].transpose()
-    D = Representation(Pop, M.field, M.dims, maps, check=False)
-    return D, Pop
+    return _rep(Pop, M.field, M.dims, maps), Pop
 
 
 def transport(M: Representation, target: Poset, ids: list[int]) -> Representation:

@@ -4,7 +4,7 @@ Strategy: compute End(M) and its radical via the trace bilinear form (valid in
 characteristic 0); M is indecomposable when End/rad is one dimensional.
 Otherwise search End(M) for an f and a rational root r of its minimal
 polynomial with f - r neither invertible nor nilpotent.  By Fitting's lemma M
-is then im (f - r)^N + ker (f - r)^N for N >= dim M, and the two summands are
+is then im (f - r)^N + ker (f - r)^N for N >= dim M(x), and the summands are
 split in turn.  Over a prime field the trace form is not trusted, only r = 0
 is tried and the search alone decides.  When no candidate splits, as when
 End/rad is a field larger than Q, SplitFailure is the honest out.
@@ -105,15 +105,15 @@ def _rational_roots(p):
 
 
 def _fitting_split(f: Morphism):
-    """The pair (im f^N, ker f^N) for N >= dim M, or None when f is invertible
-    or nilpotent.
+    """The pair (im f^N, ker f^N) for N >= dim M(x) at every x, or None
+    when f is invertible or nilpotent.
 
-    By Fitting's lemma M = im f^N + ker f^N, and both summands are nonzero
-    exactly when f is neither invertible nor nilpotent.
+    By Fitting's lemma, applied at each x, M = im f^N + ker f^N, and both
+    summands are nonzero exactly when f is neither invertible nor nilpotent.
     """
     M = f.source
     g = f
-    for _ in range(M.total_dim().bit_length() + 1):
+    for _ in range(max(M.dims).bit_length()):
         g = g.compose(g)
     ranks = tuple(b.rank() for b in g.blocks)
     if ranks == M.dims or not any(ranks):

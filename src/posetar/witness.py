@@ -16,7 +16,7 @@ from .clamped import enumerate_clamped
 from .homalg import _layout, _resolution, _scalar_blocks, is_projective, tau_inverse
 from .ictree import build_tree, classify_tree, ic_plus_decompose
 from .knit import ar_sequence_end, knit
-from .linalg import Field, QQ
+from .linalg import Field, QQ, _rref_rows
 from .poset import Interval, Poset
 from .rep import Representation, constant_on
 from .split import is_indecomposable
@@ -37,8 +37,9 @@ def derived_translate_is_module(M: Representation) -> bool:
     if C.length() != 1:
         return False
     P, (L0, L1) = M.poset, C.labels
-    blocks = _scalar_blocks(P, L1, L0, _layout(P, "inj", L1), _layout(P, "inj", L0), C.mats[0])
-    return all(b.rank() == b.r for b in blocks)
+    lay1 = _layout(P, "inj", L1)
+    blocks = _scalar_blocks(P, L1, L0, lay1, _layout(P, "inj", L0), C.mats[0].rows)
+    return all(len(_rref_rows(M.field.p, b, len(js))[1]) == len(b) for b, js in zip(blocks, lay1))
 
 
 class Witness:

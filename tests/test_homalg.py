@@ -9,6 +9,7 @@ from posetar.homalg import (
     LabeledComplex,
     _assert_min_resolution,
     _layout,
+    _scalar_blocks,
     coinduce,
     ext,
     ext_all,
@@ -31,6 +32,7 @@ from posetar.poset import chain
 from posetar.rep import (
     Morphism,
     Representation,
+    _quotient_rep,
     constant_on,
     direct_sum,
     dualize,
@@ -103,7 +105,7 @@ def _reference_resolution(M, max_length=None):
             raise PosetarError("resolution exceeded the global-dimension safety bound")
         cur, incl_to_prev, step = K, incl, step + 1
     C = LabeledComplex(P, M.field, "proj", tuple(labels_list), tuple(mats))
-    _assert_min_resolution(C)
+    _assert_min_resolution(C.labels, [m.rows for m in C.mats])
     return C, aug
 
 
@@ -645,6 +647,38 @@ def test_cokernel_checks_the_factorisation():
     blocks = [Mat(QQ, [[1]], 1, 1), Mat(QQ, [[0]], 1, 1)]
     with pytest.raises(PosetarError, match="factor"):
         Morphism(P1, P1, blocks).cokernel()
+
+
+# The labelled helpers on rows keep every check of the realized route.
+
+
+def test_quotient_rep_checks_the_factorization_on_rows():
+    # chain 1 < 2: q_1 projects k^2 onto its first coordinate, q_2 is the
+    # identity of k; the induced map reads m at the pivot of q_1, and m must
+    # vanish on the kernel of q_1 (its second column) to factor
+    P = chain(2)
+    quots = [(((1, 0),), (0,)), (((1,),), (0,))]
+    C = _quotient_rep(P, QQ, quots, lambda x, y, q_y: ((3, 0),))
+    assert C.dims == (1, 1) and C.maps[(0, 1)].rows == ((3,),)
+    with pytest.raises(PosetarError, match="map does not factor through quotient"):
+        _quotient_rep(P, QQ, quots, lambda x, y, q_y: ((0, 1),))
+
+
+def test_scalar_blocks_check_the_canonical_maps():
+    # P(2) is a summand of P(1) on the chain 1 < 2, so P(2) -> P(1) carries
+    # scalars and P(1) -> P(2) does not
+    P = chain(2)
+    a, b = P.id_of("1"), P.id_of("2")
+    lay_a, lay_b = _layout(P, "proj", (a,)), _layout(P, "proj", (b,))
+    assert _scalar_blocks(P, (b,), (a,), lay_b, lay_a, ((2,),))[b] == ((2,),)
+    with pytest.raises(PosetarError, match="scalar entry on a non-existent canonical map"):
+        _scalar_blocks(P, (a,), (b,), lay_a, lay_b, ((1,),))
+
+
+def test_min_resolution_check_rejects_a_unit_between_equal_labels():
+    _assert_min_resolution(((0,), (1,)), [((1,),)])
+    with pytest.raises(PosetarError, match="resolution is not minimal"):
+        _assert_min_resolution(((0,), (0,)), [((1,),)])
 
 
 def _layout_by_leq(P, kind, labels):
