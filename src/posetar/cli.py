@@ -1,14 +1,14 @@
 """Command-line interface: one subcommand per operation, deterministic output.
 
 Poset arguments accept a file path or `corpus:<id>` for a bundled example.
+Output depends only on the input and the version: no subcommand draws on a
+seed or reads an environment variable.
 Exit codes: 0 success, 1 domain error, 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
-import random
 import sys
 from pathlib import Path
 
@@ -139,9 +139,8 @@ def cmd_ext(args, out) -> None:
 
 def cmd_tau(args, out) -> None:
     P = _load_poset(args.poset)
-    rng = random.Random(args.seed)
     M = parse_module(P, args.module, args.field)
-    if not is_indecomposable(M, rng):
+    if not is_indecomposable(M):
         raise PosetarError("tau expects an indecomposable module")
     t = tau_op(M)
     print("0 (module is projective)" if t is None else describe_module(P, t), file=out)
@@ -149,9 +148,8 @@ def cmd_tau(args, out) -> None:
 
 def cmd_mesh(args, out) -> None:
     P = _load_poset(args.poset)
-    rng = random.Random(args.seed)
     M = parse_module(P, args.module, args.field)
-    seq = ar_sequence_end(M, rng)
+    seq = ar_sequence_end(M)
     mids = "  +  ".join(
         describe_module(P, rep) + (f" x{mult}" if mult > 1 else "")
         for rep, mult in seq.middles
@@ -207,7 +205,7 @@ def cmd_knit(args, out) -> None:
         import json
 
         Path(args.json).write_text(
-            json.dumps(comp.to_json(embedding, seed=args.seed, max_meshes=args.max_meshes), indent=2)
+            json.dumps(comp.to_json(embedding, max_meshes=args.max_meshes), indent=2)
             + "\n"
         )
 
@@ -219,7 +217,6 @@ def cmd_witness(args, out) -> None:
         assume_infinite_type=args.assume_infinite_type,
         field=args.field,
         mesh_budget=args.max_meshes,
-        rng=random.Random(args.seed),
     )
     if w is None:
         print("no witness found within budget", file=out)
@@ -245,12 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact Auslander-Reiten theory for finite poset incidence algebras",
     )
     ap.add_argument("--field", type=_field, default="rationals", help="rationals (default) or gf:<p>")
-    ap.add_argument(
-        "--seed",
-        type=int,
-        default=os.environ.get("POSETAR_SEED", "0"),
-        help="seed for the session PRNG (default: POSETAR_SEED or 0)",
-    )
     sub = ap.add_subparsers(dest="command", required=True)
 
     def add(name, fn, **kwargs):

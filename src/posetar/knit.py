@@ -22,8 +22,6 @@ order is a processing order.
 
 from __future__ import annotations
 
-import random
-
 from .errors import IsProjective, MeshMismatch, NotEmbeddable, NotIndecomposable, PosetarError
 from .homalg import (
     _blocks_from_generators,
@@ -85,8 +83,7 @@ class ARSequence:
         return tuple(out)
 
 
-def ar_sequence_end(M: Representation, rng: random.Random | None = None,
-                    check_indecomposable: bool = True) -> ARSequence:
+def ar_sequence_end(M: Representation, rng=None, check_indecomposable: bool = True) -> ARSequence:
     """The almost split sequence ending at M, with its middle split exactly.
 
     Everything is read off the minimal resolution P2 -> P1 -> P0 -> M in
@@ -104,12 +101,13 @@ def ar_sequence_end(M: Representation, rng: random.Random | None = None,
 
     Over GF(p) this raises SplitFailure when End(tau M) is not one
     dimensional, because the trace-form radical needs characteristic 0.
+
+    rng is ignored and kept for existing callers.
     """
-    rng = rng or random.Random(0)
     C, _ = _resolution(M, max_length=2)
     if C.length() == 0:
         raise IsProjective("no almost split sequence ends at a projective")
-    if check_indecomposable and not is_indecomposable(M, rng):
+    if check_indecomposable and not is_indecomposable(M):
         raise NotIndecomposable("almost split sequences end at indecomposables")
     P, field = M.poset, M.field
     z = field.zero
@@ -161,7 +159,7 @@ def ar_sequence_end(M: Representation, rng: random.Random | None = None,
         return tuple([_dots(row[:t], cols, field) + tuple([row[k] for k in at]) for row in q_y])
 
     E = _quotient_rep(P, field, quots, along)
-    middles = split_indecomposables(E, rng)
+    middles = split_indecomposables(E)
     seq = ARSequence(tM, middles, M)
     if seq.middle_dims() != tuple(
         tM.dims[x] + M.dims[x] for x in M.poset.elements()
@@ -192,7 +190,7 @@ class KnitVertex:
 
 
 class ARComponent:
-    __slots__ = ("poset", "field", "vertices", "in_srcs", "tau_map", "status", "meshes", "notes")
+    __slots__ = ("poset", "field", "vertices", "in_srcs", "tau_map", "status", "notes")
 
     def __init__(
         self,
@@ -202,7 +200,6 @@ class ARComponent:
         in_srcs: dict[int, list[int]],  # vid -> sources of its in-arrows, in arrow order
         tau_map: dict[int, int],
         status: str,  # 'complete' | 'truncated'
-        meshes: int,
         notes: list[str] | None = None,
     ) -> None:
         self.poset = poset
@@ -211,8 +208,12 @@ class ARComponent:
         self.in_srcs = in_srcs
         self.tau_map = tau_map
         self.status = status
-        self.meshes = meshes
         self.notes = [] if notes is None else notes
+
+    @property
+    def meshes(self) -> int:
+        """Meshes knitted, one per pair of tau_map."""
+        return len(self.tau_map)
 
     @property
     def arrows(self) -> list[tuple[int, int]]:
@@ -234,12 +235,12 @@ class ARComponent:
     def injective_vertices(self) -> dict[int, int]:
         return {v.inj: v.vid for v in self.vertices if v.inj is not None}
 
-    def to_json(self, embedding=None, seed: int = 0, max_meshes: int = 0) -> dict:
+    def to_json(self, embedding=None, max_meshes: int = 0) -> dict:
         P = self.poset
         coords = embedding.coords if embedding is not None else {}
         return {
             "schema": 1,
-            "seed": seed,
+            "seed": 0,  # schema 1 keeps the field; nothing draws on a seed
             "max_meshes": max_meshes,
             "status": self.status,
             "meshes": self.meshes,
@@ -365,7 +366,7 @@ def knit(
     missing = [P.names[x] for x in P.elements() if x not in attached]
     if missing and status == "complete":
         notes.append("projectives never attached: " + ", ".join(missing))
-    return ARComponent(P, field, vertices, in_srcs, tau_map, status, len(tau_map), notes)
+    return ARComponent(P, field, vertices, in_srcs, tau_map, status, notes)
 
 
 # -- embedding into ZT ----------------------------------------------------------------
@@ -485,14 +486,13 @@ def _summand_multiset(seq_middles) -> list[tuple[tuple[int, ...], int]]:
     return sorted((tuple(rep.dims), mult) for rep, mult in seq_middles)
 
 
-def _expected_middles(parts: list[Representation], rng) -> list[tuple[tuple[int, ...], int]]:
-    pairs = [pair for part in parts for pair in split_indecomposables(part, rng)]
+def _expected_middles(parts: list[Representation]) -> list[tuple[tuple[int, ...], int]]:
+    pairs = [pair for part in parts for pair in split_indecomposables(part)]
     return _summand_multiset(group_isomorphic(pairs))
 
 
-def glue_meshes_check(P: Poset, field: Field = QQ, rng: random.Random | None = None) -> GlueReport:
+def glue_meshes_check(P: Poset, field: Field = QQ) -> GlueReport:
     """Verify the boundary meshes at the largest projective and each clamp."""
-    rng = rng or random.Random(0)
     node = ic_decompose(P)
     mm = P.unique_min_max()
     if node is None or mm is None or P.n < 2:
@@ -507,10 +507,10 @@ def glue_meshes_check(P: Poset, field: Field = QQ, rng: random.Random | None = N
     RadSoc, rs_incl = socle(RadPa)
     RadPaSoc, _ = rs_incl.cokernel()
 
-    seq = ar_sequence_end(PaSoc, rng)
+    seq = ar_sequence_end(PaSoc)
     top_ok = is_isomorphic(seq.tau_end, RadPa) and _summand_multiset(
         seq.middles
-    ) == _expected_middles([Pa, RadPaSoc], rng)
+    ) == _expected_middles([Pa, RadPaSoc])
     details.append(
         "mesh ending at the largest-projective quotient: "
         + ("ok" if top_ok else "FAIL")
@@ -526,20 +526,20 @@ def glue_meshes_check(P: Poset, field: Field = QQ, rng: random.Random | None = N
         SocM, msoc_incl = socle(M)
         MSoc, _ = msoc_incl.cokernel()
 
-        seq_end = ar_sequence_end(M, rng)
+        seq_end = ar_sequence_end(M)
         want_tau = constant_on(P, frozenset(P.elements()) - {alpha, a}, field)
         end_ok = is_isomorphic(seq_end.tau_end, want_tau) and _summand_multiset(
             seq_end.middles
-        ) == _expected_middles([RadPa, RadM], rng)
+        ) == _expected_middles([RadPa, RadM])
 
         tinv = tau_inverse(M)
         want_tinv = constant_on(P, frozenset(P.elements()) - {omega, z}, field)
         start_ok = tinv is not None and is_isomorphic(tinv, want_tinv)
         if start_ok:
-            seq_start = ar_sequence_end(tinv, rng)
+            seq_start = ar_sequence_end(tinv)
             start_ok = is_isomorphic(seq_start.tau_end, M) and _summand_multiset(
                 seq_start.middles
-            ) == _expected_middles([PaSoc, MSoc], rng)
+            ) == _expected_middles([PaSoc, MSoc])
         interval_results.append((label, end_ok, start_ok))
         details.append(
             f"meshes at the clamp {label}: ending "

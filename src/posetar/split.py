@@ -2,18 +2,17 @@
 
 Strategy: compute End(M) and its radical via the trace bilinear form (valid in
 characteristic 0); M is indecomposable when End/rad is one dimensional.
-Otherwise search End(M) for an f and a rational root r of its minimal
-polynomial with f - r neither invertible nor nilpotent.  By Fitting's lemma M
-is then im (f - r)^N + ker (f - r)^N for N >= dim M(x), and the summands are
-split in turn.  Over a prime field the trace form is not trusted, only r = 0
-is tried and the search alone decides.  When no candidate splits, as when
-End/rad is a field larger than Q, SplitFailure is the honest out.
+Otherwise each f of the basis of End(M) is tried at the first root r of its
+minimal polynomial in the field: when f - r is neither invertible nor
+nilpotent, Fitting's lemma gives M = im (f - r)^N + ker (f - r)^N for
+N >= dim M(x), and the summands are split in turn.  Over a prime field the
+trace form is not trusted and the search alone decides.  Nothing is random.
+When no basis element splits, SplitFailure is the honest out (split_once).
 """
 
 from __future__ import annotations
 
 import math
-import random
 from collections import Counter
 from fractions import Fraction
 
@@ -25,7 +24,6 @@ from .rep import (
     hom,
     hom_dim,
     is_isomorphic,
-    linear_combination,
     projective,
     simple,
 )
@@ -56,10 +54,10 @@ def end_radical_basis(M: Representation, basis: list[Morphism]) -> list[tuple]:
     return Mat(field, flats, n, length).mul(Mat.from_columns(field, transposed, length)).nullspace()
 
 
-def is_indecomposable(M: Representation, rng: random.Random | None = None) -> bool:
+def is_indecomposable(M: Representation) -> bool:
     """M is nonzero and split_once finds it indecomposable (SplitFailure when
     its search ends without a verdict)."""
-    return not M.is_zero() and split_once(M, rng or random.Random(0)) is None
+    return not M.is_zero() and split_once(M) is None
 
 
 def _min_poly_coeffs(f: Morphism):
@@ -121,12 +119,34 @@ def _fitting_split(f: Morphism):
     return g.image()[0], g.kernel()[0]
 
 
-def split_once(M: Representation, rng: random.Random):
+def _first_root(f: Morphism):
+    """The first root in the field of f's minimal polynomial, or None: 0 when
+    it is one, else one of least absolute value, positive first.  Over GF(p)
+    a residue counts as its representative in (-p/2, p/2), and the scan
+    stops at the first root."""
+    field, coeffs = f.source.field, _min_poly_coeffs(f)
+    if field.is_rationals:
+        return next(iter(_rational_roots([Fraction(c) for c in coeffs])), None)
+    p = field.p
+    tries = (r % p for u in range(p // 2 + 1) for r in (u, -u))
+    return next((r for r in tries if not sum(c * pow(r, i, p) for i, c in enumerate(coeffs)) % p), None)
+
+
+def split_once(M: Representation):
     """One nontrivial direct decomposition, or None when indecomposable.
 
-    Candidates f are the basis of End(M), then 40 random combinations of it;
-    each is split at f - r for every rational root r of its minimal
-    polynomial (over a prime field at r = 0 only), by _fitting_split.
+    Each f of the End(M) basis is split at f - r for its first root r
+    (_first_root), by _fitting_split.  One root is enough: at a root r, f - r
+    is singular, and it is nilpotent only when r is f's one eigenvalue, and
+    then f has no other root to try.
+
+    This splits every M with End/rad = k^m, m >= 2: some f has a non-scalar
+    image (a_1, ..., a_m) there, say a_i != a_j, so f has the eigenvalue a_i
+    in k, and f - r is not nilpotent for any r in k.  SplitFailure remains
+    for a local End of dimension >= 2 over GF(p), where no radical is
+    computed, and, when no basis element splits, for a matrix-ring factor of
+    End/rad (a summand of multiplicity >= 2) or a factor larger than k, as
+    End(M_J) = Q(i) for the four-subspace module of the tests.
     """
     basis = end_basis(M)
     if len(basis) <= 1:
@@ -134,39 +154,27 @@ def split_once(M: Representation, rng: random.Random):
     field = M.field
     if field.is_rationals and len(basis) - len(end_radical_basis(M, basis)) == 1:
         return None
-
-    def candidates():
-        yield from basis
-        for _ in range(40):
-            yield linear_combination(basis, [field.of_int(rng.randint(-4, 4)) for _ in basis])
-
-    for f in candidates():
-        if f.is_zero():
-            continue
-        roots = [0]
-        if field.is_rationals:
-            roots = _rational_roots([Fraction(c) for c in _min_poly_coeffs(f)])
-        for r in roots:
-            parts = _fitting_split(f if r == 0 else f.add(_identity_endo(M).scale(-r)))
-            if parts is not None:
-                return parts
+    for f in basis:
+        r = _first_root(f)
+        parts = None if r is None else _fitting_split(f if r == 0 else f.add(_identity_endo(M).scale(-r)))
+        if parts is not None:
+            return parts
     raise SplitFailure(f"could not split module with End of dimension {len(basis)}")
 
 
-def split_indecomposables(M: Representation, rng: random.Random | None = None):
+def split_indecomposables(M: Representation):
     """Complete decomposition as a list of (summand, multiplicity).
 
     Summands are returned in a canonical order: lexicographic dimension
     vector along the linear extension, then a hom fingerprint.
     """
-    rng = rng or random.Random(0)
     if M.is_zero():
         return []
     pieces: list[Representation] = []
     stack = [M]
     while stack:
         cur = stack.pop()
-        res = split_once(cur, rng)
+        res = split_once(cur)
         if res is None:
             pieces.append(cur)
         else:

@@ -10,8 +10,6 @@ has infinite representation type.
 
 from __future__ import annotations
 
-import random
-
 from .clamped import enumerate_clamped
 from .homalg import _layout, _resolution, _scalar_blocks, is_projective, tau_inverse
 from .ictree import build_tree, classify_tree, ic_plus_decompose
@@ -90,10 +88,10 @@ def not_fcy_witness(
     assume_infinite_type: bool = False,
     field: Field = QQ,
     mesh_budget: int = 200,
-    rng: random.Random | None = None,
+    rng=None,
 ) -> Witness | None:
-    """Search clamped intervals for a certified >=3-middle mesh."""
-    rng = rng or random.Random(0)
+    """Search clamped intervals for a certified >=3-middle mesh.  rng is
+    ignored and kept for existing callers."""
     verdict = "no" if assume_infinite_type else "conditional"
     for iv in enumerate_clamped(P):
         if iv.low == iv.high:
@@ -116,9 +114,9 @@ def not_fcy_witness(
                 continue
             seen.add(key)
             if count is None:
-                if is_projective(rep) or not is_indecomposable(rep, rng):
+                if is_projective(rep) or not is_indecomposable(rep):
                     continue
-                count = ar_sequence_end(rep, rng, check_indecomposable=False).middle_count()
+                count = ar_sequence_end(rep, check_indecomposable=False).middle_count()
             if count >= 3 and derived_translate_is_module(rep):
                 dims = {
                     sub.names[x]: rep.dims[x] for x in sub.elements() if rep.dims[x]

@@ -100,7 +100,7 @@ def test_knit_json(tmp_path, capsys):
     assert code == 0
     assert "status: complete" in out
     data = json.loads(target.read_text())
-    assert data["schema"] == 1
+    assert data["schema"] == 1 and data["seed"] == 0
     assert data["status"] == "complete"
     assert len(data["vertices"]) == 10
     assert all(v["orbit"] is not None for v in data["vertices"])
@@ -258,11 +258,17 @@ def test_deeply_nested_module_expression_is_a_parse_error(capsys):
     assert "Traceback" not in err
 
 
-def test_bad_seed_in_the_environment_is_a_usage_error(monkeypatch, capsys):
-    monkeypatch.setenv("POSETAR_SEED", "abc")
-    assert exit_code(["corpus"]) == 2
+def test_seed_flag_is_a_usage_error(capsys):
+    # nothing is random, so there is no --seed
+    assert exit_code(["--seed", "1", "corpus"]) == 2
     err = capsys.readouterr().err
-    assert "--seed" in err and "Traceback" not in err
+    assert err.startswith("usage:") and "Traceback" not in err
+
+
+def test_seed_in_the_environment_is_ignored(monkeypatch, capsys):
+    monkeypatch.setenv("POSETAR_SEED", "abc")
+    assert exit_code(["corpus"]) == 0
+    assert "ex57" in capsys.readouterr().out.split()
 
 
 @pytest.mark.parametrize("cmd", ["parse", "fromtree"])

@@ -1,3 +1,4 @@
+import ast
 import os
 import random
 import subprocess
@@ -12,7 +13,7 @@ import posetar
 from posetar.corpus import corpus_poset
 from posetar.errors import SplitFailure
 from posetar.knit import ar_sequence_end, knit
-from posetar.linalg import QQ, Mat
+from posetar.linalg import QQ, Field, Mat
 from posetar.poset import Poset, chain
 from posetar.rep import (
     Representation,
@@ -73,17 +74,52 @@ def test_square_multiplicity():
     assert is_isomorphic(parts[0][0], M)
 
 
-def test_seed_independence():
+def test_split_is_deterministic():
     P = corpus_poset("ex33-poset2")
     a = P.id_of("a")
     R, _ = radical(projective(P, a))
     S = direct_sum([R, simple(P, P.id_of("4")), projective(P, P.id_of("2"))])
-    outcomes = []
-    for seed in (0, 1, 2):
-        parts = split_indecomposables(S, random.Random(seed))
-        outcomes.append(sorted((tuple(r.dims), m) for r, m in parts))
-    assert outcomes[0] == outcomes[1] == outcomes[2]
-    assert sum(m for _, m in outcomes[0]) == 3
+    first, second = split_indecomposables(S), split_indecomposables(S)
+    assert [(r.to_json(), m) for r, m in first] == [(r.to_json(), m) for r, m in second]
+    assert sum(m for _, m in first) == 3
+
+
+def _conjugated_at_omega(P, M, rows):
+    """M with the basis at the maximum omega changed by the matrix rows."""
+    w = P.id_of("omega")
+    T = Mat(M.field, rows, M.dims[w], M.dims[w])
+    return Representation(P, M.field, M.dims, {c: T.mul(m) if c[1] == w else m for c, m in M.maps.items()})
+
+
+def test_split_at_a_nonzero_root_over_gf5():
+    # every End basis element of this A + B is invertible, so r = 0 alone
+    # splits nothing; f - r at a GF(5) eigenvalue r does
+    P, F = corpus_poset("star-2-2"), Field(5)
+    A, B = (projective(P, P.id_of(x), F) for x in ("c1_2", "c2_2"))
+    M = _conjugated_at_omega(P, direct_sum([A, B]), [[1, 1], [1, 2]])
+    assert all(f.is_isomorphism() for f in end_basis(M))
+    parts = split_indecomposables(M)
+    assert [m for _, m in parts] == [1, 1]
+    for X in (A, B):
+        assert [is_isomorphic(part, X) for part, _ in parts if part.dims == X.dims] == [True]
+
+
+@pytest.mark.parametrize("field", [QQ, Field(5)], ids=str)
+def test_conjugated_n_plus_n_splits_into_n_twice(field):
+    P = corpus_poset("star-2-2")
+    N = projective(P, P.id_of("alpha"), field)
+    parts = split_indecomposables(_conjugated_at_omega(P, direct_sum([N, N]), [[1, 2], [3, 4]]))
+    assert len(parts) == 1 and parts[0][1] == 2 and is_isomorphic(parts[0][0], N)
+
+
+def test_no_module_imports_random():
+    # splitting is deterministic: nothing in the package may draw on a PRNG
+    for path in Path(posetar.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                assert "random" not in (a.name.split(".")[0] for a in node.names), path.name
+            elif isinstance(node, ast.ImportFrom):
+                assert (node.module or "").split(".")[0] != "random", path.name
 
 
 def test_dimension_accounting():
@@ -149,7 +185,7 @@ def test_end_a_larger_field_than_q_raises():
 def test_split_once_splits_off_a_simple_beside_a_rootless_summand():
     P, M = _four_subspace_module()
     S = direct_sum([M, simple(P, P.id_of("w"))])
-    parts = split_once(S, random.Random(0))
+    parts = split_once(S)
     assert parts is not None
     assert sorted(part.dims for part in parts) == [(0, 0, 0, 0, 1), M.dims]
     assert any(is_isomorphic(part, M) for part in parts)
