@@ -23,7 +23,7 @@ from .ictree import (
     ic_plus_decompose,
     tree_to_poset,
 )
-from .knit import ARComponent, ar_sequence_end, embed_in_ZT, glue_meshes_check, knit
+from .knit import ARComponent, ar_sequence_end, embed_in_ZT, knit
 from .linalg import Field, Mat, QQ
 from .poset import Interval, Poset, chain, parse_poset
 from .rep import (

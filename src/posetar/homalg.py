@@ -34,21 +34,10 @@ Tr D and transpose_dual_tau is D Tr.
 
 from __future__ import annotations
 
-from .clamped import is_clamped
-from .errors import NotIndecomposable, PosetarError
-from .linalg import Mat, _cols, _dots, _mat, _null_rows, _rref_rows
+from .errors import PosetarError
+from .linalg import Mat, _cols, _dots, _mat, _null_rows, _quotient_rows, _rref_rows
 from .poset import Poset
-from .rep import (
-    Morphism,
-    Representation,
-    _quotient_rep,
-    _quotient_rows,
-    _rep,
-    dualize,
-    is_isomorphic,
-    restrict,
-)
-from .split import is_indecomposable
+from .rep import Morphism, Representation, _quotient_rep, _rep, dualize
 
 
 class LabeledComplex:
@@ -389,25 +378,6 @@ def transpose_dual_tau(M: Representation) -> Representation | None:
     """Independent route to tau: D Tr, the dual of the transpose."""
     TrM = _transpose(M.poset, M.field, M.dims, _rows(M))
     return None if TrM is None else dualize(TrM)[0]
-
-
-def tau_commutes_with_restriction_check(P: Poset, a: int, b: int, M: Representation) -> bool:
-    """For clamped [a,b] and M supported on [a,b): compare the translate of M
-    restricted to the interval with the interval algebra's own translate."""
-    if not is_clamped(P, a, b).clamped:
-        raise PosetarError("interval is not clamped")
-    members = P.closed_interval(a, b)
-    if not M.support() <= (members - {b}):
-        raise PosetarError("module must be supported on the half-open interval")
-    if not is_indecomposable(M):
-        raise NotIndecomposable("restriction commutation is stated for indecomposables")
-    Msub, sub, ids = restrict(M, members)
-    t_full = tau(M)
-    t_sub = tau(Msub)
-    if t_full is None or t_sub is None:
-        raise PosetarError("module must be non-projective over both algebras")
-    restricted, _, _ = restrict(t_full, members)
-    return is_isomorphic(restricted, t_sub)
 
 
 def ext(M: Representation, N: Representation, i: int) -> int:

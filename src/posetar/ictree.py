@@ -111,9 +111,6 @@ class TreeShape:
     def degree(self, v: int) -> int:
         return len(self._adj[v])
 
-    def leaves(self) -> list[int]:
-        return [v for v in range(self.n) if self.degree(v) <= 1]
-
     def distances_from(self, v: int) -> dict[int, int]:
         dist = {v: 0}
         frontier = [v]
@@ -126,15 +123,6 @@ class TreeShape:
                         nxt.append(w)
             frontier = nxt
         return dist
-
-    def canonical_marked(self) -> tuple:
-        """AHU canonical form rooted at the marked vertex."""
-
-        def go(v: int, parent: int | None) -> tuple:
-            subs = sorted(go(u, v) for u in self.neighbors(v) if u != parent)
-            return tuple(subs)
-
-        return go(self.marked, None)
 
     def without_marked(self) -> list["TreeShape"]:
         """Connected components after deleting the marked vertex."""
@@ -181,10 +169,6 @@ class TreeShape:
         return "\n".join(lines) + "\n"
 
 
-def marked_trees_isomorphic(S: TreeShape, T: TreeShape) -> bool:
-    return S.n == T.n and S.canonical_marked() == T.canonical_marked()
-
-
 class TreeClass:
     """ADE classification: family in A/D/E (Dynkin), ~D/~E (Euclidean), wild."""
 
@@ -203,10 +187,6 @@ class TreeClass:
     @property
     def is_dynkin(self) -> bool:
         return self.family in ("A", "D", "E")
-
-    @property
-    def is_euclidean(self) -> bool:
-        return self.family in ("~D", "~E")
 
     def __str__(self) -> str:
         if self.family == "wild":

@@ -33,29 +33,18 @@ from .homalg import (
     _scalar_blocks,
     tau_inverse,
 )
-from .ictree import ic_decompose
-from .linalg import Field, Mat, QQ, _cols, _dots, _reduce
+from .linalg import Field, Mat, QQ, _cols, _dots, _quotient_rows, _reduce
 from .poset import Poset
 from .rep import (
     Representation,
     _quotient_projection,
     _quotient_rep,
-    _quotient_rows,
     cone_label,
     constant_on,
-    is_isomorphic,
     linear_combination,
-    radical,
-    socle,
 )
 from .slices import SliceData
-from .split import (
-    end_basis,
-    end_radical_basis,
-    group_isomorphic,
-    is_indecomposable,
-    split_indecomposables,
-)
+from .split import end_basis, end_radical_basis, is_indecomposable, split_indecomposables
 
 
 # -- AR sequence ending at a module ------------------------------------------------
@@ -463,88 +452,3 @@ def wing_window(sl: SliceData) -> dict[int, tuple[int, int]]:
         frontier = nxt
     return window
 
-
-# -- glue meshes check -------------------------------------------------------------
-
-
-class GlueReport:
-    __slots__ = ("top_mesh_ok", "interval_results", "details")
-
-    def __init__(
-        self, top_mesh_ok: bool, interval_results: list[tuple[str, bool, bool]], details: list[str]
-    ) -> None:
-        self.top_mesh_ok = top_mesh_ok
-        self.interval_results = interval_results
-        self.details = details
-
-    @property
-    def ok(self) -> bool:
-        return self.top_mesh_ok and all(a and b for _, a, b in self.interval_results)
-
-
-def _summand_multiset(seq_middles) -> list[tuple[tuple[int, ...], int]]:
-    return sorted((tuple(rep.dims), mult) for rep, mult in seq_middles)
-
-
-def _expected_middles(parts: list[Representation]) -> list[tuple[tuple[int, ...], int]]:
-    pairs = [pair for part in parts for pair in split_indecomposables(part)]
-    return _summand_multiset(group_isomorphic(pairs))
-
-
-def glue_meshes_check(P: Poset, field: Field = QQ) -> GlueReport:
-    """Verify the boundary meshes at the largest projective and each clamp."""
-    node = ic_decompose(P)
-    mm = P.unique_min_max()
-    if node is None or mm is None or P.n < 2:
-        raise PosetarError("glue check expects an iterated-clamping poset with two ends")
-    alpha, omega = mm
-    details: list[str] = []
-
-    Pa = constant_on(P, P.up_set(alpha), field)
-    RadPa, _ = radical(Pa)
-    SocPa, soc_incl = socle(Pa)
-    PaSoc, _ = soc_incl.cokernel()
-    RadSoc, rs_incl = socle(RadPa)
-    RadPaSoc, _ = rs_incl.cokernel()
-
-    seq = ar_sequence_end(PaSoc)
-    top_ok = is_isomorphic(seq.tau_end, RadPa) and _summand_multiset(
-        seq.middles
-    ) == _expected_middles([Pa, RadPaSoc])
-    details.append(
-        "mesh ending at the largest-projective quotient: "
-        + ("ok" if top_ok else "FAIL")
-    )
-
-    interval_results = []
-    for child in node.children:
-        a, z = child.low, child.high
-        iv = P.closed_interval(a, z)
-        label = f"[{P.names[a]},{P.names[z]}]"
-        M = constant_on(P, iv, field)
-        RadM, _ = radical(M)
-        SocM, msoc_incl = socle(M)
-        MSoc, _ = msoc_incl.cokernel()
-
-        seq_end = ar_sequence_end(M)
-        want_tau = constant_on(P, frozenset(P.elements()) - {alpha, a}, field)
-        end_ok = is_isomorphic(seq_end.tau_end, want_tau) and _summand_multiset(
-            seq_end.middles
-        ) == _expected_middles([RadPa, RadM])
-
-        tinv = tau_inverse(M)
-        want_tinv = constant_on(P, frozenset(P.elements()) - {omega, z}, field)
-        start_ok = tinv is not None and is_isomorphic(tinv, want_tinv)
-        if start_ok:
-            seq_start = ar_sequence_end(tinv)
-            start_ok = is_isomorphic(seq_start.tau_end, M) and _summand_multiset(
-                seq_start.middles
-            ) == _expected_middles([PaSoc, MSoc])
-        interval_results.append((label, end_ok, start_ok))
-        details.append(
-            f"meshes at the clamp {label}: ending "
-            + ("ok" if end_ok else "FAIL")
-            + ", starting "
-            + ("ok" if start_ok else "FAIL")
-        )
-    return GlueReport(top_ok, interval_results, details)

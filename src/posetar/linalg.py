@@ -27,20 +27,21 @@ as elimination over Fraction.  Over GF(p) the same loop reduces mod p in
 place of the gcd step and finishes with the inverse of the pivot.  A matrix
 with no rows or no columns is its own echelon form.
 
-The eliminating kernels are memoized: `_rref_rows`, `_null_rows` and
-`rep._quotient_rows` (the cokernel projection), behind `Mat.rref`,
-`Mat.nullspace` and `rep._quotient_projection`, each keep one
-`functools.lru_cache` of `_MEMO_SIZE` = 128 entries, and only inputs of at
-most `_MEMO_CELLS` = 64 entries (r * c; dim * (gc + dim) for the
-projection) go through it.  The key is the content: the characteristic p as
-an int, the rows and c, plus dim for the projection; never a Mat, nor the
-Field, whose hash is a Python-level call.  A hit is sound because the
-reduced echelon form of a matrix is unique, so the stored result is the one
-a fresh elimination would compute; `Fraction(n, 1)` and `n` share a key and
-both give the canonical ints.  The memo stores tuples, which the labelled
-helpers of `rep` and `homalg` read as rows; the Mat methods wrap them, and
-nullspace hands out a fresh list.  It is process-wide, but the reuse is
-within one call: tau_inverse asks the same small questions many times.  One
+The eliminating kernels are memoized here and nowhere else: `_rref_rows`,
+`_null_rows` and `_quotient_rows` (the cokernel projection), behind
+`Mat.rref`, `Mat.nullspace` and `rep._quotient_projection`, each keep one
+`functools.lru_cache` (`_rref_memo`, `_null_basis_memo`, `_quotient_memo`)
+of `_MEMO_SIZE` = 128 entries, and only inputs of at most `_MEMO_CELLS`
+= 64 entries (r * c; dim * (gc + dim) for the projection) go through it.  The
+key is the content: the characteristic p as an int, the rows and c, plus
+dim for the projection; never a Mat, nor the Field, whose hash is a
+Python-level call.  A hit is sound because the reduced echelon form of a
+matrix is unique, so the stored result is the one a fresh elimination would
+compute; `Fraction(n, 1)` and `n` share a key and both give the canonical
+ints.  The memo stores tuples, which the labelled helpers of `rep`,
+`homalg` and `knit` read as rows; the Mat methods wrap them, and nullspace
+hands out a fresh list.  It is process-wide, but the reuse is within one
+call: tau_inverse asks the same small questions many times.  One
 family-sweep pass of the benchmark (seed 20240) asks the three 15,510
 questions on 965 distinct inputs: rref 4,274 on 462, nullspace 7,931 on 398
 and the projection 3,305 on 105; 248 of them, on 210 inputs, are above the
@@ -52,11 +53,12 @@ and raises ValueError unless it has r rows of length c; every caller not
 named below gets that check.  The kernels here (zero, identity, from_columns,
 add, sub, scale, mul, transpose, hstack, vstack, rref and solve) fix the
 shape of their result by construction, build its rows as tuples, and store
-them with `_mat`, which neither copies nor checks.  So do the sites in `rep`
-and `homalg` that wrap labelled rows whose shape they know: `direct_sum`,
-`Morphism.cokernel`, `_quotient_projection`, `_quotient_rep`,
-`_realize_layout`, `_kernel_out_of_injectives`, `realize_scalar_map`,
-`projective_presentation` and both resolutions.
+them with `_mat`, which neither copies nor checks.  So do the sites that wrap
+labelled rows whose shape they know: in `rep`, `direct_sum`,
+`Morphism.cokernel`, `_quotient_projection` and `_quotient_rep`; in
+`homalg`, `_realize_layout`, `realize_scalar_map`,
+`_kernel_out_of_injectives`, `projective_presentation`, `_resolution` and
+`min_injective_resolution`.
 """
 
 from __future__ import annotations
@@ -137,9 +139,6 @@ class Field:
     def mul(self, a, b):
         return (a * b) % self.p if self.p else _canon(a * b)
 
-    def neg(self, a):
-        return (-a) % self.p if self.p else _canon(-a)
-
     def inv(self, a):
         """The inverse of a nonzero element (ZeroDivisionError on zero)."""
         if self.p == 0:
@@ -189,10 +188,6 @@ class Mat:
     def identity(field: Field, n: int) -> "Mat":
         z, o = field.zero, field.one
         return _mat(field, tuple([tuple([o if i == j else z for j in range(n)]) for i in range(n)]), n, n)
-
-    @staticmethod
-    def from_int_rows(field: Field, rows, r: int | None = None, c: int | None = None) -> "Mat":
-        return Mat(field, [[field.of_int(v) for v in row] for row in rows], r, c)
 
     @staticmethod
     def from_columns(field: Field, cols, nrows: int) -> "Mat":
@@ -378,6 +373,27 @@ def _rref_rows(p: int, rows: tuple, c: int) -> tuple[tuple, tuple[int, ...]]:
 def _null_rows(p: int, rows: tuple, c: int) -> tuple[tuple, ...]:
     """Mat.nullspace on rows: basis vector i ends in a 1 at the i-th free column, 0 at the others."""
     return () if not c else (_null_basis_memo if len(rows) * c <= _MEMO_CELLS else _null_basis)(p, rows, c)
+
+
+def _quotient(p: int, gens: tuple, gc: int, dim: int) -> tuple[tuple, tuple[int, ...]]:
+    """The rows and pivots of the projection k^dim -> k^dim / span(gens) in
+    reduced echelon form, for the rows gens of a dim x gc matrix.
+
+    They are the reduced echelon basis of the functionals killing gens, which
+    depends only on the span of gens: the nullspace of gens transposed, reduced.
+    """
+    null = _null_basis(p, _cols(gens, gc), dim)
+    return _eliminate(p, null, dim) if null else ((), ())
+
+
+_quotient_memo = lru_cache(maxsize=_MEMO_SIZE)(_quotient)
+
+
+def _quotient_rows(p: int, gens: tuple, gc: int, dim: int) -> tuple[tuple, tuple[int, ...]]:
+    """_quotient on the rows gens of a dim x gc matrix, memoized when small."""
+    if not dim:
+        return (), ()
+    return (_quotient_memo if dim * (gc + dim) <= _MEMO_CELLS else _quotient)(p, gens, gc, dim)
 
 
 def _cols(rows: tuple, c: int) -> tuple:

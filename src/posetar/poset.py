@@ -199,21 +199,6 @@ class Poset:
         sub = Poset([self.names[x] for x in ids], rels)
         return sub, ids
 
-    def is_lattice(self) -> bool:
-        """Every two elements have a join and a meet.
-
-        The common upper bounds of x and y have a least element exactly when
-        they are some element's up-set (dually for meets).  Comparable pairs
-        always pass, so only incomparable pairs are tested.
-        """
-        ups, downs = set(self.up), set(self.down)
-        for x in range(self.n):
-            later = (1 << self.n) - (2 << x)
-            for y in _bits(later & ~(self.up[x] | self.down[x])):
-                if self.up[x] & self.up[y] not in ups or self.down[x] & self.down[y] not in downs:
-                    return False
-        return True
-
     # -- serialization -------------------------------------------------------
 
     def to_text(self) -> str:

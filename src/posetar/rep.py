@@ -8,10 +8,8 @@ images, Hom spaces, duality and (co)induction all live here.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .errors import NotConvex, PosetarError
-from .linalg import _MEMO_CELLS, _MEMO_SIZE, Field, Mat, QQ, _cols, _dots, _eliminate, _mat, _null_basis, span_basis
+from .linalg import Field, Mat, QQ, _dots, _mat, _quotient_rows, span_basis
 from .poset import Poset, _mask
 
 
@@ -169,14 +167,6 @@ class Morphism:
     def block(self, x: int) -> Mat:
         return self.blocks[x]
 
-    def assert_natural(self) -> None:
-        M, N = self.source, self.target
-        for (x, y) in M.poset.covers:
-            lhs = N.maps[(x, y)].mul(self.blocks[x])
-            rhs = self.blocks[y].mul(M.maps[(x, y)])
-            if lhs != rhs:
-                raise PosetarError(f"morphism not natural on cover {x}->{y}")
-
     def compose(self, other: "Morphism") -> "Morphism":
         """self after other."""
         return Morphism(
@@ -200,9 +190,6 @@ class Morphism:
 
     def is_injective(self) -> bool:
         return all(b.rank() == b.c for b in self.blocks)
-
-    def is_surjective(self) -> bool:
-        return all(b.rank() == b.r for b in self.blocks)
 
     def is_isomorphism(self) -> bool:
         return all(b.is_invertible() for b in self.blocks)
@@ -241,26 +228,6 @@ def _quotient_projection(field: Field, gens: Mat, dim: int) -> tuple[Mat, tuple[
     """Projection k^dim -> k^dim / span(gens) in reduced echelon form, with its pivots."""
     rows, pivots = _quotient_rows(field.p, gens.rows, gens.c, dim)
     return _mat(field, rows, len(rows), dim), pivots
-
-
-def _quotient_rows(p: int, gens: tuple, gc: int, dim: int) -> tuple[tuple, tuple[int, ...]]:
-    """_quotient_projection on the rows gens of a dim x gc matrix."""
-    if not dim:
-        return (), ()
-    return (_quotient_memo if dim * (gc + dim) <= _MEMO_CELLS else _quotient)(p, gens, gc, dim)
-
-
-def _quotient(p: int, gens: tuple, gc: int, dim: int) -> tuple[tuple, tuple[int, ...]]:
-    """The rows and pivots of _quotient_projection for the rows gens of a dim x gc matrix.
-
-    They are the reduced echelon basis of the functionals killing gens, which
-    depends only on the span of gens: the nullspace of gens transposed, reduced.
-    """
-    null = _null_basis(p, _cols(gens, gc), dim)
-    return _eliminate(p, null, dim) if null else ((), ())
-
-
-_quotient_memo = lru_cache(maxsize=_MEMO_SIZE)(_quotient)
 
 
 def _quotient_rep(P: Poset, field: Field, quots, along) -> Representation:

@@ -119,15 +119,60 @@ def _fitting_split(f: Morphism):
     return g.image()[0], g.kernel()[0]
 
 
+def _poly_mod(a: list, m: list, p: int) -> list:
+    """The remainder of a by the nonzero m over GF(p), polynomials as
+    coefficient lists, lowest degree first; the remainder has no trailing zeros."""
+    a, n, inv = [v % p for v in a], len(m) - 1, pow(m[-1], p - 2, p)
+    for i in range(len(a) - 1, n - 1, -1):
+        c = a[i] * inv % p
+        if c:
+            for j, v in enumerate(m):
+                a[i - n + j] = (a[i - n + j] - c * v) % p
+    a = a[:n]
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _poly_mulmod(a: list, b: list, m: list, p: int) -> list:
+    """a * b mod m over GF(p)."""
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, u in enumerate(a):
+        for j, v in enumerate(b):
+            prod[i + j] += u * v
+    return _poly_mod(prod, m, p)
+
+
+def _has_root(m: list, p: int) -> bool:
+    """Whether the monic m (lowest degree first) has a root in GF(p).
+
+    The roots of x^p - x are the elements of GF(p), so m has one exactly when
+    gcd(m, x^p - x) has positive degree; x^p is taken mod m by repeated
+    squaring.
+    """
+    xp, sq, e = [1], [0, 1], p
+    while e:
+        if e & 1:
+            xp = _poly_mulmod(xp, sq, m, p)
+        sq = _poly_mulmod(sq, sq, m, p)
+        e >>= 1
+    g, h = m, _poly_mod([c - (i == 1) for i, c in enumerate(xp + [0, 0])], m, p)
+    while h:
+        g, h = h, _poly_mod(g, h, p)
+    return len(g) > 1
+
+
 def _first_root(f: Morphism):
     """The first root in the field of f's minimal polynomial, or None: 0 when
     it is one, else one of least absolute value, positive first.  Over GF(p)
-    a residue counts as its representative in (-p/2, p/2), and the scan
-    stops at the first root."""
+    a residue counts as its representative in (-p/2, p/2), the scan stops at
+    the first root, and it runs only when _has_root finds that there is one."""
     field, coeffs = f.source.field, _min_poly_coeffs(f)
     if field.is_rationals:
         return next(iter(_rational_roots([Fraction(c) for c in coeffs])), None)
     p = field.p
+    if not _has_root(coeffs, p):
+        return None
     tries = (r % p for u in range(p // 2 + 1) for r in (u, -u))
     return next((r for r in tries if not sum(c * pow(r, i, p) for i, c in enumerate(coeffs)) % p), None)
 

@@ -11,7 +11,7 @@ has infinite representation type.
 from __future__ import annotations
 
 from .clamped import enumerate_clamped
-from .homalg import _layout, _resolution, _scalar_blocks, is_projective, tau_inverse
+from .homalg import _layout, _resolution, _scalar_blocks, is_projective
 from .ictree import build_tree, classify_tree, ic_plus_decompose
 from .knit import ar_sequence_end, knit
 from .linalg import Field, QQ, _rref_rows
@@ -169,21 +169,3 @@ def is_fractionally_cy(
         )
     return FCYDecision("unknown", "no decomposition witness and no mesh witness found")
 
-
-def quick_right_terminations(
-    sl, budget: int = 10
-) -> dict[int, int | None]:
-    """Steps of inverse-translate iteration until an injective, per orbit."""
-    out: dict[int, int | None] = {}
-    for v in range(sl.tree.n):
-        cur = sl.modules[v]
-        steps = 0
-        out[v] = None
-        while steps <= budget:
-            nxt = tau_inverse(cur)
-            if nxt is None:
-                out[v] = steps
-                break
-            cur = nxt
-            steps += 1
-    return out

@@ -8,7 +8,15 @@ worked examples.
 import functools
 import random
 
-from conftest import admissible_marked_trees, path_tree, random_ic_family, star_tree
+from conftest import (
+    admissible_marked_trees,
+    canonical_marked,
+    glue_meshes_check,
+    path_tree,
+    quick_right_terminations,
+    random_ic_family,
+    star_tree,
+)
 from posetar.clamped import enumerate_clamped, is_clamped
 from posetar.corpus import corpus_poset, grid2, star_poset
 from posetar.homalg import (
@@ -22,10 +30,9 @@ from posetar.ictree import (
     finite_type_criterion,
     ic_decompose,
     ic_plus_decompose,
-    marked_trees_isomorphic,
     tree_to_poset,
 )
-from posetar.knit import ar_sequence_end, embed_in_ZT, glue_meshes_check, knit, wing_window
+from posetar.knit import ar_sequence_end, embed_in_ZT, knit, wing_window
 from posetar.poset import chain
 from posetar.rep import (
     constant_on,
@@ -41,7 +48,7 @@ from posetar.rep import (
     transport,
 )
 from posetar.slices import standard_slice, verify_slice
-from posetar.witness import not_fcy_witness, quick_right_terminations
+from posetar.witness import not_fcy_witness
 
 
 def criterion(n, title):
@@ -279,7 +286,7 @@ def test_criterion_7():
     comp1 = knit(P1, max_meshes=300)
     assert comp1.status == "complete"
     cls1 = classify_tree(build_tree(ic_decompose(P1), P1))
-    assert cls1.is_euclidean and str(cls1) == "~D6"
+    assert cls1.family in ("~D", "~E") and str(cls1) == "~D6"
 
     P2 = corpus_poset("ex58-poset2")
     comp2 = knit(P2, max_meshes=40, max_total_dim=200)
@@ -326,7 +333,7 @@ def test_criterion_8():
         node = ic_plus_decompose(P)
         assert node is not None, cid
         T = build_tree(node, P)
-        assert marked_trees_isomorphic(T, expected_tree), cid
+        assert canonical_marked(T) == canonical_marked(expected_tree), cid
         if not boxed_specs:
             residual = [classify_tree(c) for c in T.without_marked()]
             assert all(c.is_dynkin for c in residual), (cid, residual)
@@ -486,6 +493,6 @@ def test_criterion_10():
         node = ic_plus_decompose(P)
         assert node is not None, (marked.edges, leaf)
         back = build_tree(node, P)
-        assert marked_trees_isomorphic(back, marked), (marked.edges, leaf)
+        assert canonical_marked(back) == canonical_marked(marked), (marked.edges, leaf)
         checked += 1
     assert checked >= 100

@@ -16,7 +16,6 @@ from posetar.ictree import (
     finite_type_criterion,
     ic_decompose,
     ic_plus_decompose,
-    marked_trees_isomorphic,
     parse_tree,
     realize_shape,
     tree_to_poset,
@@ -24,7 +23,15 @@ from posetar.ictree import (
 from posetar.poset import Poset, chain
 
 
-from conftest import admissible_marked_trees, path_tree, random_ic_family, random_ic_shape, star_tree
+from conftest import (
+    admissible_marked_trees,
+    canonical_marked,
+    is_lattice,
+    path_tree,
+    random_ic_family,
+    random_ic_shape,
+    star_tree,
+)
 
 
 def test_chain_decomposition_depth():
@@ -99,7 +106,7 @@ def test_p12_tree_is_d5_marked_on_short_arm():
     T = build_tree(ic_decompose(P), P)
     assert str(classify_tree(T)) == "D5"
     expected = star_tree(1, 1, 2, marked_arm=0)
-    assert marked_trees_isomorphic(T, expected)
+    assert canonical_marked(T) == canonical_marked(expected)
 
 
 def test_ex57_tree_shape():
@@ -107,7 +114,7 @@ def test_ex57_tree_shape():
     T = build_tree(ic_decompose(P), P)
     assert T.n == 10
     expected = path_tree(8, marked=0, pendants=(1, 5))
-    assert marked_trees_isomorphic(T, expected)
+    assert canonical_marked(T) == canonical_marked(expected)
     assert str(classify_tree(T)) == "wild"
 
 
@@ -116,7 +123,7 @@ def test_ex58_poset1_tree_euclidean():
     T = build_tree(ic_decompose(P), P)
     cls = classify_tree(T)
     assert str(cls) == "~D6"
-    assert cls.is_euclidean
+    assert cls.family in ("~D", "~E")
 
 
 def test_ex58_poset2_tree():
@@ -201,7 +208,7 @@ def test_classification_against_spectral_oracle():
         if want == "dynkin":
             assert got.is_dynkin, (T.edges, str(got))
         elif want == "euclidean":
-            assert got.is_euclidean, (T.edges, str(got))
+            assert got.family in ("~D", "~E"), (T.edges, str(got))
         else:
             assert got.family == "wild", (T.edges, str(got))
 
@@ -211,7 +218,7 @@ def test_tree_to_poset_path_gives_chain():
     P = tree_to_poset(T, 0)
     assert P.n == 5
     node = ic_plus_decompose(P)
-    assert marked_trees_isomorphic(build_tree(node, P), T)
+    assert canonical_marked(build_tree(node, P)) == canonical_marked(T)
 
 
 def test_tree_to_poset_star_gives_clamped_chains():
@@ -220,7 +227,7 @@ def test_tree_to_poset_star_gives_clamped_chains():
     P = tree_to_poset(T, T.marked)
     node = ic_plus_decompose(P)
     assert node is not None
-    assert marked_trees_isomorphic(build_tree(node, P), T)
+    assert canonical_marked(build_tree(node, P)) == canonical_marked(T)
 
 
 def test_tree_to_poset_ex57_roundtrip():
@@ -228,7 +235,7 @@ def test_tree_to_poset_ex57_roundtrip():
     P = tree_to_poset(T, 0)
     assert P.n == 10
     node = ic_plus_decompose(P)
-    assert marked_trees_isomorphic(build_tree(node, P), T)
+    assert canonical_marked(build_tree(node, P)) == canonical_marked(T)
 
 
 # sha256 over tree_to_poset(T, leaf).to_text() for the 122 admissible marked
@@ -303,7 +310,7 @@ def test_parse_tree_roundtrip():
 
 def test_lattice_property_of_realized_shapes():
     P = realize_shape(("clamp", [("point",), ("clamp", [("point",)])]))
-    assert P.is_lattice()
+    assert is_lattice(P)
     assert ic_decompose(P) is not None
 
 

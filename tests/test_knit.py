@@ -4,6 +4,7 @@ import json
 import random
 
 import pytest
+from conftest import glue_meshes_check
 
 from posetar.corpus import corpus_ids, corpus_poset, star_poset
 from posetar.errors import IsProjective, MeshMismatch, NotIndecomposable, PosetarError, SplitFailure
@@ -14,11 +15,10 @@ from posetar.knit import (
     ARSequence,
     ar_sequence_end,
     embed_in_ZT,
-    glue_meshes_check,
     knit,
     wing_window,
 )
-from posetar import linalg, rep as rep_module
+from posetar import linalg
 from posetar.linalg import QQ, Field, Mat
 from posetar.poset import Poset, chain
 from posetar.rep import (
@@ -276,7 +276,7 @@ def test_knit_does_not_depend_on_the_memo_state(field):
     right after itself give the same JSON, bases included."""
     linalg._rref_memo.cache_clear()
     linalg._null_basis_memo.cache_clear()
-    rep_module._quotient_memo.cache_clear()
+    linalg._quotient_memo.cache_clear()
     cold = _knit_blob("ex57", field)
     if field == QQ:
         assert hashlib.sha256(cold.encode()).hexdigest() == KNIT_DIGESTS["ex57"]

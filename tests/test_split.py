@@ -1,4 +1,5 @@
 import ast
+import itertools
 import os
 import random
 import subprocess
@@ -27,6 +28,7 @@ from posetar.rep import (
 )
 from posetar.split import (
     _canonical_order,
+    _has_root,
     _rational_roots,
     end_basis,
     is_indecomposable,
@@ -160,10 +162,11 @@ def test_rational_roots_of_rootless_products_are_empty():
         assert _rational_roots(coeffs) == []
 
 
-def _four_subspace_module():
-    """M_J: four minimal elements below one maximum w, V = Q^2 + Q^2 at w and
-    the subspaces Q^2 + 0, 0 + Q^2, graph(I) and graph(J) with J^2 = -1.
-    Its endomorphisms are diag(A, A) with A in Q[J], so End(M_J) = Q(i)."""
+def _four_subspace_module(field=QQ):
+    """M_J: four minimal elements below one maximum w, V = k^2 + k^2 at w and
+    the subspaces k^2 + 0, 0 + k^2, graph(I) and graph(J) with J^2 = -1.
+    Its endomorphisms are diag(A, A) with A in k[J], so End(M_J) = Q(i) over
+    Q, and GF(p^2) over GF(p) for p = 3 mod 4."""
     P = Poset(["m1", "m2", "m3", "m4", "w"], [(i, 4) for i in range(4)], name="four-subspace")
     spans = [
         [[1, 0], [0, 1], [0, 0], [0, 0]],
@@ -171,8 +174,8 @@ def _four_subspace_module():
         [[1, 0], [0, 1], [1, 0], [0, 1]],
         [[1, 0], [0, 1], [0, -1], [1, 0]],
     ]
-    maps = {(i, 4): Mat.from_int_rows(QQ, rows) for i, rows in enumerate(spans)}
-    return P, Representation(P, QQ, [2, 2, 2, 2, 4], maps)
+    maps = {(i, 4): Mat(field, [[field.of_int(v) for v in row] for row in rows]) for i, rows in enumerate(spans)}
+    return P, Representation(P, field, [2, 2, 2, 2, 4], maps)
 
 
 def test_end_a_larger_field_than_q_raises():
@@ -180,6 +183,24 @@ def test_end_a_larger_field_than_q_raises():
     assert len(end_basis(M)) == 2
     with pytest.raises(SplitFailure):
         is_indecomposable(M)
+
+
+def test_rootless_end_over_a_large_prime_field_raises():
+    """End(M_J) = GF(p^2) over GF(1,000,003): no element has a root in the
+    field, which the gcd with x^p - x tells without scanning the residues."""
+    _, M = _four_subspace_module(Field(1_000_003))
+    assert len(end_basis(M)) == 2
+    with pytest.raises(SplitFailure):
+        split_once(M)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_has_root_agrees_with_brute_force(p):
+    for deg in range(4):
+        for low in itertools.product(range(p), repeat=deg):
+            m = [*low, 1]
+            brute = any(sum(c * r**i for i, c in enumerate(m)) % p == 0 for r in range(p))
+            assert _has_root(m, p) == brute, m
 
 
 def test_split_once_splits_off_a_simple_beside_a_rootless_summand():

@@ -1,4 +1,5 @@
 import pytest
+from conftest import quick_right_terminations
 
 from posetar.clamped import enumerate_clamped
 from posetar.corpus import corpus_poset, grid2, star_poset
@@ -11,7 +12,6 @@ from posetar.witness import (
     derived_translate_is_module,
     is_fractionally_cy,
     not_fcy_witness,
-    quick_right_terminations,
 )
 
 
