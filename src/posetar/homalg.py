@@ -35,9 +35,9 @@ Tr D and transpose_dual_tau is D Tr.
 from __future__ import annotations
 
 from .errors import PosetarError
-from .linalg import Mat, _cols, _dots, _mat, _null_rows, _quotient_rows, _rref_rows
+from .linalg import Mat, _cols, _dots, _mat, _null_from_echelon, _null_rows, _quotient_rows, _rref_rows
 from .poset import Poset
-from .rep import Morphism, Representation, _quotient_rep, _rep, dualize
+from .rep import Morphism, Representation, _factor_rows, _rep, dualize
 
 
 class LabeledComplex:
@@ -151,17 +151,23 @@ def _cokernel_into_projectives(P: Poset, field, src, dst, d) -> Representation:
     """Cokernel of the scalar rows d from the labeled sum of P(src) to that of P(dst).
 
     On a cover x -> y the sum sends summand j at x to summand j at y, so the
-    echelon projection q_y after it is q_y read at the summands of x.
+    echelon projection q_y after it is q_y read at the positions in lay[y]
+    of the summands of x, which _factor_rows reads at the pivots of q_x.
     """
+    p = field.p
     slay, lay = _layout(P, "proj", src), _layout(P, "proj", dst)
     blocks = _scalar_blocks(P, src, dst, slay, lay, d)
-    quots = [_quotient_rows(field.p, b, len(sj), len(js)) for b, sj, js in zip(blocks, slay, lay)]
-
-    def along(x, y, q_y):
-        at = [lay[y].index(j) for j in lay[x]]
-        return tuple([tuple([row[k] for k in at]) for row in q_y])
-
-    return _quotient_rep(P, field, quots, along)
+    quots = [_quotient_rows(p, b, len(sj), len(js)) if js else ((), ()) for b, sj, js in zip(blocks, slay, lay)]
+    pos = [{j: k for k, j in enumerate(js)} if q else None for js, (q, _) in zip(lay, quots)]
+    maps = {}
+    for (x, y) in P.covers:
+        q_x, pivots = quots[x]
+        q_y = quots[y][0]
+        if q_y:
+            at = [pos[y][j] for j in lay[x]]
+            q_y = _factor_rows(field, q_x, pivots, tuple([tuple([row[k] for k in at]) for row in q_y]))
+        maps[(x, y)] = _mat(field, q_y, len(q_y), len(q_x))
+    return _rep(P, field, [len(q) for q, _ in quots], maps)
 
 
 def _kernel_out_of_injectives(P: Poset, field, src, dst, d) -> Representation:
@@ -176,11 +182,12 @@ def _kernel_out_of_injectives(P: Poset, field, src, dst, d) -> Representation:
     blocks = _scalar_blocks(P, src, dst, lay, _layout(P, "inj", dst), d)
     null = [_null_rows(field.p, b, len(js)) for b, js in zip(blocks, lay)]
     free = [[lay[w][max(i for i, a in enumerate(v) if a)] for v in vs] for w, vs in enumerate(null)]
+    pos = [{j: k for k, j in enumerate(js)} if vs else None for js, vs in zip(lay, null)]
     maps = {}
     for (x, y) in P.covers:
-        at = [lay[x].index(j) for j in free[y]]
-        rows = tuple([tuple([v[k] for v in null[x]]) for k in at])
-        maps[(x, y)] = _mat(field, rows, len(at), len(null[x]))
+        vs = null[x]
+        rows = tuple([tuple([v[pos[x][j]] for v in vs]) for j in free[y]]) if vs else ((),) * len(free[y])
+        maps[(x, y)] = _mat(field, rows, len(rows), len(vs))
     return _rep(P, field, [len(vs) for vs in null], maps)
 
 
@@ -220,8 +227,9 @@ def _resolve(P: Poset, field, dims, maps, max_length: int | None = None):
     Nothing is realized.  Each step covers a submodule given by a basis at
     every element, and _generators picks its generators.  The first step
     covers the module, with the unit vectors as its basis and the cover maps
-    into y spanning its radical at y; _blocks_from_generators walks the
-    generators up the covers.  Every later step covers the syzygy in the
+    into y from the elements where the module is nonzero spanning its
+    radical at y; _blocks_from_generators walks the generators up the covers
+    between nonzero spaces.  Every later step covers the syzygy in the
     labeled coordinates of the previous term T, whose basis at w lists the
     summands nonzero there in label order.  With d(w) the block at w of the
     last scalar matrix, the syzygy basis at w is nullspace(d(w)), carried by
@@ -234,34 +242,37 @@ def _resolve(P: Poset, field, dims, maps, max_length: int | None = None):
 
     A truncated resolution stops at its last scalar matrix.
     """
-    p, z, o = field.p, field.zero, field.one
-    units = [[(z,) * i + (o,) + (z,) * (d - i - 1) for i in range(d)] for d in dims]
-
-    def top(y):  # [the cover maps into y | I], read by rows
-        ins = [maps[(x, y)] for x in P.covers_below(y)]
-        return tuple([sum(t, ()) for t in zip(*ins, units[y])]), sum([len(m[0]) for m in ins])
-
-    gens = _generators(P, p, units, top)
-    cover = _blocks_from_generators(P, field, gens, maps)
-    blocks = [(_cols(c, d), len(c)) for c, d in zip(cover, dims)]
+    p, z = field.p, field.zero
+    gens, lay, cover, syz = _cover(P, field, dims, maps)
     labels = tuple(x for x, _ in gens)
     labels_list, mats, step = [labels], [], 0
-    lay = _layout(P, "proj", labels)
     while step != max_length:
-        syz = [_null_rows(p, b, c) for b, c in blocks]
         if not any(syz):
             break
         if step == P.n + 1:
             raise PosetarError("resolution exceeded the global-dimension safety bound")
-        pos = [{j: k for k, j in enumerate(js)} if s else None for js, s in zip(lay, syz)]
 
-        def radical(y):
-            rad = [tuple([v[pos[x][j]] if j in pos[x] else z for j in lay[y]])
-                   for x in P.covers_below(y) for v in syz[x]]
+        def radical(y):  # lay[x] is part of lay[y] on a cover x -> y
+            pos, n, rad = {j: k for k, j in enumerate(lay[y])}, len(lay[y]), []
+            for x in P.covers_below(y):
+                if not syz[x]:
+                    continue
+                at = [pos[j] for j in lay[x]]
+                for v in syz[x]:
+                    row = [z] * n
+                    for k, a in zip(at, v):
+                        row[k] = a
+                    rad.append(row)
             return tuple(zip(*rad, *syz[y])), len(rad)
 
         gens = _generators(P, p, syz, radical)
-        d = tuple([tuple([v[pos[x][k]] if k in pos[x] else z for x, v in gens]) for k in range(len(labels))])
+        cols = []
+        for x, v in gens:
+            col = [z] * len(labels)
+            for j, a in zip(lay[x], v):
+                col[j] = a
+            cols.append(col)
+        d = tuple(zip(*cols))
         mats.append(d)
         labels = tuple(x for x, _ in gens)
         labels_list.append(labels)
@@ -269,10 +280,88 @@ def _resolve(P: Poset, field, dims, maps, max_length: int | None = None):
         if step == max_length:
             break
         new = _layout(P, "proj", labels)
-        blocks = list(zip(_scalar_blocks(P, labels, labels_list[-2], new, lay, d), map(len, new)))
+        syz = [_null_rows(p, b, len(js)) for b, js in zip(_scalar_blocks(P, labels, labels_list[-2], new, lay, d), new)]
         lay = new
     _assert_min_resolution(labels_list, mats)
     return tuple(labels_list), mats, cover
+
+
+def _unit_rows(n: int) -> tuple:
+    """The rows of the n x n identity, the unit vectors of k^n."""
+    return tuple([(0,) * i + (1,) + (0,) * (n - i - 1) for i in range(n)])
+
+
+def _cover(P: Poset, field, dims, maps):
+    """The projective cover of the module with dimensions dims and cover map
+    rows maps, and its kernel: the generators (x_j, v_j) in linear-extension
+    order, the layout of their labels, the columns at each w of the cover's
+    block (generator j's value at w, for the j in the layout at w), and a
+    basis of the nullspace of that block.
+
+    One walk up the linear extension.  At w, the generators found below w
+    reach w through the covers between nonzero spaces (_carry); their values
+    C span the radical of the module at w.  The unit vectors at the pivots
+    of [C | I] past C lift a basis of the top at w and are its generators.
+    The reduced echelon form of the block [C | those unit vectors] is that
+    of [C | I] read at its columns, which hold every pivot, so the kernel
+    needs no second elimination.  Where the module is 0 the kernel is all of
+    the cover there.
+    """
+    p, cones = field.p, P.up
+    gens: list[tuple[int, tuple]] = []
+    lay: list[list[int]] = [[] for _ in dims]
+    at: list[dict[int, tuple]] = [{} for _ in dims]  # at[w][j]: generator j at w
+    cover, syz = [None] * len(dims), [None] * len(dims)
+    for w in P.linear_extension():
+        d, js = dims[w], lay[w]
+        if not d:
+            cover[w], syz[w] = [()] * len(js), _unit_rows(len(js)) if js else ()
+            continue
+        col = _carry(P, field, dims, maps, at, w)
+        zero, units = (0,) * d, _unit_rows(d)
+        C = [col.get(j) or zero for j in js]
+        c = len(C)
+        R, pivots = _rref_rows(p, tuple([r + e for r, e in zip(_cols(C, d), units)]), c + d) if c else (units, range(d))
+        new = [q - c for q in pivots if q >= c]
+        for q in new:
+            j = len(gens)
+            gens.append((w, units[q]))
+            col[j] = units[q]
+            m = cones[w]
+            while m:
+                low = m & -m
+                lay[low.bit_length() - 1].append(j)
+                m ^= low
+        if not new:
+            cover[w], syz[w] = C, _null_from_echelon(p, [row[:c] for row in R], pivots, c)
+            continue
+        cover[w] = C + [units[q] for q in new]
+        if c:
+            sel = list(range(c)) + [c + q for q in new]
+            at_sel = {q: i for i, q in enumerate(sel)}
+            syz[w] = _null_from_echelon(p, [tuple([row[q] for q in sel]) for row in R],
+                                        [at_sel[q] for q in pivots], len(sel))
+        else:
+            syz[w] = ()
+    return gens, lay, cover, syz
+
+
+def _carry(P: Poset, field, dims, maps, at, w) -> dict:
+    """at[w] with the generators in at[y], for every cover y -> w between
+    nonzero spaces, carried to w.
+
+    Each value reaches w from the first such cover y below w that holds it,
+    times the map on y -> w.  A generator that reaches w only through a zero
+    space is 0 there, as every path from its label to w composes to the
+    same map."""
+    col = at[w]
+    for y in P.covers_below(w):
+        if dims[y]:
+            m = maps[(y, w)]
+            for j, u in at[y].items():
+                if j not in col:
+                    col[j] = _dots(u, m, field)
+    return col
 
 
 def _generators(P: Poset, p: int, basis, radical) -> list[tuple[int, tuple]]:
@@ -294,24 +383,18 @@ def _generators(P: Poset, p: int, basis, radical) -> list[tuple[int, tuple]]:
     return gens
 
 
-def _blocks_from_generators(P: Poset, field, gens, maps) -> list[list[tuple]]:
+def _blocks_from_generators(P: Poset, field, gens, maps, dims, lay) -> list[list[tuple]]:
     """The columns at each w of the map sending summand j of the labeled sum
-    of P(x_j) to generator j = (x_j, v_j) of the module with cover map rows
-    maps: the generators with x_j <= w in order, the labeled basis there.
-
-    Each value is walked up the covers once: it reaches w from the first
-    cover y below w that holds it, times the map on y -> w.
-    """
-    at: list[dict[int, tuple]] = [{} for _ in P.elements()]  # at[w][j]: generator j at w
+    of P(x_j) to generator j = (x_j, v_j) of the module with dimensions dims
+    and cover map rows maps: the generators in lay[w], the layout of the sum,
+    carried up the covers between nonzero spaces (_carry)."""
+    at: list[dict[int, tuple]] = [{} for _ in dims]
     for j, (x, v) in enumerate(gens):
         at[x][j] = v
     for w in P.linear_extension():
-        col = at[w]
-        for y in P.covers_below(w):
-            for j, u in at[y].items():
-                if j not in col:
-                    col[j] = _dots(u, maps[(y, w)], field)
-    return [[col[j] for j in sorted(col)] for col in at]
+        if dims[w]:
+            _carry(P, field, dims, maps, at, w)
+    return [[col.get(j) or (0,) * d for j in js] for col, js, d in zip(at, lay, dims)]
 
 
 def _assert_min_resolution(labels, mats) -> None:
@@ -390,7 +473,18 @@ def ext(M: Representation, N: Representation, i: int) -> int:
 
 def ext_all(M: Representation, N: Representation) -> list[int]:
     C, _ = _resolution(M)
-    return [_ext_from_resolution(C, N, i) for i in range(C.length() + 1)]
+    return _ext_dims(C, N)
+
+
+def _ext_dims(C: LabeledComplex, N: Representation) -> list[int]:
+    """dim Ext^i(M, N) for i = 0, ..., C.length(), from the projective
+    resolution C of M, with each map of Hom(C, N) ranked once: Ext^i is the
+    dimension of Hom(term(i), N) less the ranks of the maps out of and into
+    it.  Ext^0 is Hom(M, N), as Hom(-, N) is left exact."""
+    dims = [_hom_space_dim(N, lab) for lab in C.labels]
+    ranks = [_hom_complex_map(C, N, i).rank() if dims[i] and dims[i + 1] else 0
+             for i in range(C.length())] + [0]
+    return [d - ranks[i] - (ranks[i - 1] if i else 0) for i, d in enumerate(dims)]
 
 
 def _hom_space_dim(N: Representation, labels) -> int:
@@ -411,14 +505,15 @@ def _hom_complex_map(C: LabeledComplex, N: Representation, i: int) -> Mat:
         coff = 0
         for k, y in enumerate(src_labels):
             c = scalar.rows[k][j]
-            if c:
+            if c and N.dims[x] and N.dims[y]:
                 # block (j, k) is c * path_map(y, x), y <= x by scalar legality;
                 # no other pair of labels writes there
-                for a, row in enumerate(N.path_map(y, x).scale(c).rows):
+                m = N.path_map(y, x)
+                for a, row in enumerate(m.rows if c == 1 else m.scale(c).rows):
                     data[roff + a][coff: coff + N.dims[y]] = row
             coff += N.dims[y]
         roff += N.dims[x]
-    return Mat(field, data, rows_dim, cols_dim)
+    return _mat(field, tuple(map(tuple, data)), rows_dim, cols_dim)
 
 
 def _ext_from_resolution(C: LabeledComplex, N: Representation, i: int) -> int:

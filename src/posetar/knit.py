@@ -33,12 +33,13 @@ from .homalg import (
     _scalar_blocks,
     tau_inverse,
 )
-from .linalg import Field, Mat, QQ, _cols, _dots, _quotient_rows, _reduce
+from .linalg import Field, Mat, QQ, _cols, _dots, _mat, _quotient_rows, _reduce
 from .poset import Poset
 from .rep import (
     Representation,
+    _factor_rows,
     _quotient_projection,
-    _quotient_rep,
+    _rep,
     cone_label,
     constant_on,
     linear_combination,
@@ -136,18 +137,24 @@ def ar_sequence_end(M: Representation, rng=None, check_indecomposable: bool = Tr
     # cover x -> y the sum's structure map is tM's beside the 0/1 one of P0.
     lay1, lay0 = _layout(P, "proj", L1), _layout(P, "proj", L0)
     gens = [(y, f[offs[j]: offs[j + 1]]) for j, y in enumerate(L1)]
-    f_cols = _blocks_from_generators(P, field, gens, _rows(tM))
+    f_cols = _blocks_from_generators(P, field, gens, _rows(tM), tM.dims, lay1)
     d_rows = _scalar_blocks(P, L1, L0, lay1, lay0, _reduce(field.p, [[-v for v in row] for row in d]))
     quots = [_quotient_rows(field.p, _cols(fc, t) + dr, len(js), t + len(dr))
              for fc, dr, js, t in zip(f_cols, d_rows, lay1, tM.dims)]
-
-    def along(x, y, q_y):
-        t, m = tM.dims[y], tM.maps[(x, y)]
-        cols = _cols(m.rows, m.c)
-        at = [t + lay0[y].index(j) for j in lay0[x]]
-        return tuple([_dots(row[:t], cols, field) + tuple([row[k] for k in at]) for row in q_y])
-
-    E = _quotient_rep(P, field, quots, along)
+    pos = [{j: t + k for k, j in enumerate(js)} for js, t in zip(lay0, tM.dims)]
+    maps = {}
+    for (x, y) in P.covers:
+        q_x, pivots = quots[x]
+        q_y = quots[y][0]
+        if q_y:
+            t, m = tM.dims[y], tM.maps[(x, y)]
+            cols = _cols(m.rows, m.c)
+            at = [pos[y][j] for j in lay0[x]]
+            q_y = _factor_rows(field, q_x, pivots, tuple([
+                _dots(row[:t], cols, field) + tuple([row[k] for k in at]) for row in q_y
+            ]))
+        maps[(x, y)] = _mat(field, q_y, len(q_y), len(q_x))
+    E = _rep(P, field, [len(q) for q, _ in quots], maps)
     middles = split_indecomposables(E)
     seq = ARSequence(tM, middles, M)
     if seq.middle_dims() != tuple(
@@ -331,18 +338,17 @@ def knit(
                 pv = add_vertex(constant_on(P, P.up_set(x), field), [u])
                 attached.add(x)
                 outs.append(pv)
-        predicted_total = sum(vertices[o].rep.total_dim() for o in outs) - urep.total_dim()
-        if predicted_total > max_total_dim:
+        predicted = [-v for v in urep.dims]
+        for o in outs:
+            predicted = [a + b for a, b in zip(predicted, vertices[o].rep.dims)]
+        predicted = tuple(predicted)
+        if sum(predicted) > max_total_dim:
             notes.append("stopped before a mesh exceeding the dimension cap")
             break
         tv = tau_inverse(urep)
         if tv is None:
             raise MeshMismatch("non-injective vertex has no inverse translate")
-        predicted = tuple(
-            sum(vertices[o].rep.dims[x] for o in outs) - urep.dims[x]
-            for x in P.elements()
-        )
-        if tuple(tv.dims) != predicted:
+        if tv.dims != predicted:
             raise MeshMismatch(
                 f"knitted dims {predicted} disagree with the inverse translate {tuple(tv.dims)}"
             )

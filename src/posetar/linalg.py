@@ -344,7 +344,12 @@ def _eliminate(p: int, rows: tuple, c: int) -> tuple[tuple, tuple[int, ...]]:
 
 def _null_basis(p: int, rows: tuple, c: int) -> tuple[tuple, ...]:
     """Basis of the right kernel of an r x c matrix, one free column at a time."""
-    R, pivots = _eliminate(p, rows, c)
+    return _null_from_echelon(p, *_eliminate(p, rows, c), c)
+
+
+def _null_from_echelon(p: int, R, pivots, c: int) -> tuple[tuple, ...]:
+    """The kernel basis of _null_basis, read off the reduced echelon rows R
+    of an r x c matrix and their pivots."""
     pivset = set(pivots)
     basis = []
     for j in range(c):

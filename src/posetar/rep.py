@@ -88,32 +88,19 @@ class Representation:
         scalars c fixed along a spanning forest of the covers inside Q must
         give m(x, y) = c_y / c_x on every cover.
         """
-        if any(d > 1 for d in self.dims):
+        forest = _thin_forest(self)
+        if forest is None:
             return False
-        sup = self.support()
-        if not self.poset.is_convex(sup):
+        scal, c, _ = forest
+        if not all(scal.values()) or not self.poset.is_convex(c):
             return False
-        F = self.field
-        scal = {(x, y): self.maps[(x, y)].rows[0][0] for (x, y) in self.poset.covers if x in sup and y in sup}
-        if F.zero in scal.values():
-            return False
-        adj: dict[int, list] = {x: [] for x in sup}
+        p = self.field.p
         for (x, y), m in scal.items():
-            adj[x].append((y, m))
-            adj[y].append((x, F.inv(m)))
-        c = {}
-        for root in sup:
-            if root in c:
-                continue
-            c[root] = F.one
-            stack = [root]
-            while stack:
-                x = stack.pop()
-                for y, m in adj[x]:
-                    if y not in c:
-                        c[y] = F.mul(m, c[x])
-                        stack.append(y)
-        return all(F.mul(m, c[x]) == c[y] for (x, y), m in scal.items())
+            (a, b), (u, v) = c[x], c[y]
+            e = u * b - m * a * v  # c_y - m c_x, times the denominators b v
+            if e % p if p else e:
+                return False
+        return True
 
     def __repr__(self) -> str:
         return f"module{list(self.dims)}"
@@ -144,6 +131,40 @@ class Representation:
             r, c = dims[y], dims[x]
             maps[(x, y)] = Mat(field, [flat[i * c:(i + 1) * c] for i in range(r)], r, c)
         return Representation(P, field, dims, maps)
+
+
+def _thin_forest(M: Representation):
+    """None unless M is thin (every dimension at most 1).  Else the scalar of
+    its cover map on each cover inside its support, c on the support with
+    c_y = m(x, y) c_x along a spanning forest of the covers with a nonzero
+    scalar, each c_x as a pair (numerator, denominator) so that no scalar is
+    inverted, and the number of trees of that forest."""
+    dims = M.dims
+    if max(dims, default=0) > 1:
+        return None
+    p = M.field.p
+    scal = {(x, y): m.rows[0][0] for (x, y), m in M.maps.items() if dims[x] and dims[y]}
+    adj: dict[int, list] = {x: [] for x in M.poset.elements() if dims[x]}
+    for (x, y), m in scal.items():
+        if m:
+            adj[x].append((y, m, 1))
+            adj[y].append((x, 1, m))
+    c: dict[int, tuple] = {}
+    trees = 0
+    for root in adj:
+        if root in c:
+            continue
+        trees += 1
+        c[root] = (1, 1)
+        stack = [root]
+        while stack:
+            x = stack.pop()
+            a, b = c[x]
+            for y, num, den in adj[x]:
+                if y not in c:
+                    c[y] = (a * num % p, b * den % p) if p else (a * num, b * den)
+                    stack.append(y)
+    return scal, c, trees
 
 
 def _rep(poset: Poset, field: Field, dims, maps: dict) -> Representation:
@@ -234,25 +255,31 @@ def _quotient_rep(P: Poset, field: Field, quots, along) -> Representation:
     """The quotient with the echelon projections quots[x] = (rows of q_x, pivots).
 
     along(x, y, q_y) gives the rows of q_y after the structure map on the
-    cover x -> y.  q_x is in reduced echelon form, so the induced map A with
-    A q_x = along(x, y, q_y) is the right side read at the pivots of q_x,
-    where the two agree, and the factorization is checked at the others."""
+    cover x -> y, and _factor_rows the induced map."""
     maps = {}
     for (x, y) in P.covers:
         q_x, pivots = quots[x]
         q_y = quots[y][0]
-        if not q_y:
-            maps[(x, y)] = _mat(field, (), 0, len(q_x))
-            continue
-        A = m = along(x, y, q_y)
-        if len(pivots) < len(m[0]):  # else q_x is the identity and A is m
-            A = tuple([tuple([row[c] for c in pivots]) for row in m])
-            free = [c for c in range(len(m[0])) if c not in pivots]
-            cols = [tuple([row[c] for row in q_x]) for c in free]
-            if any(_dots(a, cols, field) != tuple([row[c] for c in free]) for a, row in zip(A, m)):
-                raise PosetarError("map does not factor through quotient")
-        maps[(x, y)] = _mat(field, A, len(q_y), len(q_x))
+        if q_y:
+            q_y = _factor_rows(field, q_x, pivots, along(x, y, q_y))
+        maps[(x, y)] = _mat(field, q_y, len(q_y), len(q_x))
     return _rep(P, field, [len(q) for q, _ in quots], maps)
+
+
+def _factor_rows(field: Field, q_x, pivots, m) -> tuple:
+    """The rows of the A with A q_x = m, for q_x in reduced echelon form with
+    the given pivots and nonempty rows m that vanish on the kernel of q_x.
+
+    A is m read at the pivots of q_x, where the two agree, and the
+    factorization is checked at the other columns."""
+    if len(pivots) == len(m[0]):  # q_x is the identity and A is m
+        return m
+    A = tuple([tuple([row[c] for c in pivots]) for row in m])
+    free = [c for c in range(len(m[0])) if c not in pivots]
+    cols = [tuple([row[c] for row in q_x]) for c in free]
+    if any(_dots(a, cols, field) != tuple([row[c] for c in free]) for a, row in zip(A, m)):
+        raise PosetarError("map does not factor through quotient")
+    return A
 
 
 def _subrep_from_bases(M: Representation, bases: list[Mat]):

@@ -17,10 +17,12 @@ from collections import Counter
 from fractions import Fraction
 
 from .errors import SplitFailure
-from .linalg import Mat
+from .linalg import Mat, _canon, _cols, _dots, _mat, _null_rows, _rref_rows
 from .rep import (
     Morphism,
     Representation,
+    _rep,
+    _thin_forest,
     hom,
     hom_dim,
     is_isomorphic,
@@ -31,10 +33,6 @@ from .rep import (
 
 def end_basis(M: Representation) -> list[Morphism]:
     return hom(M, M)
-
-
-def _identity_endo(M: Representation) -> Morphism:
-    return Morphism(M, M, [Mat.identity(M.field, d) for d in M.dims])
 
 
 def end_radical_basis(M: Representation, basis: list[Morphism]) -> list[tuple]:
@@ -60,16 +58,37 @@ def is_indecomposable(M: Representation) -> bool:
     return not M.is_zero() and split_once(M) is None
 
 
-def _min_poly_coeffs(f: Morphism):
-    """Minimal polynomial of f, low degree first and monic: the first linear
-    dependency among the flattened powers 1, f, f^2, ... of f."""
-    field = f.source.field
-    cur = _identity_endo(f.source)
-    powers = [cur.flat()]
+def _thin_indecomposable(M: Representation) -> bool:
+    """Whether M is thin (every dimension at most 1) and the covers with a
+    nonzero scalar connect its nonempty support.
+
+    Then End M = k over every field: an endomorphism f is a scalar f_x at
+    each x of the support, and a cover x -> y with scalar m != 0 gives
+    m f_x = f_y m, so f_x = f_y along every such cover."""
+    forest = _thin_forest(M)
+    return forest is not None and forest[2] == 1
+
+
+def _compose(field, f, g) -> list[tuple]:
+    """The blocks, as rows, of f after g, for endomorphisms given by the rows
+    of their blocks."""
+    out = []
+    for a, b in zip(f, g):
+        cols = _cols(b, len(b))
+        out.append(tuple([_dots(row, cols, field) for row in a]))
+    return out
+
+
+def _min_poly_coeffs(field, f, dims):
+    """Minimal polynomial of the endomorphism with block rows f, low degree
+    first and monic: the first linear dependency among the flattened powers
+    1, f, f^2, ... of f."""
+    cur = [tuple([(0,) * i + (1,) + (0,) * (d - i - 1) for i in range(d)]) for d in dims]
+    powers = [tuple([v for b in cur for row in b for v in row])]
     while True:
-        cur = f.compose(cur)
-        powers.append(cur.flat())
-        null = Mat.from_columns(field, powers, len(powers[0])).nullspace()
+        cur = _compose(field, f, cur)
+        powers.append(tuple([v for b in cur for row in b for v in row]))
+        null = _null_rows(field.p, tuple(zip(*powers)), len(powers))
         if null:
             dep = null[0]  # one dimensional, as the lower powers are independent
             inv = field.inv(dep[-1])
@@ -102,21 +121,42 @@ def _rational_roots(p):
     return roots
 
 
-def _fitting_split(f: Morphism):
+def _fitting_split(M: Representation, f):
     """The pair (im f^N, ker f^N) for N >= dim M(x) at every x, or None
-    when f is invertible or nilpotent.
+    when the endomorphism with block rows f is invertible or nilpotent.
 
     By Fitting's lemma, applied at each x, M = im f^N + ker f^N, and both
     summands are nonzero exactly when f is neither invertible nor nilpotent.
+
+    With R_x the reduced echelon rows of g = f^N at x, im g has the columns
+    of g_x at the pivots of R_x as its basis there.  As g_y = B_y R_y for
+    that basis B_y and M(x, y) g_x = g_y M(x, y), the image's map on a cover
+    x -> y is R_y times M(x, y) read at the pivot columns of x.  ker g has
+    the nullspace of g_x as its basis, so a kernel vector's coordinates are
+    its entries at the free columns, and the kernel's map reads M(x, y) v
+    there for each basis vector v at x.
     """
-    M = f.source
+    P, field, p, dims = M.poset, M.field, M.field.p, M.dims
     g = f
-    for _ in range(max(M.dims).bit_length()):
-        g = g.compose(g)
-    ranks = tuple(b.rank() for b in g.blocks)
-    if ranks == M.dims or not any(ranks):
+    for _ in range(max(dims).bit_length()):
+        g = _compose(field, g, g)
+    echelons = [_rref_rows(p, b, d) for b, d in zip(g, dims)]
+    ranks = tuple(len(piv) for _, piv in echelons)
+    if ranks == dims or not any(ranks):
         return None
-    return g.image()[0], g.kernel()[0]
+    null = [_null_rows(p, b, d) for b, d in zip(g, dims)]
+    free = [[c for c in range(d) if c not in piv] for (_, piv), d in zip(echelons, dims)]
+    im_maps, ker_maps = {}, {}
+    for (x, y), m in M.maps.items():
+        (_, piv_x), (R_y, piv_y) = echelons[x], echelons[y]
+        at_piv = [tuple([row[c] for c in piv_x]) for row in m.rows]
+        cols = _cols(at_piv, len(piv_x))
+        im_maps[(x, y)] = _mat(field, tuple([_dots(row, cols, field) for row in R_y[:len(piv_y)]]),
+                               len(piv_y), len(piv_x))
+        images = [_dots(v, m.rows, field) for v in null[x]]
+        ker_maps[(x, y)] = _mat(field, tuple([tuple([u[c] for u in images]) for c in free[y]]),
+                                len(free[y]), len(null[x]))
+    return _rep(P, field, ranks, im_maps), _rep(P, field, [len(vs) for vs in null], ker_maps)
 
 
 def _poly_mod(a: list, m: list, p: int) -> list:
@@ -162,12 +202,13 @@ def _has_root(m: list, p: int) -> bool:
     return len(g) > 1
 
 
-def _first_root(f: Morphism):
-    """The first root in the field of f's minimal polynomial, or None: 0 when
-    it is one, else one of least absolute value, positive first.  Over GF(p)
-    a residue counts as its representative in (-p/2, p/2), the scan stops at
-    the first root, and it runs only when _has_root finds that there is one."""
-    field, coeffs = f.source.field, _min_poly_coeffs(f)
+def _first_root(field, f, dims):
+    """The first root in the field of the minimal polynomial of the
+    endomorphism with block rows f, or None: 0 when it is one, else one of
+    least absolute value, positive first.  Over GF(p) a residue counts as its
+    representative in (-p/2, p/2), the scan stops at the first root, and it
+    runs only when _has_root finds that there is one."""
+    coeffs = _min_poly_coeffs(field, f, dims)
     if field.is_rationals:
         return next(iter(_rational_roots([Fraction(c) for c in coeffs])), None)
     p = field.p
@@ -177,13 +218,37 @@ def _first_root(f: Morphism):
     return next((r for r in tries if not sum(c * pow(r, i, p) for i, c in enumerate(coeffs)) % p), None)
 
 
-def split_once(M: Representation):
-    """One nontrivial direct decomposition, or None when indecomposable.
+class Split(tuple):
+    """The pair (im, ker) that split_once returns, with top = dim End(M)/rad End(M)
+    for the module M it split, or None over GF(p), where no radical is computed."""
 
-    Each f of the End(M) basis is split at f - r for its first root r
-    (_first_root), by _fitting_split.  One root is enough: at a root r, f - r
-    is singular, and it is nilpotent only when r is f's one eigenvalue, and
-    then f has no other root to try.
+    def __new__(cls, parts, top):
+        pair = super().__new__(cls, parts)
+        pair.top = top
+        return pair
+
+
+def _minus_scalar(field, f, r) -> list[tuple]:
+    """The block rows of f - r."""
+    p = field.p
+
+    def less(v):
+        return (v - r) % p if p else _canon(v - r)
+
+    return [tuple([tuple([less(v) if i == k else v for k, v in enumerate(row)]) for i, row in enumerate(b)])
+            for b in f]
+
+
+def split_once(M: Representation):
+    """One nontrivial direct decomposition as a Split, or None when M is
+    indecomposable.
+
+    A thin M whose nonzero cover maps connect its support has End M = k
+    (_thin_indecomposable), so no End basis is computed for it.  Otherwise
+    each f of the End(M) basis is split at f - r for its first root r
+    (_first_root), by _fitting_split.  One root is enough: at a root r,
+    f - r is singular, and it is nilpotent only when r is f's one
+    eigenvalue, and then f has no other root to try.
 
     This splits every M with End/rad = k^m, m >= 2: some f has a non-scalar
     image (a_1, ..., a_m) there, say a_i != a_j, so f has the eigenvalue a_i
@@ -193,22 +258,35 @@ def split_once(M: Representation):
     End/rad (a summand of multiplicity >= 2) or a factor larger than k, as
     End(M_J) = Q(i) for the four-subspace module of the tests.
     """
+    if _thin_indecomposable(M):
+        return None
     basis = end_basis(M)
     if len(basis) <= 1:
         return None
-    field = M.field
-    if field.is_rationals and len(basis) - len(end_radical_basis(M, basis)) == 1:
-        return None
+    field, top = M.field, None
+    if field.is_rationals:
+        top = len(basis) - len(end_radical_basis(M, basis))
+        if top == 1:
+            return None
     for f in basis:
-        r = _first_root(f)
-        parts = None if r is None else _fitting_split(f if r == 0 else f.add(_identity_endo(M).scale(-r)))
+        blocks = [b.rows for b in f.blocks]
+        r = _first_root(field, blocks, M.dims)
+        parts = None if r is None else _fitting_split(M, blocks if r == 0 else _minus_scalar(field, blocks, r))
         if parts is not None:
-            return parts
+            return Split(parts, top)
     raise SplitFailure(f"could not split module with End of dimension {len(basis)}")
 
 
 def split_indecomposables(M: Representation):
     """Complete decomposition as a list of (summand, multiplicity).
+
+    The summands are split off one at a time, last split first.  Over Q the
+    first split gives t = dim End(M)/rad End(M), and splitting stops once
+    the summands found and those still to split number t: they are all
+    indecomposable.  For M = X_1 + ... + X_n and the idempotents e_i of the
+    sum, e_i End(M) e_i = End X_i and rad(e_i End(M) e_i) = e_i rad End(M) e_i,
+    so the End X_i / rad End X_i add up to at most t, and n = t leaves each
+    of them k, so each X_i is local.
 
     Summands are returned in a canonical order: lexicographic dimension
     vector along the linear extension, then a hom fingerprint.
@@ -217,12 +295,18 @@ def split_indecomposables(M: Representation):
         return []
     pieces: list[Representation] = []
     stack = [M]
+    top = None
     while stack:
+        if len(pieces) + len(stack) == top:
+            pieces += reversed(stack)
+            break
         cur = stack.pop()
         res = split_once(cur)
         if res is None:
             pieces.append(cur)
         else:
+            if cur is M:
+                top = res.top
             stack.extend(res)
     return _canonical_order(group_isomorphic([(piece, 1) for piece in pieces]), M.poset, M.field)
 
