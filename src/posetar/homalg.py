@@ -34,6 +34,8 @@ Tr D and transpose_dual_tau is D Tr.
 
 from __future__ import annotations
 
+from operator import itemgetter
+
 from .errors import PosetarError
 from .linalg import Mat, _cols, _dots, _mat, _null_from_echelon, _null_rows, _quotient_rows, _rref_rows
 from .poset import Poset
@@ -95,17 +97,13 @@ def _layout(P: Poset, kind: str, labels) -> list[list[int]]:
     Summand j is P(labels[j]) for 'proj' and I(labels[j]) for 'inj'; each is
     one-dimensional on its support, and the basis of the sum at w lists the
     summands nonzero there in label order.  Summand j is nonzero exactly on
-    the up-set (for 'proj') or down-set (for 'inj') of labels[j], so each
-    label's bitmask is walked once.
+    the up-set (for 'proj') or down-set (for 'inj') of labels[j].
     """
-    cones = P.up if kind == "proj" else P.down
+    cones = P.up_ids if kind == "proj" else P.down_ids
     lay: list[list[int]] = [[] for _ in P.elements()]
     for j, x in enumerate(labels):
-        m = cones[x]
-        while m:
-            low = m & -m
-            lay[low.bit_length() - 1].append(j)
-            m ^= low
+        for w in cones[x]:
+            lay[w].append(j)
     return lay
 
 
@@ -144,7 +142,14 @@ def _scalar_blocks(P: Poset, src_labels, dst_labels, slay, dlay, d) -> list[tupl
         for x, v in zip(src_labels, row):
             if v and not P.up[y] >> x & 1:
                 raise PosetarError("scalar entry on a non-existent canonical map")
-    return [tuple([tuple([d[k][j] for j in sj]) for k in dk]) for dk, sj in zip(dlay, slay)]
+    blocks = []
+    for dk, sj in zip(dlay, slay):
+        if len(sj) > 1:
+            at = itemgetter(*sj)
+            blocks.append(tuple([at(d[k]) for k in dk]))
+        else:
+            blocks.append(tuple([tuple([d[k][j] for j in sj]) for k in dk]))
+    return blocks
 
 
 def _cokernel_into_projectives(P: Poset, field, src, dst, d) -> Representation:
@@ -307,7 +312,7 @@ def _cover(P: Poset, field, dims, maps):
     needs no second elimination.  Where the module is 0 the kernel is all of
     the cover there.
     """
-    p, cones = field.p, P.up
+    p, ups = field.p, P.up_ids
     gens: list[tuple[int, tuple]] = []
     lay: list[list[int]] = [[] for _ in dims]
     at: list[dict[int, tuple]] = [{} for _ in dims]  # at[w][j]: generator j at w
@@ -327,11 +332,8 @@ def _cover(P: Poset, field, dims, maps):
             j = len(gens)
             gens.append((w, units[q]))
             col[j] = units[q]
-            m = cones[w]
-            while m:
-                low = m & -m
-                lay[low.bit_length() - 1].append(j)
-                m ^= low
+            for u in ups[w]:
+                lay[u].append(j)
         if not new:
             cover[w], syz[w] = C, _null_from_echelon(p, [row[:c] for row in R], pivots, c)
             continue

@@ -329,10 +329,14 @@ def _eliminate(p: int, rows: tuple, c: int) -> tuple[tuple, tuple[int, ...]]:
         rows[i] = rows[pr]
         rows[pr] = prow
         a = prow[col]
+        nz = [(k, y) for k, y in enumerate(prow) if y]
         for i, row in enumerate(rows):
             b = row[col]
             if b and i != pr:
-                rows[i] = normalise([a * x - b * y for x, y in zip(row, prow)])
+                row = list(row) if a == 1 else [a * x for x in row]
+                for k, y in nz:
+                    row[k] -= b * y
+                rows[i] = normalise(row)
         pivots.append(col)
         pr += 1
         if pr == r:
@@ -445,10 +449,7 @@ def _primitive(row: list[int]) -> list[int]:
 
 def _integer_row(row) -> list[int]:
     """A row of rationals scaled to coprime integers, a nonzero multiple of it."""
-    for v in row:
-        if v.__class__ is not int:
-            break
-    else:
+    if set(map(type, row)) <= {int}:
         return _primitive(list(row))
     d = lcm(*[v.denominator for v in row])
     return _primitive([v.numerator * (d // v.denominator) for v in row])

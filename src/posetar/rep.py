@@ -407,8 +407,8 @@ def hom(M: Representation, N: Representation) -> list[Morphism]:
         blocks = []
         for x in P.elements():
             r, c = N.dims[x], M.dims[x]
-            seg = vec[offsets[x]: offsets[x] + r * c]
-            blocks.append(Mat(field, [seg[i * c:(i + 1) * c] for i in range(r)], r, c))
+            o = offsets[x]
+            blocks.append(_mat(field, tuple([vec[o + i * c: o + (i + 1) * c] for i in range(r)]), r, c))
         out.append(Morphism(M, N, blocks))
     return out
 
