@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import corpus as corpus_mod
 from .clamped import enumerate_clamped
-from .errors import PosetarError
+from .errors import NotIndecomposable, PosetarError
 from .homalg import ext as ext_dim
 from .homalg import min_projective_resolution, tau as tau_op
 from .ictree import (
@@ -141,7 +141,7 @@ def cmd_tau(args, out) -> None:
     P = _load_poset(args.poset)
     M = parse_module(P, args.module, args.field)
     if not is_indecomposable(M):
-        raise PosetarError("tau expects an indecomposable module")
+        raise NotIndecomposable("tau expects an indecomposable module")
     t = tau_op(M)
     print("0 (module is projective)" if t is None else describe_module(P, t), file=out)
 

@@ -12,14 +12,24 @@ rows of its cover maps, the dual D M as those rows transposed over the
 opposite poset, and pass rows between them.  Only a public function builds a
 Mat, Morphism or Representation, for what it returns.
 
-A minimal projective resolution repeats one step, which covers a submodule
-given by a basis at each element: the generators at y are the basis vectors
-that are pivots of one echelon form of [radical | basis] at y.  The
-projective cover is the step on the module itself, with the unit vectors as
-its basis; each later step covers the syzygy, a nullspace of the last
-block, in the labeled coordinates of the last term: the summands nonzero at
-w, in label order, whose structure maps are 0/1 re-indexings.  No syzygy
-module is built.  Injective resolutions are projective resolutions of D M.
+A minimal projective resolution first covers the module (_cover): one walk
+up the linear extension carries the generators found so far to each
+element w where the module is nonzero, and one echelon form of
+[their values | I] there gives both the new generators, the unit vectors at
+its pivots past the values, and the kernel of the cover at w.  Each later
+step covers the syzygy, a nullspace of the last block, in the labeled
+coordinates of the last term: the summands nonzero at w, in label order,
+whose structure maps are 0/1 re-indexings; its generators at y are the
+basis vectors that are pivots of one echelon form of [radical | basis] at
+y.  No syzygy module is built.  Injective resolutions are projective
+resolutions of D M.
+
+Zero spaces cost nothing: the cover walk skips the elements where the
+module is 0 and the covers from them (a generator that reaches w only
+through a zero space is 0 there, as all paths compose to the same map), and
+there the kernel of the cover is all of it, with no elimination; the
+cokernel into a sum of projectives skips the elements where the sum is 0,
+and Hom(C, N) skips the summands where N is 0.
 
 Every translate is read off a minimal presentation P(L1) -> P(L0) with
 scalar rows d by one of two labeled helpers, whose blocks at w are d read

@@ -45,7 +45,7 @@ from .rep import (
     linear_combination,
 )
 from .slices import SliceData
-from .split import end_basis, end_radical_basis, is_indecomposable, split_indecomposables
+from .split import _thin_indecomposable, end_basis, end_radical_basis, is_indecomposable, split_indecomposables
 
 
 # -- AR sequence ending at a module ------------------------------------------------
@@ -86,7 +86,8 @@ def ar_sequence_end(M: Representation, rng=None, check_indecomposable: bool = Tr
     and Smalø, Representation Theory of Artin Algebras, Ch. V §2).  So f is
     chosen with post-composition by rad End(tau M) killing it modulo
     coboundaries; r acts on tau M(y) by its block there, and no endomorphism
-    of M is lifted.  The middle term is the pushout along f: P1 maps onto the
+    of M is lifted.  A thin tau M has End = k (split._thin_indecomposable),
+    so no End basis is computed for it.  The middle term is the pushout along f: P1 maps onto the
     syzygy, so it is the cokernel of P1 -> tau M + P0 with blocks [f ; -d].
 
     Over GF(p) this raises SplitFailure when End(tau M) is not one
@@ -117,7 +118,7 @@ def ar_sequence_end(M: Representation, rng=None, check_indecomposable: bool = Tr
     # f is a cocycle (f d2 = 0, when P2 is there) that post-composition by
     # each r in rad End(tM) sends into the coboundaries
     rows = list(_hom_complex_map(C, tM, 1).rows) if C.length() == 2 else []
-    ends = end_basis(tM)
+    ends = [] if _thin_indecomposable(tM) else end_basis(tM)
     if len(ends) > 1:
         for rv in end_radical_basis(tM, ends):
             r = linear_combination(ends, rv)

@@ -8,6 +8,27 @@ nilpotent, Fitting's lemma gives M = im (f - r)^N + ker (f - r)^N for
 N >= dim M(x), and the summands are split in turn.  Over a prime field the
 trace form is not trusted and the search alone decides.  Nothing is random.
 When no basis element splits, SplitFailure is the honest out (split_once).
+Endomorphisms are composed, ranked and split on the rows of their blocks.
+
+Two answers are known without that work.
+
+Thin modules, over every field.  If every dimension of M is at most 1 and
+the covers with a nonzero scalar connect its support, then End M = k: an
+endomorphism f is a scalar f_x at each x of the support, and a cover x -> y
+with scalar m != 0 gives m f_x = f_y m, so f_x = f_y along it.  split_once
+returns None for such an M with no End basis, and ar_sequence_end computes
+no End basis of such a tau M.
+
+The End/rad count, in characteristic 0 only.  split_indecomposables keeps
+t = dim End(M)/rad End(M), which the first split_once(M) computes, and stops
+splitting once the summands found and those still to split number t.  For
+a decomposition M = X_1 + ... + X_n with idempotents e_i, e_i End(M) e_i is
+End X_i and rad(e_i End(M) e_i) = e_i rad End(M) e_i, so the dimensions of
+End X_i / rad End X_i add up to at most t; n = t forces each of them to be
+1, so each X_i is local, hence indecomposable.  The summands still to split
+are taken in the order the loop would pop them, so the pieces, their bases
+and their order are those of splitting to the end.  Over GF(p) no radical
+is computed and every summand is split until split_once returns None.
 """
 
 from __future__ import annotations
@@ -280,13 +301,9 @@ def split_once(M: Representation):
 def split_indecomposables(M: Representation):
     """Complete decomposition as a list of (summand, multiplicity).
 
-    The summands are split off one at a time, last split first.  Over Q the
-    first split gives t = dim End(M)/rad End(M), and splitting stops once
-    the summands found and those still to split number t: they are all
-    indecomposable.  For M = X_1 + ... + X_n and the idempotents e_i of the
-    sum, e_i End(M) e_i = End X_i and rad(e_i End(M) e_i) = e_i rad End(M) e_i,
-    so the End X_i / rad End X_i add up to at most t, and n = t leaves each
-    of them k, so each X_i is local.
+    The summands are split off one at a time, last split first, and over Q
+    the splitting stops at the End/rad count of M (see the module
+    docstring).
 
     Summands are returned in a canonical order: lexicographic dimension
     vector along the linear extension, then a hom fingerprint.

@@ -9,7 +9,7 @@ from posetar.knit import ar_sequence_end
 from posetar.linalg import QQ
 from posetar.poset import _bits
 from posetar.rep import constant_on, is_isomorphic, radical, restrict, socle
-from posetar.split import group_isomorphic, is_indecomposable, split_indecomposables
+from posetar.split import _canonical_order, group_isomorphic, is_indecomposable, split_indecomposables, split_once
 
 
 def path_tree(n, marked=0, pendants=()):
@@ -231,3 +231,20 @@ def glue_meshes_check(P, field=QQ):
             + ("ok" if start_ok else "FAIL")
         )
     return GlueReport(top_ok, interval_results, details)
+
+
+def split_without_stop(M):
+    """split_indecomposables as a plain loop: split_once on every summand,
+    last split first, until each one is indecomposable, with no End/rad
+    count to stop early."""
+    if M.is_zero():
+        return []
+    pieces, stack = [], [M]
+    while stack:
+        cur = stack.pop()
+        res = split_once(cur)
+        if res is None:
+            pieces.append(cur)
+        else:
+            stack.extend(res)
+    return _canonical_order(group_isomorphic([(piece, 1) for piece in pieces]), M.poset, M.field)

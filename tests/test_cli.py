@@ -79,6 +79,12 @@ def test_resolve_and_ext_and_tau(capsys):
     assert out.strip() == "P(c1_1)"
 
 
+def test_tau_of_a_decomposable_module_reports_not_indecomposable(capsys):
+    code, out, err = run(capsys, "tau", "corpus:star-2-2", "rad(S(c2_2))")
+    assert (code, out) == (1, "")
+    assert err == "error (not-indecomposable): tau expects an indecomposable module\n"
+
+
 def test_mesh_subcommand(capsys):
     code, out, _ = run(capsys, "mesh", "corpus:ex33-poset1", "quot(P(a),P(b))")
     assert code == 0

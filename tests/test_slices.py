@@ -1,8 +1,12 @@
-from posetar.corpus import corpus_poset, star_poset
+import pytest
+
+from posetar.corpus import corpus_ids, corpus_poset, star_poset
+from posetar.homalg import _ext_dims, _resolution, ext
 from posetar.ictree import ic_plus_decompose
+from posetar.linalg import QQ, Field
 from posetar.poset import chain
 from posetar.rep import constant_on, hom_dim, is_isomorphic, projective
-from posetar.slices import check_hypothesis_41, standard_slice, verify_slice
+from posetar.slices import _path_counts, check_hypothesis_41, standard_slice, verify_slice
 
 
 def make_slice(P):
@@ -94,3 +98,33 @@ def test_slice_with_adjoin():
     assert report.ok, report.describe()
     a, _ = P.unique_min_max()
     assert is_isomorphic(sl.modules[sl.marked], projective(P, a))
+
+
+@pytest.mark.parametrize("field", [QQ, Field(5)], ids=str)
+def test_slice_hom_dims_from_one_rank_per_map_match_hom_dim(field):
+    """verify_slice reads Hom(M_v, M_w) as Ext^0 from the ranks of the Hom
+    complex of M_v's resolution; on every slice pair of every corpus id with
+    a decomposition that is rep.hom_dim, every Ext degree is homalg.ext, and
+    the report lists the pairs whose hom_dim misses the path count."""
+    checked = 0
+    for cid in corpus_ids():
+        P = corpus_poset(cid)
+        node = ic_plus_decompose(P)
+        if node is None:
+            continue
+        sl = standard_slice(P, node, field)
+        counts = _path_counts(sl.tree)
+        want = []
+        for v in range(sl.tree.n):
+            Mv = sl.modules[v]
+            C = _resolution(Mv)[0]
+            for w in range(sl.tree.n):
+                Mw = sl.modules[w]
+                dims = _ext_dims(C, Mw)
+                assert dims[0] == hom_dim(Mv, Mw), (cid, v, w)
+                assert dims == [ext(Mv, Mw, i) for i in range(len(dims))], (cid, v, w)
+                if dims[0] != counts.get((v, w), 0):
+                    want.append((v, w, dims[0], counts.get((v, w), 0)))
+                checked += 1
+        assert verify_slice(sl).hom_mismatches == tuple(want), cid
+    assert checked > 500

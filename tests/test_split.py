@@ -1,5 +1,7 @@
 import ast
+import importlib
 import itertools
+import json
 import os
 import random
 import subprocess
@@ -11,11 +13,12 @@ import pytest
 import sympy
 
 import posetar
+from conftest import random_ic_family, split_without_stop
 from posetar.corpus import corpus_poset
 from posetar.errors import SplitFailure
 from posetar.knit import ar_sequence_end, knit
 from posetar.linalg import QQ, Field, Mat
-from posetar.poset import Poset, chain
+from posetar.poset import Poset, chain, parse_poset
 from posetar.rep import (
     Representation,
     constant_on,
@@ -28,6 +31,7 @@ from posetar.rep import (
 )
 from posetar.split import (
     _canonical_order,
+    _thin_indecomposable,
     _has_root,
     _rational_roots,
     end_basis,
@@ -276,3 +280,105 @@ def test_canonical_order_matches_full_key_sort_on_tied_dimension_vectors(source)
         groups.append([constant_on(P, {x, y})])
         groups.append([direct_sum([simple(P, x), simple(P, y)])])
     _assert_orders_agree(groups, P, random.Random(4))
+
+
+# -- the shortcuts against the End basis and the plain loop ----------------------
+
+TREE = parse_poset("covers\na < b\nc < b\nc < d\nd < e\nf < e\nf < g\ng < h\n")
+
+
+def _thin_modules(P, field, rng, count):
+    """Thin modules on P, whose Hasse diagram has no cycle so any cover
+    scalars are path independent: random supports and random scalars, 0
+    among them, so the covers with a nonzero scalar often leave the support
+    disconnected."""
+    out = []
+    for _ in range(count):
+        dims = [rng.randint(0, 1) for _ in P.elements()]
+        maps = {
+            (x, y): Mat(field, [[field.of_int(rng.choice([0, 0, 1, 2, -1, 3]))]], 1, 1)
+            for (x, y) in P.covers
+            if dims[x] and dims[y]
+        }
+        out.append(Representation(P, field, dims, maps))
+    return out
+
+
+@pytest.mark.parametrize("field", [QQ, Field(5)], ids=str)
+def test_thin_verdict_matches_the_end_basis(field):
+    """A thin module is indecomposable exactly when its nonzero cover maps
+    connect its support, and then End M = k: the shortcut split_once takes
+    agrees with the End basis on every thin module, decomposable ones
+    included, and so does split_once."""
+    rng = random.Random(7)
+    mods = _thin_modules(TREE, field, rng, 300)
+    P = corpus_poset("star-2-2")  # diamonds: thin sums of constant modules, zero maps between them
+    for x, y in P.covers:
+        mods.append(direct_sum([constant_on(P, P.up_set(y), field), simple(P, x, field)]))
+        mods.append(constant_on(P, P.closed_interval(x, y), field))
+    assert sum(not _thin_indecomposable(M) and not M.is_zero() for M in mods) > 50
+    for M in mods:
+        local = len(end_basis(M)) == 1
+        assert _thin_indecomposable(M) == local, M.to_json()
+        if not M.is_zero():
+            assert (split_once(M) is None) == local, M.to_json()
+
+
+def _ar_middles(P, field, budget, max_dim):
+    """The middle term E of the almost split sequence at every non-projective
+    vertex of total dimension at most max_dim of P's knit with the given
+    mesh budget."""
+    knit_mod = importlib.import_module("posetar.knit")  # the package exports knit() under that name
+    seen = []
+    real = knit_mod.split_indecomposables
+
+    def capture(E):
+        seen.append(E)
+        return real(E)
+
+    comp = knit(P, field, max_meshes=budget, max_total_dim=150)
+    knit_mod.split_indecomposables = capture
+    try:
+        for v in comp.vertices:
+            if v.proj is None and v.rep.total_dim() <= max_dim:
+                ar_sequence_end(v.rep, check_indecomposable=False)
+    finally:
+        knit_mod.split_indecomposables = real
+    return seen
+
+
+def _pieces_json(parts):
+    return json.dumps([[m.to_json(), mult] for m, mult in parts])
+
+
+# source: (mesh budget, largest total dimension of an end term)
+MIDDLE_SOURCES = {"star-2-2": (2000, 10**6), "ex57": (2000, 10**6), "sec2-right": (2000, 10**6)}
+MIDDLE_SOURCES.update({P.name: (50, 18) for P in random_ic_family()[:9]})
+
+
+@pytest.mark.parametrize("field", [QQ, Field(5)], ids=str)
+@pytest.mark.parametrize("source", sorted(MIDDLE_SOURCES))
+def test_split_stop_matches_the_plain_loop(source, field, monkeypatch):
+    """Stopping once the summands number dim End/rad End gives the pieces,
+    bases and order of splitting every summand to the end, over Q with fewer
+    split_once calls (over GF(5) no count is kept).  The corpus knits are
+    complete; the family's stop at 50 meshes, as in the benchmark, and their
+    AR sequences are taken up to total dimension 18, as the benchmark samples."""
+    families = {P.name: P for P in random_ic_family()[:9]}
+    P = families[source] if source in families else corpus_poset(source)
+    budget, max_dim = MIDDLE_SOURCES[source]
+    middles = _ar_middles(P, field, budget, max_dim)
+    assert middles
+    split_mod = importlib.import_module("posetar.split")
+    calls = []
+    real = split_mod.split_once
+    monkeypatch.setattr(split_mod, "split_once", lambda M: calls.append(M) or real(M))
+    plain = 0
+    for E in middles:
+        ref = split_without_stop(E)
+        plain += 2 * sum(mult for _, mult in ref) - 1  # one call per split and one per summand
+        assert _pieces_json(split_indecomposables(E)) == _pieces_json(ref)
+    if field == QQ:
+        assert len(calls) < plain
+    else:
+        assert len(calls) == plain
