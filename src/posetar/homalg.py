@@ -239,17 +239,15 @@ def _resolve(P: Poset, field, dims, maps, max_length: int | None = None):
     dimensions dims and cover map rows maps, the rows of its scalar matrices,
     and the columns of its cover's block at each element.
 
-    Nothing is realized.  Each step covers a submodule given by a basis at
-    every element, and _generators picks its generators.  The first step
-    covers the module, with the unit vectors as its basis and the cover maps
-    into y from the elements where the module is nonzero spanning its
-    radical at y; _blocks_from_generators walks the generators up the covers
-    between nonzero spaces.  Every later step covers the syzygy in the
-    labeled coordinates of the previous term T, whose basis at w lists the
-    summands nonzero there in label order.  With d(w) the block at w of the
-    last scalar matrix, the syzygy basis at w is nullspace(d(w)), carried by
-    re-indexing since the structure maps of a labeled sum are 0/1, and the
-    next scalar matrix has generator j's vector at its label in column j.
+    Nothing is realized.  The first step covers the module and gives the
+    syzygy basis at each element (_cover).  Every later step covers the
+    syzygy, a submodule given by a basis at every element, and _generators
+    picks its generators, in the labeled coordinates of the previous term T,
+    whose basis at w lists the summands nonzero there in label order.  With
+    d(w) the block at w of the last scalar matrix, the syzygy basis at w is
+    nullspace(d(w)), carried by re-indexing since the structure maps of a
+    labeled sum are 0/1, and the next scalar matrix has generator j's vector
+    at its label in column j.
     This is the complex that covering the realized syzygy K would give:
     K(y) -> T(y) is injective, so the pivots of [rad | I] in K-coordinates
     are those of [rad | basis] in T-coordinates, and an injective map on the
@@ -344,17 +342,16 @@ def _cover(P: Poset, field, dims, maps):
             col[j] = units[q]
             for u in ups[w]:
                 lay[u].append(j)
-        if not new:
-            cover[w], syz[w] = C, _null_from_echelon(p, [row[:c] for row in R], pivots, c)
-            continue
         cover[w] = C + [units[q] for q in new]
-        if c:
+        if not c:  # the block is the identity
+            syz[w] = ()
+        elif not new:  # the block is C
+            syz[w] = _null_from_echelon(p, [row[:c] for row in R], pivots, c)
+        else:
             sel = list(range(c)) + [c + q for q in new]
             at_sel = {q: i for i, q in enumerate(sel)}
             syz[w] = _null_from_echelon(p, [tuple([row[q] for q in sel]) for row in R],
                                         [at_sel[q] for q in pivots], len(sel))
-        else:
-            syz[w] = ()
     return gens, lay, cover, syz
 
 

@@ -33,13 +33,12 @@ from .homalg import (
     _scalar_blocks,
     tau_inverse,
 )
-from .linalg import Field, Mat, QQ, _cols, _dots, _mat, _quotient_rows, _reduce
+from .linalg import Field, Mat, QQ, _cols, _dots, _quotient_rows, _reduce
 from .poset import Poset
 from .rep import (
     Representation,
-    _factor_rows,
     _quotient_projection,
-    _rep,
+    _quotient_rep,
     cone_label,
     constant_on,
     linear_combination,
@@ -87,8 +86,9 @@ def ar_sequence_end(M: Representation, rng=None, check_indecomposable: bool = Tr
     chosen with post-composition by rad End(tau M) killing it modulo
     coboundaries; r acts on tau M(y) by its block there, and no endomorphism
     of M is lifted.  A thin tau M has End = k (split._thin_indecomposable),
-    so no End basis is computed for it.  The middle term is the pushout along f: P1 maps onto the
-    syzygy, so it is the cokernel of P1 -> tau M + P0 with blocks [f ; -d].
+    so no End basis is computed for it.  The middle term is the pushout
+    along f: P1 maps onto the syzygy, so it is the cokernel of
+    P1 -> tau M + P0 with blocks [f ; -d].
 
     Over GF(p) this raises SplitFailure when End(tau M) is not one
     dimensional, because the trace-form radical needs characteristic 0.
@@ -143,19 +143,14 @@ def ar_sequence_end(M: Representation, rng=None, check_indecomposable: bool = Tr
     quots = [_quotient_rows(field.p, _cols(fc, t) + dr, len(js), t + len(dr))
              for fc, dr, js, t in zip(f_cols, d_rows, lay1, tM.dims)]
     pos = [{j: t + k for k, j in enumerate(js)} for js, t in zip(lay0, tM.dims)]
-    maps = {}
-    for (x, y) in P.covers:
-        q_x, pivots = quots[x]
-        q_y = quots[y][0]
-        if q_y:
-            t, m = tM.dims[y], tM.maps[(x, y)]
-            cols = _cols(m.rows, m.c)
-            at = [pos[y][j] for j in lay0[x]]
-            q_y = _factor_rows(field, q_x, pivots, tuple([
-                _dots(row[:t], cols, field) + tuple([row[k] for k in at]) for row in q_y
-            ]))
-        maps[(x, y)] = _mat(field, q_y, len(q_y), len(q_x))
-    E = _rep(P, field, [len(q) for q, _ in quots], maps)
+
+    def along(x, y, q_y):
+        t, m = tM.dims[y], tM.maps[(x, y)]
+        cols = _cols(m.rows, m.c)
+        at = [pos[y][j] for j in lay0[x]]
+        return tuple([_dots(row[:t], cols, field) + tuple([row[k] for k in at]) for row in q_y])
+
+    E = _quotient_rep(P, field, quots, along)
     middles = split_indecomposables(E)
     seq = ARSequence(tM, middles, M)
     if seq.middle_dims() != tuple(
