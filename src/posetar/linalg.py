@@ -20,11 +20,16 @@ The kernels make no Field method call and no Fraction comparison per entry:
 they skip zeros by truthiness and use plain `+`/`*`, reducing mod p once per
 entry.  Elimination over the rationals runs on Python ints and stays exact:
 each row is scaled to integers by the lcm of its denominators, a row
-operation is row <- a*row - b*pivot_row followed by division by the gcd of
-the row's entries, and each pivot row is divided by its pivot once, at the
-end.  The reduced row echelon form is unique, so this gives the same matrix
-as elimination over Fraction.  Over GF(p) the same loop reduces mod p in
-place of the gcd step and finishes with the inverse of the pivot.  A matrix
+operation clears the pivot column in another row and is followed by
+division by the gcd of the row's entries, and each pivot row is divided by
+its pivot once, at the end.  To clear the entry b of a row against the pivot
+a, the row becomes row - (b/a)*pivot_row when a divides b, and
+(a/g)*row - (b/g)*pivot_row for g = gcd(a, b) otherwise; the first
+touches the row only where the pivot row is nonzero.  Each row is then a
+nonzero multiple of the row that elimination over Fraction holds, and the
+reduced row echelon form is unique, so this gives the same matrix.  Over
+GF(p) the row becomes row - b*a^-1*pivot_row, reduced mod p where the pivot
+row is nonzero, and the loop finishes with the inverse of the pivot.  A matrix
 with no rows or no columns is its own echelon form.
 
 The eliminating kernels are memoized here and nowhere else: `_rref_rows`,
@@ -54,11 +59,12 @@ named below gets that check.  The kernels here (zero, identity, from_columns,
 add, sub, scale, mul, transpose, hstack, vstack, rref and solve) fix the
 shape of their result by construction, build its rows as tuples, and store
 them with `_mat`, which neither copies nor checks.  So do the sites that wrap
-labelled rows whose shape they know: in `rep`, `direct_sum`,
+labelled rows whose shape they know: in `rep`, `direct_sum`, `hom`,
 `Morphism.cokernel`, `_quotient_projection` and `_quotient_rep`; in
 `homalg`, `_realize_layout`, `realize_scalar_map`,
-`_kernel_out_of_injectives`, `projective_presentation`, `_resolution` and
-`min_injective_resolution`.
+`_cokernel_into_projectives`, `_kernel_out_of_injectives`,
+`projective_presentation`, `_resolution`, `min_injective_resolution` and
+`_hom_complex_map`; in `split`, `_fitting_split`.
 """
 
 from __future__ import annotations
@@ -309,14 +315,7 @@ def _eliminate(p: int, rows: tuple, c: int) -> tuple[tuple, tuple[int, ...]]:
     """The rows of the reduced echelon form of an r x c matrix over GF(p)
     (over the rationals when p == 0), and its pivot columns."""
     r = len(rows)
-    if p:
-        rows = list(rows)
-
-        def normalise(row):
-            return [v % p for v in row]
-    else:
-        rows = [_integer_row(row) for row in rows]
-        normalise = _primitive
+    rows = [list(row) for row in rows] if p else [_integer_row(row) for row in rows]
     pivots = []
     pr = 0
     for col in range(c):
@@ -330,13 +329,25 @@ def _eliminate(p: int, rows: tuple, c: int) -> tuple[tuple, tuple[int, ...]]:
         rows[pr] = prow
         a = prow[col]
         nz = [(k, y) for k, y in enumerate(prow) if y]
+        inv = pow(a, p - 2, p) if p else 0
         for i, row in enumerate(rows):
             b = row[col]
-            if b and i != pr:
-                row = list(row) if a == 1 else [a * x for x in row]
+            if not b or i == pr:
+                continue
+            if p:  # row - (b/a) prow, reduced where prow is nonzero
+                t = b * inv % p
                 for k, y in nz:
-                    row[k] -= b * y
-                rows[i] = normalise(row)
+                    row[k] = (row[k] - t * y) % p
+                continue
+            if b % a:  # (a/g) row - (b/g) prow
+                g = gcd(a, b)
+                s, t = a // g, b // g
+                row = [s * x for x in row]
+            else:  # row - (b/a) prow
+                t = b // a
+            for k, y in nz:
+                row[k] -= t * y
+            rows[i] = _primitive(row)
         pivots.append(col)
         pr += 1
         if pr == r:
