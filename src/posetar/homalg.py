@@ -264,21 +264,7 @@ def _resolve(P: Poset, field, dims, maps, max_length: int | None = None):
             break
         if step == P.n + 1:
             raise PosetarError("resolution exceeded the global-dimension safety bound")
-
-        def radical(y):  # lay[x] is part of lay[y] on a cover x -> y
-            pos, n, rad = {j: k for k, j in enumerate(lay[y])}, len(lay[y]), []
-            for x in P.covers_below(y):
-                if not syz[x]:
-                    continue
-                at = [pos[j] for j in lay[x]]
-                for v in syz[x]:
-                    row = [z] * n
-                    for k, a in zip(at, v):
-                        row[k] = a
-                    rad.append(row)
-            return tuple(zip(*rad, *syz[y])), len(rad)
-
-        gens = _generators(P, p, syz, radical)
+        gens = _generators(P, p, syz, lay, labels)
         cols = []
         for x, v in gens:
             col = [z] * len(labels)
@@ -373,22 +359,43 @@ def _carry(P: Poset, field, dims, maps, at, w) -> dict:
     return col
 
 
-def _generators(P: Poset, p: int, basis, radical) -> list[tuple[int, tuple]]:
-    """Generators (y, vector) of the submodule with the independent vectors
-    basis[y] at each y, in linear-extension order.
+def _generators(P: Poset, p: int, syz, lay, labels) -> list[tuple[int, tuple]]:
+    """Generators (y, vector) of the syzygy with the independent vectors
+    syz[y] at each y, in the labeled coordinates of the term with these
+    labels and layout, in linear-extension order.
 
-    radical(y) gives the rows of [radical | basis[y]] and the number n of
-    radical columns, which span the bases at the covers below y carried up
-    to y.  The basis columns that are pivots of its rref lift a basis of the
-    top at y: each generates one summand P(y) of the cover.
+    The syzygy bases at the covers below y, carried up to y by re-indexing
+    (lay[x] is part of lay[y] on a cover x -> y), span its radical there.
+    The basis vectors that are pivots of the rref of [radical | syz[y]] lift
+    a basis of the top at y: each generates one summand P(y) of the cover.
+    Where the syzygy is all of the term at y and at every element y covers,
+    its basis at y is the unit vectors, the radical spans those of the
+    summands labelled below y, and the generators are the unit vectors of
+    the summands labelled y, with no elimination.
     """
     gens: list[tuple[int, tuple]] = []
+    full = [len(vs) == len(js) for vs, js in zip(syz, lay)]
     for y in P.linear_extension():
-        if not basis[y]:
+        basis, js = syz[y], lay[y]
+        if not basis:
             continue
-        rows, n = radical(y)
-        pivots = _rref_rows(p, rows, n + len(basis[y]))[1] if n else range(len(basis[y]))
-        gens += [(y, basis[y][q - n]) for q in pivots if q >= n]
+        below = P.covers_below(y)
+        if full[y] and all([full[x] for x in below]):
+            gens += [(y, basis[k]) for k, j in enumerate(js) if labels[j] == y]
+            continue
+        pos, rad = {j: k for k, j in enumerate(js)}, []
+        for x in below:
+            if not syz[x]:
+                continue
+            at = [pos[j] for j in lay[x]]
+            for v in syz[x]:
+                row = [0] * len(js)
+                for k, a in zip(at, v):
+                    row[k] = a
+                rad.append(row)
+        n = len(rad)
+        pivots = _rref_rows(p, tuple(zip(*rad, *basis)), n + len(basis))[1] if n else range(len(basis))
+        gens += [(y, basis[q - n]) for q in pivots if q >= n]
     return gens
 
 
