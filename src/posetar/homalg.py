@@ -27,9 +27,11 @@ resolutions of D M.
 Zero spaces cost nothing: the cover walk skips the elements where the
 module is 0 and the covers from them (a generator that reaches w only
 through a zero space is 0 there, as all paths compose to the same map), and
-there the kernel of the cover is all of it, with no elimination; the
-cokernel into a sum of projectives skips the elements where the sum is 0,
-and Hom(C, N) skips the summands where N is 0.
+there the kernel of the cover is all of it, with no elimination; a syzygy
+that is all of the term at y and at every element y covers has the summands
+labelled y as its generators there, with no elimination; the cokernel into
+a sum of projectives skips the elements where the sum is 0, and Hom(C, N)
+skips the summands where N is 0.
 
 Every translate is read off a minimal presentation P(L1) -> P(L0) with
 scalar rows d by one of two labeled helpers, whose blocks at w are d read
@@ -47,7 +49,7 @@ from __future__ import annotations
 from operator import itemgetter
 
 from .errors import PosetarError
-from .linalg import Mat, _cols, _dots, _mat, _null_from_echelon, _null_rows, _quotient_rows, _rref_rows
+from .linalg import Mat, _cols, _dots, _mat, _null_from_echelon, _null_rows, _quotient_rows, _rref_rows, _unit_rows
 from .poset import Poset
 from .rep import Morphism, Representation, _factor_rows, _rep, dualize
 
@@ -283,11 +285,6 @@ def _resolve(P: Poset, field, dims, maps, max_length: int | None = None):
         lay = new
     _assert_min_resolution(labels_list, mats)
     return tuple(labels_list), mats, cover
-
-
-def _unit_rows(n: int) -> tuple:
-    """The rows of the n x n identity, the unit vectors of k^n."""
-    return tuple([(0,) * i + (1,) + (0,) * (n - i - 1) for i in range(n)])
 
 
 def _cover(P: Poset, field, dims, maps):

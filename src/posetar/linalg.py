@@ -192,8 +192,7 @@ class Mat:
 
     @staticmethod
     def identity(field: Field, n: int) -> "Mat":
-        z, o = field.zero, field.one
-        return _mat(field, tuple([tuple([o if i == j else z for j in range(n)]) for i in range(n)]), n, n)
+        return _mat(field, _unit_rows(n), n, n)
 
     @staticmethod
     def from_columns(field: Field, cols, nrows: int) -> "Mat":
@@ -414,6 +413,11 @@ def _quotient_rows(p: int, gens: tuple, gc: int, dim: int) -> tuple[tuple, tuple
     if not dim:
         return (), ()
     return (_quotient_memo if dim * (gc + dim) <= _MEMO_CELLS else _quotient)(p, gens, gc, dim)
+
+
+def _unit_rows(n: int) -> tuple:
+    """The rows of the n x n identity, the unit vectors of k^n."""
+    return tuple([(0,) * i + (1,) + (0,) * (n - i - 1) for i in range(n)])
 
 
 def _cols(rows: tuple, c: int) -> tuple:

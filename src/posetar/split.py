@@ -38,7 +38,7 @@ from collections import Counter
 from fractions import Fraction
 
 from .errors import SplitFailure
-from .linalg import Mat, _canon, _cols, _dots, _mat, _null_rows, _rref_rows
+from .linalg import Mat, _canon, _cols, _dots, _mat, _null_rows, _rref_rows, _unit_rows
 from .rep import (
     Morphism,
     Representation,
@@ -104,7 +104,7 @@ def _min_poly_coeffs(field, f, dims):
     """Minimal polynomial of the endomorphism with block rows f, low degree
     first and monic: the first linear dependency among the flattened powers
     1, f, f^2, ... of f."""
-    cur = [tuple([(0,) * i + (1,) + (0,) * (d - i - 1) for i in range(d)]) for d in dims]
+    cur = [_unit_rows(d) for d in dims]
     powers = [tuple([v for b in cur for row in b for v in row])]
     while True:
         cur = _compose(field, f, cur)
