@@ -249,11 +249,11 @@ def _resolve(P: Poset, field, dims, maps, max_length: int | None = None):
     d(w) the block at w of the last scalar matrix, the syzygy basis at w is
     nullspace(d(w)), carried by re-indexing since the structure maps of a
     labeled sum are 0/1, and the next scalar matrix has generator j's vector
-    at its label in column j.
-    This is the complex that covering the realized syzygy K would give:
-    K(y) -> T(y) is injective, so the pivots of [rad | I] in K-coordinates
-    are those of [rad | basis] in T-coordinates, and an injective map on the
-    left leaves the next block's rref, hence its nullspace, unchanged.
+    at its label in column j.  This is the complex that covering the
+    realized syzygy K would give: K(y) -> T(y) is injective, so the pivots
+    of [rad | I] in K-coordinates are those of [rad | basis] in
+    T-coordinates, and an injective map on the left leaves the next block's
+    rref, hence its nullspace, unchanged.
 
     A truncated resolution stops at its last scalar matrix.
     """
