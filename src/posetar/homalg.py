@@ -27,11 +27,9 @@ resolutions of D M.
 Zero spaces cost nothing: the cover walk skips the elements where the
 module is 0 and the covers from them (a generator that reaches w only
 through a zero space is 0 there, as all paths compose to the same map), and
-there the kernel of the cover is all of it, with no elimination; a syzygy
-that is all of the term at y and at every element y covers has the summands
-labelled y as its generators there, with no elimination; the cokernel into
-a sum of projectives skips the elements where the sum is 0, and Hom(C, N)
-skips the summands where N is 0.
+there the kernel of the cover is all of it, with no elimination; the
+cokernel into a sum of projectives skips the elements where the sum is 0,
+and Hom(C, N) skips the summands where N is 0.
 
 Every translate is read off a minimal presentation P(L1) -> P(L0) with
 scalar rows d by one of two labeled helpers, whose blocks at w are d read
@@ -45,8 +43,6 @@ Tr D and transpose_dual_tau is D Tr.
 """
 
 from __future__ import annotations
-
-from operator import itemgetter
 
 from .errors import PosetarError
 from .linalg import Mat, _cols, _dots, _mat, _null_from_echelon, _null_rows, _quotient_rows, _rref_rows, _unit_rows
@@ -109,13 +105,17 @@ def _layout(P: Poset, kind: str, labels) -> list[list[int]]:
     Summand j is P(labels[j]) for 'proj' and I(labels[j]) for 'inj'; each is
     one-dimensional on its support, and the basis of the sum at w lists the
     summands nonzero there in label order.  Summand j is nonzero exactly on
-    the up-set (for 'proj') or down-set (for 'inj') of labels[j].
+    the up-set (for 'proj') or down-set (for 'inj') of labels[j], so each
+    label's bitmask is walked once.
     """
-    cones = P.up_ids if kind == "proj" else P.down_ids
+    cones = P.up if kind == "proj" else P.down
     lay: list[list[int]] = [[] for _ in P.elements()]
     for j, x in enumerate(labels):
-        for w in cones[x]:
-            lay[w].append(j)
+        m = cones[x]
+        while m:
+            low = m & -m
+            lay[low.bit_length() - 1].append(j)
+            m ^= low
     return lay
 
 
@@ -154,14 +154,7 @@ def _scalar_blocks(P: Poset, src_labels, dst_labels, slay, dlay, d) -> list[tupl
         for x, v in zip(src_labels, row):
             if v and not P.up[y] >> x & 1:
                 raise PosetarError("scalar entry on a non-existent canonical map")
-    blocks = []
-    for dk, sj in zip(dlay, slay):
-        if len(sj) > 1:
-            at = itemgetter(*sj)
-            blocks.append(tuple([at(d[k]) for k in dk]))
-        else:
-            blocks.append(tuple([tuple([d[k][j] for j in sj]) for k in dk]))
-    return blocks
+    return [tuple([tuple([d[k][j] for j in sj]) for k in dk]) for dk, sj in zip(dlay, slay)]
 
 
 def _cokernel_into_projectives(P: Poset, field, src, dst, d) -> Representation:
@@ -174,7 +167,7 @@ def _cokernel_into_projectives(P: Poset, field, src, dst, d) -> Representation:
     p = field.p
     slay, lay = _layout(P, "proj", src), _layout(P, "proj", dst)
     blocks = _scalar_blocks(P, src, dst, slay, lay, d)
-    quots = [_quotient_rows(p, b, len(sj), len(js)) if js else ((), ()) for b, sj, js in zip(blocks, slay, lay)]
+    quots = [_quotient_rows(p, b, len(sj), len(js)) for b, sj, js in zip(blocks, slay, lay)]
     pos = [{j: k for k, j in enumerate(js)} if q else None for js, (q, _) in zip(lay, quots)]
     maps = {}
     for (x, y) in P.covers:
@@ -266,7 +259,7 @@ def _resolve(P: Poset, field, dims, maps, max_length: int | None = None):
             break
         if step == P.n + 1:
             raise PosetarError("resolution exceeded the global-dimension safety bound")
-        gens = _generators(P, p, syz, lay, labels)
+        gens = _generators(P, p, syz, lay)
         cols = []
         for x, v in gens:
             col = [z] * len(labels)
@@ -303,7 +296,7 @@ def _cover(P: Poset, field, dims, maps):
     needs no second elimination.  Where the module is 0 the kernel is all of
     the cover there.
     """
-    p, ups = field.p, P.up_ids
+    p = field.p
     gens: list[tuple[int, tuple]] = []
     lay: list[list[int]] = [[] for _ in dims]
     at: list[dict[int, tuple]] = [{} for _ in dims]  # at[w][j]: generator j at w
@@ -319,12 +312,13 @@ def _cover(P: Poset, field, dims, maps):
         c = len(C)
         R, pivots = _rref_rows(p, tuple([r + e for r, e in zip(_cols(C, d), units)]), c + d) if c else (units, range(d))
         new = [q - c for q in pivots if q >= c]
-        for q in new:
-            j = len(gens)
+        ids = range(len(gens), len(gens) + len(new))
+        for j, q in zip(ids, new):
             gens.append((w, units[q]))
             col[j] = units[q]
-            for u in ups[w]:
-                lay[u].append(j)
+        if new:
+            for u in P.up_set(w):
+                lay[u].extend(ids)
         cover[w] = C + [units[q] for q in new]
         if not c:  # the block is the identity
             syz[w] = ()
@@ -356,32 +350,23 @@ def _carry(P: Poset, field, dims, maps, at, w) -> dict:
     return col
 
 
-def _generators(P: Poset, p: int, syz, lay, labels) -> list[tuple[int, tuple]]:
+def _generators(P: Poset, p: int, syz, lay) -> list[tuple[int, tuple]]:
     """Generators (y, vector) of the syzygy with the independent vectors
-    syz[y] at each y, in the labeled coordinates of the term with these
-    labels and layout, in linear-extension order.
+    syz[y] at each y, in the labeled coordinates of the term with layout
+    lay, in linear-extension order.
 
     The syzygy bases at the covers below y, carried up to y by re-indexing
     (lay[x] is part of lay[y] on a cover x -> y), span its radical there.
     The basis vectors that are pivots of the rref of [radical | syz[y]] lift
     a basis of the top at y: each generates one summand P(y) of the cover.
-    Where the syzygy is all of the term at y and at every element y covers,
-    its basis at y is the unit vectors, the radical spans those of the
-    summands labelled below y, and the generators are the unit vectors of
-    the summands labelled y, with no elimination.
     """
     gens: list[tuple[int, tuple]] = []
-    full = [len(vs) == len(js) for vs, js in zip(syz, lay)]
     for y in P.linear_extension():
         basis, js = syz[y], lay[y]
         if not basis:
             continue
-        below = P.covers_below(y)
-        if full[y] and all([full[x] for x in below]):
-            gens += [(y, basis[k]) for k, j in enumerate(js) if labels[j] == y]
-            continue
         pos, rad = {j: k for k, j in enumerate(js)}, []
-        for x in below:
+        for x in P.covers_below(y):
             if not syz[x]:
                 continue
             at = [pos[j] for j in lay[x]]
@@ -521,8 +506,7 @@ def _hom_complex_map(C: LabeledComplex, N: Representation, i: int) -> Mat:
             if c and N.dims[x] and N.dims[y]:
                 # block (j, k) is c * path_map(y, x), y <= x by scalar legality;
                 # no other pair of labels writes there
-                m = N.path_map(y, x)
-                for a, row in enumerate(m.rows if c == 1 else m.scale(c).rows):
+                for a, row in enumerate(N.path_map(y, x).scale(c).rows):
                     data[roff + a][coff: coff + N.dims[y]] = row
             coff += N.dims[y]
         roff += N.dims[x]

@@ -23,14 +23,13 @@ each row is scaled to integers by the lcm of its denominators, a row
 operation clears the pivot column in another row and is followed by
 division by the gcd of the row's entries, and each pivot row is divided by
 its pivot once, at the end.  To clear the entry b of a row against the pivot
-a, the row becomes row - (b/a)*pivot_row when a divides b, and
-(a/g)*row - (b/g)*pivot_row for g = gcd(a, b) otherwise; the first
-touches the row only where the pivot row is nonzero.  Each row is then a
-nonzero multiple of the row that elimination over Fraction holds, and the
-reduced row echelon form is unique, so this gives the same matrix.  Over
-GF(p) the row becomes row - b*a^-1*pivot_row, reduced mod p where the pivot
-row is nonzero, and the loop finishes with the inverse of the pivot.  A matrix
-with no rows or no columns is its own echelon form.
+a, the row becomes (a/g)*row - (b/g)*pivot_row for g = gcd(a, b), with the
+pivot row's multiple subtracted only where the pivot row is nonzero.  Each
+row is then a nonzero multiple of the row that elimination over Fraction
+holds, and the reduced row echelon form is unique, so this gives the same
+matrix.  Over GF(p) the same loop reduces mod p in place of the gcd step
+and finishes with the inverse of the pivot.  A matrix with no rows or no
+columns is its own echelon form.
 
 The eliminating kernels are memoized here and nowhere else: `_rref_rows`,
 `_null_rows` and `_quotient_rows` (the cokernel projection), behind
@@ -314,7 +313,14 @@ def _eliminate(p: int, rows: tuple, c: int) -> tuple[tuple, tuple[int, ...]]:
     """The rows of the reduced echelon form of an r x c matrix over GF(p)
     (over the rationals when p == 0), and its pivot columns."""
     r = len(rows)
-    rows = [list(row) for row in rows] if p else [_integer_row(row) for row in rows]
+    if p:
+        rows = list(rows)
+
+        def normalise(row):
+            return [v % p for v in row]
+    else:
+        rows = [_integer_row(row) for row in rows]
+        normalise = _primitive
     pivots = []
     pr = 0
     for col in range(c):
@@ -328,25 +334,15 @@ def _eliminate(p: int, rows: tuple, c: int) -> tuple[tuple, tuple[int, ...]]:
         rows[pr] = prow
         a = prow[col]
         nz = [(k, y) for k, y in enumerate(prow) if y]
-        inv = pow(a, p - 2, p) if p else 0
         for i, row in enumerate(rows):
             b = row[col]
-            if not b or i == pr:
-                continue
-            if p:  # row - (b/a) prow, reduced where prow is nonzero
-                t = b * inv % p
-                for k, y in nz:
-                    row[k] = (row[k] - t * y) % p
-                continue
-            if b % a:  # (a/g) row - (b/g) prow
+            if b and i != pr:  # (a/g) row - (b/g) prow
                 g = gcd(a, b)
                 s, t = a // g, b // g
                 row = [s * x for x in row]
-            else:  # row - (b/a) prow
-                t = b // a
-            for k, y in nz:
-                row[k] -= t * y
-            rows[i] = _primitive(row)
+                for k, y in nz:
+                    row[k] -= t * y
+                rows[i] = normalise(row)
         pivots.append(col)
         pr += 1
         if pr == r:
@@ -464,7 +460,10 @@ def _primitive(row: list[int]) -> list[int]:
 
 def _integer_row(row) -> list[int]:
     """A row of rationals scaled to coprime integers, a nonzero multiple of it."""
-    if set(map(type, row)) <= {int}:
+    for v in row:
+        if v.__class__ is not int:
+            break
+    else:
         return _primitive(list(row))
     d = lcm(*[v.denominator for v in row])
     return _primitive([v.numerator * (d // v.denominator) for v in row])

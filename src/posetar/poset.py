@@ -19,15 +19,14 @@ class Poset:
     """Immutable finite poset.
 
     up[x] is a bitmask of {y : x <= y} (including x itself); down[x] likewise.
-    up_ids[x] and down_ids[x] list the same ids in increasing order.
     covers is the transitive reduction as a sorted tuple of (x, y) pairs.
     The linear extension and its position table are stored, so sort_key and
     sorted_ids are lookups.
     """
 
     __slots__ = (
-        "n", "names", "up", "down", "up_ids", "down_ids", "covers", "name", "_order", "_pos", "_index",
-        "_above", "_below", "_opposite",
+        "n", "names", "up", "down", "covers", "name", "_order", "_pos", "_index", "_above",
+        "_below", "_opposite",
     )
 
     def __init__(self, names: list[str], relations, name: str = ""):
@@ -70,8 +69,6 @@ class Poset:
                 down[y] |= down[x]
         self.up = tuple(up)
         self.down = tuple(down)
-        self.up_ids = tuple([tuple([y for y in range(n) if m >> y & 1]) for m in up])
-        self.down_ids = tuple([tuple([y for y in range(n) if m >> y & 1]) for m in down])
         # Every cover is a given relation; it is one when nothing lies strictly between.
         self.covers = tuple((x, y) for x, y in rels if up[x] & down[y] == (1 << x) | (1 << y))
         above, below = _adjacency(n, self.covers)
