@@ -12,22 +12,28 @@ rows of its cover maps, the dual D M as those rows transposed over the
 opposite poset, and pass rows between them.  Only a public function builds a
 Mat, Morphism or Representation, for what it returns.
 
-A minimal projective resolution first covers the module (_cover): one walk
-up the linear extension carries the generators found so far to each
-element w where the module is nonzero, and one echelon form of
-[their values | I] there gives both the new generators, the unit vectors at
-its pivots past the values, and the kernel of the cover at w.  Each later
-step covers the syzygy, a nullspace of the last block, in the labeled
-coordinates of the last term: the summands nonzero at w, in label order,
-whose structure maps are 0/1 re-indexings; its generators at y are the
-basis vectors that are pivots of one echelon form of [radical | basis] at
-y.  No syzygy module is built.  Injective resolutions are projective
-resolutions of D M.
+A minimal projective resolution starts with one walk up the linear
+extension.  At each element w it covers the module (_cover_step): the
+generators found so far are carried to w, and one echelon form of [their
+values | I] there gives both the new generators, the unit vectors at its
+pivots past the values, and the kernel of the cover at w.  In the same walk
+it picks the first syzygy's generators at w (_generator_step), which need
+only the kernel at w and at the covers below w, all known by then.  Each
+later walk takes the next syzygy, a nullspace of the last block, in the
+labeled coordinates of the last term: the summands nonzero at w, in label
+order, whose structure maps are 0/1 re-indexings; its generators at y are
+the basis vectors that are pivots of one echelon form of [radical | basis]
+at y, by the same _generator_step.  No syzygy module is built.  Each new
+label is added to the layouts by walking its up-set's bitmask.  Injective
+resolutions are projective resolutions of D M.
 
-Zero spaces cost nothing: the cover walk skips the elements where the
-module is 0 and the covers from them (a generator that reaches w only
-through a zero space is 0 there, as all paths compose to the same map), and
-there the kernel of the cover is all of it, with no elimination; the
+Each call resolves afresh: a Representation keeps no resolution, so the
+only reuse across calls is the linalg memo of small eliminations.
+
+Zero spaces cost nothing: the cover walk skips the covers from elements
+where the module is 0 (a generator that reaches w only through a zero
+space is 0 there, as all paths compose to the same map), and where the
+module is 0 the kernel of the cover is all of it, with no elimination; the
 cokernel into a sum of projectives skips the elements where the sum is 0,
 and Hom(C, N) skips the summands where N is 0.
 
@@ -119,6 +125,14 @@ def _layout(P: Poset, kind: str, labels) -> list[list[int]]:
     return lay
 
 
+def _extend_layout(lay, mask: int, ids) -> None:
+    """Append ids to lay[u] for every element u of the bitmask, walking its bits."""
+    while mask:
+        low = mask & -mask
+        lay[low.bit_length() - 1].extend(ids)
+        mask ^= low
+
+
 def realize_labels(P: Poset, field, kind: str, labels) -> Representation:
     """The labeled sum as a representation."""
     return _realize_layout(P, field, _layout(P, kind, labels))
@@ -168,13 +182,12 @@ def _cokernel_into_projectives(P: Poset, field, src, dst, d) -> Representation:
     slay, lay = _layout(P, "proj", src), _layout(P, "proj", dst)
     blocks = _scalar_blocks(P, src, dst, slay, lay, d)
     quots = [_quotient_rows(p, b, len(sj), len(js)) for b, sj, js in zip(blocks, slay, lay)]
-    pos = [{j: k for k, j in enumerate(js)} if q else None for js, (q, _) in zip(lay, quots)]
     maps = {}
     for (x, y) in P.covers:
         q_x, pivots = quots[x]
         q_y = quots[y][0]
         if q_y:
-            at = [pos[y][j] for j in lay[x]]
+            at = [lay[y].index(j) for j in lay[x]]
             q_y = _factor_rows(field, q_x, pivots, tuple([tuple([row[k] for k in at]) for row in q_y]))
         maps[(x, y)] = _mat(field, q_y, len(q_y), len(q_x))
     return _rep(P, field, [len(q) for q, _ in quots], maps)
@@ -232,104 +245,107 @@ def _resolution(M: Representation, max_length: int | None = None):
 def _resolve(P: Poset, field, dims, maps, max_length: int | None = None):
     """The labels of the minimal projective resolution of the module with
     dimensions dims and cover map rows maps, the rows of its scalar matrices,
-    and the columns of its cover's block at each element.
+    and the columns of its cover's block at each element.  A truncated
+    resolution stops at its max_length-th scalar matrix.
 
-    Nothing is realized.  The first step covers the module and gives the
-    syzygy basis at each element (_cover).  Every later step covers the
-    syzygy, a submodule given by a basis at every element, and _generators
-    picks its generators, in the labeled coordinates of the previous term T,
-    whose basis at w lists the summands nonzero there in label order.  With
-    d(w) the block at w of the last scalar matrix, the syzygy basis at w is
-    nullspace(d(w)), carried by re-indexing since the structure maps of a
-    labeled sum are 0/1, and the next scalar matrix has generator j's vector
-    at its label in column j.  This is the complex that covering the
-    realized syzygy K would give: K(y) -> T(y) is injective, so the pivots
-    of [rad | I] in K-coordinates are those of [rad | basis] in
-    T-coordinates, and an injective map on the left leaves the next block's
-    rref, hence its nullspace, unchanged.
-
-    A truncated resolution stops at its last scalar matrix.
-    """
-    p, z = field.p, field.zero
-    gens, lay, cover, syz = _cover(P, field, dims, maps)
-    labels = tuple(x for x, _ in gens)
-    labels_list, mats, step = [labels], [], 0
-    while step != max_length:
-        if not any(syz):
-            break
-        if step == P.n + 1:
-            raise PosetarError("resolution exceeded the global-dimension safety bound")
-        gens = _generators(P, p, syz, lay)
-        cols = []
-        for x, v in gens:
-            col = [z] * len(labels)
-            for j, a in zip(lay[x], v):
-                col[j] = a
-            cols.append(col)
-        d = tuple(zip(*cols))
-        mats.append(d)
-        labels = tuple(x for x, _ in gens)
-        labels_list.append(labels)
-        step += 1
-        if step == max_length:
-            break
-        new = _layout(P, "proj", labels)
-        syz = [_null_rows(p, b, len(js)) for b, js in zip(_scalar_blocks(P, labels, labels_list[-2], new, lay, d), new)]
-        lay = new
-    _assert_min_resolution(labels_list, mats)
-    return tuple(labels_list), mats, cover
-
-
-def _cover(P: Poset, field, dims, maps):
-    """The projective cover of the module with dimensions dims and cover map
-    rows maps, and its kernel: the generators (x_j, v_j) in linear-extension
-    order, the layout of their labels, the columns at each w of the cover's
-    block (generator j's value at w, for the j in the layout at w), and a
-    basis of the nullspace of that block.
-
-    One walk up the linear extension.  At w, the generators found below w
-    reach w through the covers between nonzero spaces (_carry); their values
-    C span the radical of the module at w.  The unit vectors at the pivots
-    of [C | I] past C lift a basis of the top at w and are its generators.
-    The reduced echelon form of the block [C | those unit vectors] is that
-    of [C | I] read at its columns, which hold every pivot, so the kernel
-    needs no second elimination.  Where the module is 0 the kernel is all of
-    the cover there.
+    Nothing is realized.  One walk up the linear extension covers the module
+    and picks the generators of its first syzygy (_cover_step and
+    _generator_step at each w), so it gives the first scalar matrix unless
+    the module is projective; with max_length 0 it only covers the module.
+    Where the module is 0 the kernel is all of the cover, with no
+    elimination.  The generators at w need only the syzygy at w and at the
+    covers below w, and the walk has computed those by then.  Every later
+    walk (_syzygy_generators) covers the next syzygy, a submodule given by
+    a basis at every element, with the same _generator_step in the labeled
+    coordinates of the previous term T, whose basis at w lists the summands
+    nonzero there in label order.  With d(w) the block at w of the last
+    scalar matrix, the syzygy basis at w is nullspace(d(w)), carried by
+    re-indexing since the structure maps of a labeled sum are 0/1, and the
+    next scalar matrix has generator j's vector at its label in column j.
+    This is the complex that covering the realized syzygy K would give:
+    K(y) -> T(y) is injective, so the pivots of [rad | I] in K-coordinates
+    are those of [rad | basis] in T-coordinates, and an injective map on
+    the left leaves the next block's rref, hence its nullspace, unchanged.
     """
     p = field.p
+    at: list[dict[int, tuple]] = [{} for _ in dims]  # at[w][j]: generator j at w
+    gens0: list[tuple[int, tuple]] = []
     gens: list[tuple[int, tuple]] = []
     lay: list[list[int]] = [[] for _ in dims]
-    at: list[dict[int, tuple]] = [{} for _ in dims]  # at[w][j]: generator j at w
+    nlay: list[list[int]] = [[] for _ in dims]
     cover, syz = [None] * len(dims), [None] * len(dims)
     for w in P.linear_extension():
-        d, js = dims[w], lay[w]
-        if not d:
-            cover[w], syz[w] = [()] * len(js), _unit_rows(len(js)) if js else ()
-            continue
-        col = _carry(P, field, dims, maps, at, w)
-        zero, units = (0,) * d, _unit_rows(d)
-        C = [col.get(j) or zero for j in js]
-        c = len(C)
-        R, pivots = _rref_rows(p, tuple([r + e for r, e in zip(_cols(C, d), units)]), c + d) if c else (units, range(d))
-        new = [q - c for q in pivots if q >= c]
+        if dims[w]:
+            cover[w], syz[w] = _cover_step(P, field, dims, maps, at, gens0, lay, w)
+        else:  # the kernel is all of the cover
+            cover[w], syz[w] = [()] * len(lay[w]), _unit_rows(len(lay[w]))
+        if syz[w] and max_length != 0:
+            _generator_step(P, p, syz, lay, w, gens, nlay)
+    labels, mats = [tuple([x for x, _ in gens0])], []
+    while gens and len(mats) != max_length:
+        if len(mats) == P.n + 1:
+            raise PosetarError("resolution exceeded the global-dimension safety bound")
+        mats.append(_scalar_rows(gens, lay, len(labels[-1]), field.zero))
+        labels.append(tuple([x for x, _ in gens]))
+        if len(mats) == max_length:
+            break
+        gens, new = _syzygy_generators(P, p, labels[-1], labels[-2], mats[-1], nlay, lay)
+        lay, nlay = nlay, new
+    _assert_min_resolution(labels, mats)
+    return tuple(labels), tuple(mats), cover
+
+
+def _syzygy_generators(P: Poset, p: int, src, dst, d, slay, dlay):
+    """The generators of the kernel of the scalar rows d from the labeled sum
+    of P(src) to that of P(dst), with layouts slay and dlay, in the labeled
+    coordinates of the source, and the layout of their labels: one walk up
+    the linear extension, the kernel at w being the nullspace of the block
+    of d there."""
+    blocks = _scalar_blocks(P, src, dst, slay, dlay, d)
+    syz = [_null_rows(p, b, len(js)) for b, js in zip(blocks, slay)]
+    gens: list[tuple[int, tuple]] = []
+    nlay: list[list[int]] = [[] for _ in slay]
+    for w in P.linear_extension():
+        if syz[w]:
+            _generator_step(P, p, syz, slay, w, gens, nlay)
+    return gens, nlay
+
+
+def _cover_step(P: Poset, field, dims, maps, at, gens, lay, w):
+    """The projective cover of the module with dimensions dims and cover map
+    rows maps at an element w where it is nonzero, and its kernel there, for
+    the walk up the linear extension: it appends the generators (w, v) found
+    at w to gens and their ids to the layout lay of the cover, and returns
+    the columns of the cover's block at w (generator j's value there, for
+    the j in lay[w]) and a basis of the nullspace of that block.
+
+    The generators found below w reach w through the covers between nonzero
+    spaces (_carry); their values C span the radical of the module at w.  The
+    unit vectors at the pivots of [C | I] past C lift a basis of the top at w
+    and are its generators.  The reduced echelon form R of the block [C |
+    those unit vectors] is that of [C | I] read at its columns, which hold
+    every pivot, so the kernel needs no second elimination: its free columns
+    all lie in C, where R is read as it is, and the pivots past C are the
+    block's columns c, c + 1, ....
+    """
+    p = field.p
+    d, js = dims[w], lay[w]
+    col = _carry(P, field, dims, maps, at, w)
+    units = _unit_rows(d)
+    zero = (0,) * d
+    C = [col.get(j) or zero for j in js]
+    c = len(C)
+    R, pivots = _rref_rows(p, tuple([r + e for r, e in zip(_cols(C, d), units)]), c + d) if c else (units, range(d))
+    new = [q - c for q in pivots if q >= c]
+    if new:
         ids = range(len(gens), len(gens) + len(new))
         for j, q in zip(ids, new):
             gens.append((w, units[q]))
             col[j] = units[q]
-        if new:
-            for u in P.up_set(w):
-                lay[u].extend(ids)
-        cover[w] = C + [units[q] for q in new]
-        if not c:  # the block is the identity
-            syz[w] = ()
-        elif not new:  # the block is C
-            syz[w] = _null_from_echelon(p, [row[:c] for row in R], pivots, c)
-        else:
-            sel = list(range(c)) + [c + q for q in new]
-            at_sel = {q: i for i, q in enumerate(sel)}
-            syz[w] = _null_from_echelon(p, [tuple([row[q] for q in sel]) for row in R],
-                                        [at_sel[q] for q in pivots], len(sel))
-    return gens, lay, cover, syz
+        _extend_layout(lay, P.up[w], ids)
+    # the block's pivots: those of [C | I] in C, then its columns c, c + 1, ...
+    k = len(pivots) - len(new)
+    return C + [units[q] for q in new], _null_from_echelon(p, R, [*pivots[:k], *range(c, c + len(new))], c + len(new))
 
 
 def _carry(P: Poset, field, dims, maps, at, w) -> dict:
@@ -350,35 +366,45 @@ def _carry(P: Poset, field, dims, maps, at, w) -> dict:
     return col
 
 
-def _generators(P: Poset, p: int, syz, lay) -> list[tuple[int, tuple]]:
-    """Generators (y, vector) of the syzygy with the independent vectors
-    syz[y] at each y, in the labeled coordinates of the term with layout
-    lay, in linear-extension order.
+def _generator_step(P: Poset, p: int, syz, lay, w, gens, nlay) -> None:
+    """The generators at w of the syzygy with the independent vectors syz[y]
+    at each y, nonzero at w, in the labeled coordinates of the term with
+    layout lay, for the walk up the linear extension: they are appended to
+    gens as (w, vector), and their ids to the layout nlay of the next term.
 
-    The syzygy bases at the covers below y, carried up to y by re-indexing
-    (lay[x] is part of lay[y] on a cover x -> y), span its radical there.
-    The basis vectors that are pivots of the rref of [radical | syz[y]] lift
-    a basis of the top at y: each generates one summand P(y) of the cover.
+    The syzygy bases at the covers below w, carried up to w by re-indexing
+    (lay[x] is part of lay[w] on a cover x -> w), span its radical there.
+    The basis vectors that are pivots of the rref of [radical | syz[w]] lift
+    a basis of the top at w: each generates one summand P(w) of the cover.
     """
-    gens: list[tuple[int, tuple]] = []
-    for y in P.linear_extension():
-        basis, js = syz[y], lay[y]
-        if not basis:
+    basis, js, rad = syz[w], lay[w], []
+    for x in P.covers_below(w):
+        if not syz[x]:
             continue
-        pos, rad = {j: k for k, j in enumerate(js)}, []
-        for x in P.covers_below(y):
-            if not syz[x]:
-                continue
-            at = [pos[j] for j in lay[x]]
-            for v in syz[x]:
-                row = [0] * len(js)
-                for k, a in zip(at, v):
-                    row[k] = a
-                rad.append(row)
-        n = len(rad)
-        pivots = _rref_rows(p, tuple(zip(*rad, *basis)), n + len(basis))[1] if n else range(len(basis))
-        gens += [(y, basis[q - n]) for q in pivots if q >= n]
-    return gens
+        at = [js.index(j) for j in lay[x]]
+        for v in syz[x]:
+            row = [0] * len(js)
+            for k, a in zip(at, v):
+                row[k] = a
+            rad.append(row)
+    n = len(rad)
+    pivots = _rref_rows(p, tuple(zip(*rad, *basis)), n + len(basis))[1] if n else range(len(basis))
+    new = [basis[q - n] for q in pivots if q >= n]
+    if new:
+        _extend_layout(nlay, P.up[w], range(len(gens), len(gens) + len(new)))
+        gens += [(w, v) for v in new]
+
+
+def _scalar_rows(gens, lay, n: int, z) -> tuple:
+    """The rows of the scalar matrix with generator j = (x, v) in column j:
+    v at the summands lay[x] of the n-summand term, z elsewhere."""
+    cols = []
+    for x, v in gens:
+        col = [z] * n
+        for j, a in zip(lay[x], v):
+            col[j] = a
+        cols.append(col)
+    return tuple(zip(*cols))
 
 
 def _blocks_from_generators(P: Poset, field, gens, maps, dims, lay) -> list[list[tuple]]:

@@ -44,13 +44,20 @@ matrix is unique, so the stored result is the one a fresh elimination would
 compute; `Fraction(n, 1)` and `n` share a key and both give the canonical
 ints.  The memo stores tuples, which the labelled helpers of `rep`,
 `homalg` and `knit` read as rows; the Mat methods wrap them, and nullspace
-hands out a fresh list.  It is process-wide, but the reuse is within one
-call: tau_inverse asks the same small questions many times.  One
-family-sweep pass of the benchmark (seed 20240) asks the three 15,510
-questions on 965 distinct inputs: rref 4,274 on 462, nullspace 7,931 on 398
-and the projection 3,305 on 105; 248 of them, on 210 inputs, are above the
-bound.  With the memo a pass runs about 1,090 eliminations.  So the bound
-keeps out what rarely repeats and would hold most of the memory.
+hands out a fresh list.  It is process-wide, but most of the reuse is
+within one operation: tau_inverse asks the same small questions many times.
+One warm family-sweep pass of the benchmark (seed 20240) asks the three
+10,392 questions: rref 3,517 on 446 distinct inputs, nullspace 2,200 on 154
+and the projection 4,675 on 106; 216 of them are above the bound.  With the
+memo a pass runs 635 eliminations, 361 of them rref misses, as a pass asks
+more distinct rref questions than the memo holds.  Clearing the three memos
+before every operation of that pass made it 3-4% slower (in-process medians
+of 12 passes, 0.117 -> 0.122 s and 0.121 -> 0.124 s on a shared 2-core Xeon
+box).  A larger memo would answer the 361 misses from the previous pass
+over the same inputs, the benchmark's repetition rather than a user's
+traffic.  The bound keeps out what rarely repeats and would hold most of
+the memory.  The unit rows of k^n, for n * n <= `_MEMO_CELLS`, are built
+once, at import (`_unit_rows`).
 
 `Mat(field, rows, r, c)` copies any iterable of rows into a tuple of tuples
 and raises ValueError unless it has r rows of length c; every caller not
@@ -411,9 +418,17 @@ def _quotient_rows(p: int, gens: tuple, gc: int, dim: int) -> tuple[tuple, tuple
     return (_quotient_memo if dim * (gc + dim) <= _MEMO_CELLS else _quotient)(p, gens, gc, dim)
 
 
-def _unit_rows(n: int) -> tuple:
-    """The rows of the n x n identity, the unit vectors of k^n."""
+def _units(n: int) -> tuple:
     return tuple([(0,) * i + (1,) + (0,) * (n - i - 1) for i in range(n)])
+
+
+_UNITS = tuple(_units(n) for n in range(9))  # every size with n * n <= _MEMO_CELLS
+
+
+def _unit_rows(n: int) -> tuple:
+    """The rows of the n x n identity, the unit vectors of k^n: built once
+    for the sizes of at most _MEMO_CELLS entries."""
+    return _UNITS[n] if n < len(_UNITS) else _units(n)
 
 
 def _cols(rows: tuple, c: int) -> tuple:

@@ -6,7 +6,7 @@ from posetar.errors import NotIndecomposable, PosetarError
 from posetar.homalg import tau, tau_inverse
 from posetar.ictree import TreeShape, ic_decompose, realize_shape
 from posetar.knit import ar_sequence_end
-from posetar.linalg import QQ
+from posetar.linalg import QQ, _cols, _dots, _null_from_echelon, _rref_rows, _unit_rows
 from posetar.poset import _bits
 from posetar.rep import constant_on, is_isomorphic, radical, restrict, socle
 from posetar.split import _canonical_order, group_isomorphic, is_indecomposable, split_indecomposables, split_once
@@ -248,3 +248,68 @@ def split_without_stop(M):
         else:
             stack.extend(res)
     return _canonical_order(group_isomorphic([(piece, 1) for piece in pieces]), M.poset, M.field)
+
+
+def two_walk_presentation(P, field, dims, maps):
+    """The minimal presentation of the module with dimensions dims and cover
+    map rows maps in two walks up the linear extension, as homalg computed
+    it before its one walk: the cover and its kernel first, then the
+    kernel's generators.  Returns the labels L0 and L1, the columns of the
+    cover's block at each element, and the scalar rows of P(L1) -> P(L0)."""
+    p = field.p
+    gens, lay = [], [[] for _ in dims]
+    at = [{} for _ in dims]  # at[w][j]: generator j at w
+    cover, syz = [None] * len(dims), [None] * len(dims)
+    for w in P.linear_extension():
+        d, js = dims[w], lay[w]
+        if not d:
+            cover[w], syz[w] = [()] * len(js), _unit_rows(len(js)) if js else ()
+            continue
+        col = at[w]
+        for y in P.covers_below(w):
+            if dims[y]:
+                for j, u in at[y].items():
+                    if j not in col:
+                        col[j] = _dots(u, maps[(y, w)], field)
+        zero, units = (0,) * d, _unit_rows(d)
+        C = [col.get(j) or zero for j in js]
+        c = len(C)
+        R, pivots = _rref_rows(p, tuple([r + e for r, e in zip(_cols(C, d), units)]), c + d) if c else (units, range(d))
+        new = [q - c for q in pivots if q >= c]
+        ids = range(len(gens), len(gens) + len(new))
+        for j, q in zip(ids, new):
+            gens.append((w, units[q]))
+            col[j] = units[q]
+        for u in P.up_set(w) if new else ():
+            lay[u].extend(ids)
+        cover[w] = C + [units[q] for q in new]
+        if not c:
+            syz[w] = ()
+        else:
+            sel = list(range(c)) + [c + q for q in new]
+            at_sel = {q: i for i, q in enumerate(sel)}
+            syz[w] = _null_from_echelon(p, [tuple([row[q] for q in sel]) for row in R],
+                                        [at_sel[q] for q in pivots], len(sel))
+    L0 = tuple(x for x, _ in gens)
+    gens1 = []
+    for y in P.linear_extension():
+        basis, js = syz[y], lay[y]
+        if not basis:
+            continue
+        pos, rad = {j: k for k, j in enumerate(js)}, []
+        for x in P.covers_below(y):
+            for v in syz[x]:
+                row = [0] * len(js)
+                for j, a in zip(lay[x], v):
+                    row[pos[j]] = a
+                rad.append(row)
+        n = len(rad)
+        pivots = _rref_rows(p, tuple(zip(*rad, *basis)), n + len(basis))[1] if n else range(len(basis))
+        gens1 += [(y, basis[q - n]) for q in pivots if q >= n]
+    cols = []
+    for x, v in gens1:
+        col = [field.zero] * len(L0)
+        for j, a in zip(lay[x], v):
+            col[j] = a
+        cols.append(col)
+    return L0, cover, tuple(x for x, _ in gens1), tuple(zip(*cols))

@@ -1,14 +1,23 @@
 import random
 
 import pytest
-from conftest import assert_natural, is_surjective, random_ic_family, tau_commutes_with_restriction_check
+from conftest import (
+    assert_natural,
+    is_surjective,
+    random_ic_family,
+    tau_commutes_with_restriction_check,
+    two_walk_presentation,
+)
 
 from posetar.corpus import corpus_poset, star_poset
 from posetar.clamped import enumerate_clamped
 from posetar.homalg import (
     LabeledComplex,
     _assert_min_resolution,
+    _dual_rows,
     _layout,
+    _resolve,
+    _rows,
     _scalar_blocks,
     coinduce,
     ext,
@@ -28,7 +37,7 @@ from posetar.knit import knit
 from posetar.corpus import corpus_ids
 from posetar.errors import PosetarError
 from posetar.linalg import QQ, Field, Mat
-from posetar.poset import chain
+from posetar.poset import Poset, chain
 from posetar.rep import (
     Morphism,
     Representation,
@@ -697,3 +706,60 @@ def test_layout_matches_the_leq_scan(cid):
         for labels in multisets:
             for kind in ("proj", "inj"):
                 assert _layout(Q, kind, labels) == _layout_by_leq(Q, kind, labels)
+
+
+# -- the one walk: the cover and its first syzygy's generators together ----------
+
+
+def _random_poset(rng, n):
+    rels = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.35]
+    return Poset([f"p{i}" for i in range(n)], rels)
+
+
+def _small_modules(P, field):
+    """S, P, I and rad P at every element."""
+    for x in P.elements():
+        yield simple(P, x, field)
+        yield projective(P, x, field)
+        yield injective(P, x, field)
+        yield radical(projective(P, x, field))[0]
+
+
+def _assert_one_walk_matches_two_walks(M):
+    # the module itself, and its dual over the opposite poset as tau_inverse reads it
+    P, field = M.poset, M.field
+    for Q, maps in ((P, _rows(M)), (P.opposite(), _dual_rows(M))):
+        labels, mats, cover = _resolve(Q, field, M.dims, maps, 1)
+        L0, want_cover, L1, d = two_walk_presentation(Q, field, M.dims, maps)
+        assert labels[0] == L0 and cover == want_cover
+        assert (labels[1:], mats) == (((L1,), (d,)) if L1 else ((), ()))
+
+
+@pytest.mark.parametrize("cid", corpus_ids())
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_one_walk_presentation_matches_two_walks(cid, field):
+    for M in _small_modules(corpus_poset(cid), field):
+        _assert_one_walk_matches_two_walks(M)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_one_walk_presentation_matches_two_walks_on_random_posets(field):
+    # S, P, I and rad P, and sums of two or three of them: a sum can have an
+    # element with dependent carried values and a new generator
+    rng = random.Random(2028)
+    for _ in range(40):
+        P = _random_poset(rng, rng.randint(1, 9))
+        small = list(_small_modules(P, field))
+        sums = [direct_sum(rng.sample(small, rng.randint(2, 3))) for _ in range(6)] if len(small) > 3 else []
+        for M in small + sums:
+            _assert_one_walk_matches_two_walks(M)
+
+
+@pytest.mark.parametrize("source", ["star-2-2", "ex57", "sec2-right", 4, 5])
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_one_walk_presentation_matches_two_walks_on_knit_vertices(source, field):
+    # thin modules have no element with both a carried value and a new
+    # generator; knitted ones do
+    P = corpus_poset(source) if isinstance(source, str) else random_ic_family()[source]
+    for v in knit(P, field, max_meshes=60).vertices:
+        _assert_one_walk_matches_two_walks(v.rep)

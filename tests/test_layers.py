@@ -43,3 +43,22 @@ def test_each_module_imports_only_lower_layers():
             if RANKS[target] >= RANKS[path.stem]:
                 upward.append(f"{path.stem} (rank {RANKS[path.stem]}) imports {target} (rank {RANKS[target]})")
     assert upward == []
+
+
+def _memo_uses(path):
+    """The lines where path names functools.lru_cache or functools.cache."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            if any(alias.name in ("lru_cache", "cache") for alias in node.names):
+                yield node.lineno
+        elif isinstance(node, ast.Attribute) and node.attr in ("lru_cache", "cache"):
+            if isinstance(node.value, ast.Name) and node.value.id == "functools":
+                yield node.lineno
+
+
+def test_only_linalg_memoizes():
+    # the linalg docstring's rule: the exact kernels are memoized there and nowhere else
+    pkg = Path(posetar.__file__).parent
+    uses = {path.stem: list(_memo_uses(path)) for path in sorted(pkg.glob("*.py"))}
+    assert uses["linalg"]
+    assert {stem: lines for stem, lines in uses.items() if lines and stem != "linalg"} == {}
