@@ -44,7 +44,7 @@ def _load_poset(source: str) -> Poset:
 
 
 def _field(text: str) -> Field:
-    """argparse type of --field: `rationals` or `gf:<p>` for a prime p."""
+    """argparse type of --field: `rationals` or `gf:<p>` for a prime p < 2^31."""
     if text == "rationals":
         return QQ
     digits = text[3:] if text.startswith("gf:") else ""
@@ -53,7 +53,7 @@ def _field(text: str) -> Field:
             return Field(int(digits))
         except ValueError:
             pass
-    raise argparse.ArgumentTypeError(f"unknown field {text!r} (use rationals or gf:<p>, p prime)")
+    raise argparse.ArgumentTypeError(f"unknown field {text!r} (use rationals or gf:<p>, p a prime below 2^31)")
 
 
 def _nonnegative(text: str) -> int:

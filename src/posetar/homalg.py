@@ -39,21 +39,23 @@ and Hom(C, N) skips the summands where N is 0.
 
 Every translate is read off a minimal presentation P(L1) -> P(L0) with
 scalar rows d by one of two labeled helpers, whose blocks at w are d read
-at the summands nonzero at w.  A kernel out of a sum of injectives has the
-nullspace of the block at w as its basis there: tau is the kernel of the
-Nakayama image I(L1) -> I(L0), and coinduce is one too.  A cokernel into a
-sum of projectives realizes no sum: q_y after a 0/1 structure map is q_y
-read at the summands of x.  induce is one, and so is the transpose Tr M,
-P(L0) -> P(L1) with d transposed over the opposite poset.  tau_inverse is
-Tr D and transpose_dual_tau is D Tr.
+at the summands nonzero at w.  Both realize no sum: they hand the shared
+constructions of `rep` a 0/1 structure map as a re-indexing.  A kernel out
+of a sum of injectives is rep._kernel_rep on the nullspace of the block at
+each w, a vector at x going to its entries at the summands of y: tau is the
+kernel of the Nakayama image I(L1) -> I(L0), and coinduce is one too.  A
+cokernel into a sum of projectives is rep._quotient_rep, q_y after the
+structure map being q_y read at the summands of x.  induce is one, and so
+is the transpose Tr M, P(L0) -> P(L1) with d transposed over the opposite
+poset.  tau_inverse is Tr D and transpose_dual_tau is D Tr.
 """
 
 from __future__ import annotations
 
 from .errors import PosetarError
-from .linalg import Mat, _cols, _dots, _mat, _null_from_echelon, _null_rows, _quotient_rows, _rref_rows, _unit_rows
+from .linalg import Mat, _at, _cols, _dots, _mat, _null_from_echelon, _null_rows, _quotient_rows, _rref_rows, _unit_rows
 from .poset import Poset
-from .rep import Morphism, Representation, _factor_rows, _rep, dualize
+from .rep import Morphism, Representation, _kernel_rep, _quotient_rep, _rep, dualize
 
 
 class LabeledComplex:
@@ -176,42 +178,26 @@ def _cokernel_into_projectives(P: Poset, field, src, dst, d) -> Representation:
 
     On a cover x -> y the sum sends summand j at x to summand j at y, so the
     echelon projection q_y after it is q_y read at the positions in lay[y]
-    of the summands of x, which _factor_rows reads at the pivots of q_x.
+    of the summands of x (rep._quotient_rep).
     """
-    p = field.p
     slay, lay = _layout(P, "proj", src), _layout(P, "proj", dst)
     blocks = _scalar_blocks(P, src, dst, slay, lay, d)
-    quots = [_quotient_rows(p, b, len(sj), len(js)) for b, sj, js in zip(blocks, slay, lay)]
-    maps = {}
-    for (x, y) in P.covers:
-        q_x, pivots = quots[x]
-        q_y = quots[y][0]
-        if q_y:
-            at = [lay[y].index(j) for j in lay[x]]
-            q_y = _factor_rows(field, q_x, pivots, tuple([tuple([row[k] for k in at]) for row in q_y]))
-        maps[(x, y)] = _mat(field, q_y, len(q_y), len(q_x))
-    return _rep(P, field, [len(q) for q, _ in quots], maps)
+    quots = [_quotient_rows(field.p, b, len(sj), len(js)) for b, sj, js in zip(blocks, slay, lay)]
+    return _quotient_rep(P, field, quots, lambda x, y, q_y: _at(q_y, [lay[y].index(j) for j in lay[x]]))
 
 
 def _kernel_out_of_injectives(P: Poset, field, src, dst, d) -> Representation:
     """Kernel of the scalar rows d from the labeled sum of I(src) to that of I(dst).
 
-    Its basis at w is the nullspace of the block there, so a kernel vector's
-    coordinates are its entries at the free columns.  The sum drops the
-    summands that vanish along a cover x -> y, so the map there reads each
-    basis vector at x at the summands of the free columns at y.
+    Its basis at w is the nullspace of the block there (rep._kernel_rep).
+    The sum drops the summands that vanish along a cover x -> y, so a vector
+    at x goes to its entries at the summands of y.
     """
     lay = _layout(P, "inj", src)
     blocks = _scalar_blocks(P, src, dst, lay, _layout(P, "inj", dst), d)
     null = [_null_rows(field.p, b, len(js)) for b, js in zip(blocks, lay)]
-    free = [[lay[w][max(i for i, a in enumerate(v) if a)] for v in vs] for w, vs in enumerate(null)]
-    pos = [{j: k for k, j in enumerate(js)} if vs else None for js, vs in zip(lay, null)]
-    maps = {}
-    for (x, y) in P.covers:
-        vs = null[x]
-        rows = tuple([tuple([v[pos[x][j]] for v in vs]) for j in free[y]]) if vs else ((),) * len(free[y])
-        maps[(x, y)] = _mat(field, rows, len(rows), len(vs))
-    return _rep(P, field, [len(vs) for vs in null], maps)
+    pos = [{j: k for k, j in enumerate(js)} for js in lay]
+    return _kernel_rep(P, field, null, lambda x, y, v: tuple([v[pos[x][j]] for j in lay[y]]))
 
 
 def _rows(M: Representation) -> dict:
@@ -492,7 +478,7 @@ def ext(M: Representation, N: Representation, i: int) -> int:
     if i < 0:
         raise ValueError("ext degree must be nonnegative")
     C, _ = _resolution(M, max_length=i + 1)
-    return _ext_from_resolution(C, N, i)
+    return _ext_dims(C, N)[i] if i <= C.length() else 0
 
 
 def ext_all(M: Representation, N: Representation) -> list[int]:
@@ -506,8 +492,7 @@ def _ext_dims(C: LabeledComplex, N: Representation) -> list[int]:
     dimension of Hom(term(i), N) less the ranks of the maps out of and into
     it.  Ext^0 is Hom(M, N), as Hom(-, N) is left exact."""
     dims = [_hom_space_dim(N, lab) for lab in C.labels]
-    ranks = [_hom_complex_map(C, N, i).rank() if dims[i] and dims[i + 1] else 0
-             for i in range(C.length())] + [0]
+    ranks = [_hom_complex_map(C, N, i).rank() for i in range(C.length())] + [0]
     return [d - ranks[i] - (ranks[i - 1] if i else 0) for i, d in enumerate(dims)]
 
 
@@ -537,23 +522,6 @@ def _hom_complex_map(C: LabeledComplex, N: Representation, i: int) -> Mat:
             coff += N.dims[y]
         roff += N.dims[x]
     return _mat(field, tuple(map(tuple, data)), rows_dim, cols_dim)
-
-
-def _ext_from_resolution(C: LabeledComplex, N: Representation, i: int) -> int:
-    if i > C.length():
-        return 0
-    dim_i = _hom_space_dim(N, C.labels[i])
-    if dim_i == 0:
-        return 0
-    if i < C.length():
-        out = _hom_complex_map(C, N, i)
-        ker_dim = dim_i - out.rank()
-    else:
-        ker_dim = dim_i
-    in_rank = 0
-    if i > 0:
-        in_rank = _hom_complex_map(C, N, i - 1).rank()
-    return ker_dim - in_rank
 
 
 # -- induction / coinduction ------------------------------------------------

@@ -1,16 +1,16 @@
 """Dense exact linear algebra over the rationals or a prime field.
 
 Everything downstream (representations, resolutions, knitting) reduces to
-rank/kernel/solve questions on small dense matrices, so this module keeps the
-arithmetic exact and the interface minimal.  Matrices are immutable; rows are
-tuples of field elements.  Over GF(p) an element is a reduced int in
-[0, p).  Over the rationals it is a Python int when it is integral and a
-Fraction with denominator > 1 otherwise, never a float: nearly every entry
-the algebra layers meet is a small integer, and int arithmetic costs a
-fraction of Fraction's.  Every entry this module computes follows that
-contract: the results of rref, nullspace, solve, mul, apply, add, sub and
-scale, and the Field methods.  The constructor accepts any
-ints or Fractions, and re-indexing (transpose, hstack, vstack, column,
+rank, kernel and echelon-form questions on small dense matrices, so this
+module keeps the arithmetic exact and the interface minimal.  Matrices are
+immutable; rows are tuples of field elements.  Over GF(p), p < 2^31, an
+element is a reduced int in [0, p).  Over the rationals it is a Python int
+when it is integral and a Fraction with denominator > 1 otherwise, never a
+float: nearly every entry the algebra layers meet is a small integer, and
+int arithmetic costs a fraction of Fraction's.  Every entry this module
+computes follows that contract: the results of rref, nullspace, solve, mul,
+apply, add, sub and scale, and the Field methods.  The constructor accepts
+any ints or Fractions, and re-indexing (transpose, hstack, vstack, column,
 columns, from_columns) keeps the entries it was given.  No `/` is
 applied between two entries: a quotient goes through `_div`, which returns
 `a // b` when b divides a and `Fraction(a, b)` otherwise, and sums and
@@ -66,11 +66,10 @@ add, sub, scale, mul, transpose, hstack, vstack, rref and solve) fix the
 shape of their result by construction, build its rows as tuples, and store
 them with `_mat`, which neither copies nor checks.  So do the sites that wrap
 labelled rows whose shape they know: in `rep`, `direct_sum`, `hom`,
-`Morphism.cokernel`, `_quotient_projection` and `_quotient_rep`; in
-`homalg`, `_realize_layout`, `realize_scalar_map`,
-`_cokernel_into_projectives`, `_kernel_out_of_injectives`,
-`projective_presentation`, `_resolution`, `min_injective_resolution` and
-`_hom_complex_map`; in `split`, `_fitting_split`.
+`Morphism.image`, `Morphism.cokernel`, `radical`, `_quotient_projection`,
+`_quotient_rep`, `_kernel_rep` and `_image_rep`; in `homalg`,
+`_realize_layout`, `realize_scalar_map`, `projective_presentation`,
+`_resolution`, `min_injective_resolution` and `_hom_complex_map`.
 """
 
 from __future__ import annotations
@@ -81,6 +80,7 @@ from math import gcd, lcm
 
 _MEMO_CELLS = 64  # largest r * c an exact kernel memoizes
 _MEMO_SIZE = 128  # entries in each kernel's LRU memo
+_MAX_P = 1 << 31  # GF(p) needs p below this, so that trial division takes at most 46,341 steps
 
 
 def _canon(v):
@@ -106,7 +106,7 @@ def _is_prime(p: int) -> bool:
 
 
 class Field:
-    """Field descriptor: the rationals (p == 0) or GF(p) for prime p.
+    """Field descriptor: the rationals (p == 0) or GF(p) for a prime p < 2^31.
 
     Elements are plain values, not wrapped: over GF(p) a reduced int in
     [0, p), over the rationals an int when integral and a Fraction with
@@ -117,6 +117,8 @@ class Field:
     __slots__ = ("p",)
 
     def __init__(self, p: int = 0) -> None:
+        if p >= _MAX_P:
+            raise ValueError(f"{p} is not below 2^31")
         if p and not _is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
@@ -434,6 +436,11 @@ def _unit_rows(n: int) -> tuple:
 def _cols(rows: tuple, c: int) -> tuple:
     """The columns of an r x c matrix given by its rows."""
     return tuple(zip(*rows)) if rows else ((),) * c
+
+
+def _at(rows, cols) -> tuple:
+    """The rows read at the given columns."""
+    return tuple([tuple([row[c] for c in cols]) for row in rows])
 
 
 def _reduce(p: int, rows):

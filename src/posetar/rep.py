@@ -9,7 +9,7 @@ images, Hom spaces, duality and (co)induction all live here.
 from __future__ import annotations
 
 from .errors import NotConvex, PosetarError
-from .linalg import Field, Mat, QQ, _dots, _mat, _quotient_rows, span_basis
+from .linalg import Field, Mat, QQ, _at, _cols, _dots, _mat, _null_rows, _quotient_rows, _rref_rows
 from .poset import Poset, _mask
 
 
@@ -219,15 +219,26 @@ class Morphism:
         return tuple(v for b in self.blocks for row in b.rows for v in row)
 
     def kernel(self) -> tuple[Representation, "Morphism"]:
-        """Kernel subrepresentation with its inclusion."""
-        M = self.source
-        bases = [Mat.from_columns(M.field, self.blocks[x].nullspace(), M.dims[x]) for x in M.poset.elements()]
-        return _subrep_from_bases(M, bases)
+        """Kernel subrepresentation with its inclusion (PosetarError unless
+        the blocks are natural)."""
+        self._check_natural()
+        return _null_submodule(self.source, [b.nullspace() for b in self.blocks])
 
     def image(self) -> tuple[Representation, "Morphism"]:
-        """Image subrepresentation of the target, with its inclusion."""
-        N = self.target
-        return _subrep_from_bases(N, [span_basis(N.field, b.columns(), b.r) for b in self.blocks])
+        """Image subrepresentation of the target, with its inclusion: the
+        columns of each block at its pivots (PosetarError unless the blocks
+        are natural)."""
+        self._check_natural()
+        echelons = [_rref_rows(b.field.p, b.rows, b.c) for b in self.blocks]
+        I = _image_rep(self.source, echelons)
+        return I, Morphism(I, self.target, [_mat(b.field, _at(b.rows, piv), b.r, len(piv))
+                                            for b, (_, piv) in zip(self.blocks, echelons)])
+
+    def _check_natural(self) -> None:
+        """PosetarError unless N(x, y) f_x = f_y M(x, y) on every cover x -> y."""
+        f, M, N = self.blocks, self.source, self.target
+        if any(N.maps[(x, y)].mul(f[x]) != f[y].mul(M.maps[(x, y)]) for (x, y) in M.poset.covers):
+            raise PosetarError("the blocks do not commute with the structure maps")
 
     def cokernel(self) -> tuple[Representation, "Morphism"]:
         """Cokernel representation with the projection from the target."""
@@ -274,7 +285,7 @@ def _factor_rows(field: Field, q_x, pivots, m) -> tuple:
     factorization is checked at the other columns."""
     if len(pivots) == len(m[0]):  # q_x is the identity and A is m
         return m
-    A = tuple([tuple([row[c] for c in pivots]) for row in m])
+    A = _at(m, pivots)
     free = [c for c in range(len(m[0])) if c not in pivots]
     cols = [tuple([row[c] for row in q_x]) for c in free]
     if any(_dots(a, cols, field) != tuple([row[c] for c in free]) for a, row in zip(A, m)):
@@ -282,24 +293,42 @@ def _factor_rows(field: Field, q_x, pivots, m) -> tuple:
     return A
 
 
-def _subrep_from_bases(M: Representation, bases: list[Mat]):
-    """The subrepresentation with the given per-element bases, and its inclusion.
+def _kernel_rep(P: Poset, field: Field, null, along) -> Representation:
+    """The submodule with basis null[x] at each x, a reduced nullspace basis:
+    vector i has a 1 at the i-th free column and 0 at the others, so a
+    vector at y has its coordinates there at the free columns of y.
 
-    bases[x] has linearly independent columns, which become the basis of the
-    subrepresentation at x and the block of its inclusion there.  Their spans
-    must already form a submodule: every structure map carries the span at x
-    into the span at y, and the cover map is the unique solution there.
-    """
-    P, field = M.poset, M.field
+    along(x, y, v) gives the vector v at x after the structure map on the
+    cover x -> y, which the map there reads at the free columns of y."""
+    free = [[max(i for i, a in enumerate(v) if a) for v in vs] for vs in null]
     maps = {}
-    for y in P.linear_extension():
-        for x in P.covers_below(y):
-            m = bases[y].solve(M.maps[(x, y)].mul(bases[x]))
-            if m is None:
-                raise PosetarError("spans are not closed under the structure maps")
-            maps[(x, y)] = m
-    S = Representation(P, field, [b.c for b in bases], maps, check=False)
-    return S, Morphism(S, M, bases)
+    for (x, y) in P.covers:
+        vs = [along(x, y, v) for v in null[x]] if free[y] else ()
+        maps[(x, y)] = _mat(field, tuple([tuple([u[c] for u in vs]) for c in free[y]]), len(free[y]), len(null[x]))
+    return _rep(P, field, [len(vs) for vs in null], maps)
+
+
+def _null_submodule(M: Representation, null) -> tuple[Representation, Morphism]:
+    """_kernel_rep inside M, whose structure maps carry the vectors, with the
+    inclusion, whose block at x has the columns null[x]."""
+    S = _kernel_rep(M.poset, M.field, null, lambda x, y, v: M.maps[(x, y)].apply(v))
+    return S, Morphism(S, M, [Mat.from_columns(M.field, vs, d) for vs, d in zip(null, M.dims)])
+
+
+def _image_rep(M: Representation, echelons) -> Representation:
+    """The image of a morphism g out of M, given the reduced echelon rows
+    and pivots (R_x, pivots) of each block g_x.
+
+    Its basis at x is the columns of g_x at the pivots, B_x, and g_x = B_x R_x.
+    As g_y M(x, y) = N(x, y) g_x, the map on a cover x -> y is R_y times
+    M(x, y) read at the pivot columns of x."""
+    field = M.field
+    maps = {}
+    for (x, y) in M.poset.covers:
+        piv_x, (R_y, piv_y) = echelons[x][1], echelons[y]
+        cols = _cols(_at(M.maps[(x, y)].rows, piv_x), len(piv_x))
+        maps[(x, y)] = _mat(field, tuple([_dots(row, cols, field) for row in R_y[:len(piv_y)]]), len(piv_y), len(piv_x))
+    return _rep(M.poset, field, [len(piv) for _, piv in echelons], maps)
 
 
 # -- constructors -------------------------------------------------------------
@@ -355,31 +384,33 @@ def direct_sum(reps: list[Representation]) -> Representation:
 
 
 def radical(M: Representation) -> tuple[Representation, Morphism]:
-    """Submodule generated by images of all cover maps."""
-    P, field = M.poset, M.field
-    bases = []
-    for y in P.elements():
-        cols = []
-        for x in P.covers_below(y):
-            cols.extend(M.maps[(x, y)].columns())
-        bases.append(span_basis(field, cols, M.dims[y]))
-    return _subrep_from_bases(M, bases)
+    """Submodule generated by images of all cover maps.
+
+    Its basis B_z at z is the columns at the pivots of A_z = [M(x, z) for the
+    covers x -> z], so A_z = B_z R_z for its reduced echelon rows R_z.  M(y, z)
+    is the block of y in A_z, so the map on y -> z is R_z read at that block,
+    times B_y."""
+    P, field, dims = M.poset, M.field, M.dims
+    block, R, B = {}, [], []
+    for z in P.elements():
+        A, c = ((),) * dims[z], 0
+        for x in P.covers_below(z):
+            block[(x, z)] = range(c, c + dims[x])
+            c += dims[x]
+            A = tuple([a + b for a, b in zip(A, M.maps[(x, z)].rows)])
+        rows, piv = _rref_rows(field.p, A, c)
+        R.append(rows[:len(piv)])
+        B.append(_mat(field, _at(A, piv), dims[z], len(piv)))
+    maps = {(y, z): _mat(field, _at(R[z], block[(y, z)]), len(R[z]), dims[y]).mul(B[y]) for (y, z) in P.covers}
+    S = _rep(P, field, [b.c for b in B], maps)
+    return S, Morphism(S, M, B)
 
 
 def socle(M: Representation) -> tuple[Representation, Morphism]:
     """Largest semisimple submodule: joint kernels of outgoing covers."""
-    P, field = M.poset, M.field
-    bases = []
-    for x in P.elements():
-        ups = P.covers_above(x)
-        if not ups:
-            bases.append(Mat.identity(field, M.dims[x]))
-            continue
-        stacked = M.maps[(x, ups[0])]
-        for y in ups[1:]:
-            stacked = stacked.vstack(M.maps[(x, y)])
-        bases.append(Mat.from_columns(field, stacked.nullspace(), M.dims[x]))
-    return _subrep_from_bases(M, bases)
+    P = M.poset
+    stacked = [tuple([row for y in P.covers_above(x) for row in M.maps[(x, y)].rows]) for x in P.elements()]
+    return _null_submodule(M, [_null_rows(M.field.p, rows, d) for rows, d in zip(stacked, M.dims)])
 
 
 def top(M: Representation) -> tuple[Representation, Morphism]:

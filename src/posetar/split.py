@@ -38,11 +38,12 @@ from collections import Counter
 from fractions import Fraction
 
 from .errors import SplitFailure
-from .linalg import Mat, _canon, _cols, _dots, _mat, _null_rows, _rref_rows, _unit_rows
+from .linalg import Mat, _canon, _cols, _dots, _null_from_echelon, _null_rows, _rref_rows, _unit_rows
 from .rep import (
     Morphism,
     Representation,
-    _rep,
+    _image_rep,
+    _kernel_rep,
     _thin_forest,
     hom,
     hom_dim,
@@ -148,16 +149,11 @@ def _fitting_split(M: Representation, f):
 
     By Fitting's lemma, applied at each x, M = im f^N + ker f^N, and both
     summands are nonzero exactly when f is neither invertible nor nilpotent.
-
-    With R_x the reduced echelon rows of g = f^N at x, im g has the columns
-    of g_x at the pivots of R_x as its basis there.  As g_y = B_y R_y for
-    that basis B_y and M(x, y) g_x = g_y M(x, y), the image's map on a cover
-    x -> y is R_y times M(x, y) read at the pivot columns of x.  ker g has
-    the nullspace of g_x as its basis, so a kernel vector's coordinates are
-    its entries at the free columns, and the kernel's map reads M(x, y) v
-    there for each basis vector v at x.
+    One reduced echelon form of g = f^N at each x gives both: the image
+    through rep._image_rep, and the kernel through rep._kernel_rep, with the
+    nullspace read off that echelon form.
     """
-    P, field, p, dims = M.poset, M.field, M.field.p, M.dims
+    field, p, dims = M.field, M.field.p, M.dims
     g = f
     for _ in range(max(dims).bit_length()):
         g = _compose(field, g, g)
@@ -165,19 +161,9 @@ def _fitting_split(M: Representation, f):
     ranks = tuple(len(piv) for _, piv in echelons)
     if ranks == dims or not any(ranks):
         return None
-    null = [_null_rows(p, b, d) for b, d in zip(g, dims)]
-    free = [[c for c in range(d) if c not in piv] for (_, piv), d in zip(echelons, dims)]
-    im_maps, ker_maps = {}, {}
-    for (x, y), m in M.maps.items():
-        (_, piv_x), (R_y, piv_y) = echelons[x], echelons[y]
-        at_piv = [tuple([row[c] for c in piv_x]) for row in m.rows]
-        cols = _cols(at_piv, len(piv_x))
-        im_maps[(x, y)] = _mat(field, tuple([_dots(row, cols, field) for row in R_y[:len(piv_y)]]),
-                               len(piv_y), len(piv_x))
-        images = [_dots(v, m.rows, field) for v in null[x]]
-        ker_maps[(x, y)] = _mat(field, tuple([tuple([u[c] for u in images]) for c in free[y]]),
-                                len(free[y]), len(null[x]))
-    return _rep(P, field, ranks, im_maps), _rep(P, field, [len(vs) for vs in null], ker_maps)
+    null = [_null_from_echelon(p, R, piv, d) for (R, piv), d in zip(echelons, dims)]
+    kernel = _kernel_rep(M.poset, field, null, lambda x, y, v: M.maps[(x, y)].apply(v))
+    return _image_rep(M, echelons), kernel
 
 
 def _poly_mod(a: list, m: list, p: int) -> list:

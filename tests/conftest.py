@@ -8,7 +8,7 @@ from posetar.ictree import TreeShape, ic_decompose, realize_shape
 from posetar.knit import ar_sequence_end
 from posetar.linalg import QQ, _cols, _dots, _null_from_echelon, _rref_rows, _unit_rows
 from posetar.poset import _bits
-from posetar.rep import constant_on, is_isomorphic, radical, restrict, socle
+from posetar.rep import Morphism, Representation, constant_on, is_isomorphic, radical, restrict, socle
 from posetar.split import _canonical_order, group_isomorphic, is_indecomposable, split_indecomposables, split_once
 
 
@@ -127,6 +127,28 @@ def assert_natural(f):
 
 def is_surjective(f):
     return all(b.rank() == b.r for b in f.blocks)
+
+
+def subrep_from_bases(M, bases):
+    """The subrepresentation with the given per-element bases, and its
+    inclusion, by one linear solve per cover: the reference for the kernel,
+    image, radical and socle constructions of `rep`.
+
+    bases[x] has linearly independent columns, which become the basis of the
+    subrepresentation at x and the block of its inclusion there.  The cover
+    map is the unique solution of bases[y] X = M(x, y) bases[x]; there is
+    none when the spans are not closed under the structure maps.
+    """
+    P = M.poset
+    maps = {}
+    for y in P.linear_extension():
+        for x in P.covers_below(y):
+            m = bases[y].solve(M.maps[(x, y)].mul(bases[x]))
+            if m is None:
+                raise PosetarError("spans are not closed under the structure maps")
+            maps[(x, y)] = m
+    S = Representation(P, M.field, [b.c for b in bases], maps, check=False)
+    return S, Morphism(S, M, bases)
 
 
 def quick_right_terminations(sl, budget=10):

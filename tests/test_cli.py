@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import posetar
 from posetar.cli import main
 
 
@@ -110,6 +115,36 @@ def test_knit_json(tmp_path, capsys):
     assert data["status"] == "complete"
     assert len(data["vertices"]) == 10
     assert all(v["orbit"] is not None for v in data["vertices"])
+
+
+def test_knit_dot(tmp_path, capsys):
+    target = tmp_path / "ar.dot"
+    code, _, _ = run(capsys, "knit", "corpus:ex25-chain4", "--dot", str(target))
+    assert code == 0
+    assert target.read_text().startswith("digraph ar {")
+
+
+@pytest.mark.parametrize("args, printed", [
+    (("tau", "corpus:ex25-chain4", "K(1..2)"), "k{2,3}"),
+    (("tau", "corpus:ex25-chain4", "I(3)"), "P(2)"),
+    (("resolve", "corpus:ex25-chain4", "soc(sum(P(1),S(2)))"), "P(2) + P(4) <- P(3)"),
+])
+def test_module_expressions_interval_injective_and_socle(capsys, args, printed):
+    code, out, _ = run(capsys, *args)
+    assert (code, out.strip()) == (0, printed)
+
+
+def test_a_field_of_a_huge_prime_is_a_usage_error():
+    """The characteristic is capped below 2^31, so --field fails at once
+    instead of trial-dividing up to the square root of a 61-bit prime; the
+    child's timeout turns a hang into a failure."""
+    src = str(Path(posetar.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "posetar.cli", "--field", "gf:2305843009213693951", "clamped", "corpus:ex25-chain4"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=5,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "unknown field" in proc.stderr
 
 
 def test_knit_deterministic(tmp_path, capsys):

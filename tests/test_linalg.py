@@ -65,6 +65,12 @@ def test_field_rejects_a_non_prime(p):
         Field(p)
 
 
+def test_field_takes_primes_below_two_to_the_31_only():
+    assert Field(2**31 - 1).p == 2**31 - 1
+    with pytest.raises(ValueError):
+        Field(2305843009213693951)  # a Mersenne prime: trial division would not end
+
+
 def test_fields_compare_and_hash_by_characteristic():
     assert Field(5) == Field(5)
     assert hash(Field(5)) == hash(Field(5))

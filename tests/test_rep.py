@@ -1,13 +1,14 @@
 import pytest
-from conftest import is_surjective
+from conftest import is_surjective, subrep_from_bases
 
-from posetar.corpus import corpus_poset
+from posetar.corpus import corpus_ids, corpus_poset
 from posetar.errors import NotConvex, PosetarError
 from posetar.ictree import ic_plus_decompose
 from posetar.knit import knit
-from posetar.linalg import QQ, Field, Mat
+from posetar.linalg import QQ, Field, Mat, span_basis
 from posetar.poset import Poset, chain
 from posetar.rep import (
+    Morphism,
     Representation,
     constant_on,
     direct_sum,
@@ -16,6 +17,7 @@ from posetar.rep import (
     hom_dim,
     injective,
     is_isomorphic,
+    linear_combination,
     projective,
     radical,
     restrict,
@@ -23,10 +25,10 @@ from posetar.rep import (
     socle,
     top,
     transport,
-    _subrep_from_bases,
 )
 from posetar.modexpr import describe_module
 from posetar.slices import standard_slice
+from posetar.split import _fitting_split
 
 
 def names(P, sup):
@@ -288,8 +290,60 @@ def test_thin_module_on_a_non_convex_support_is_not_constant():
     assert describe_module(P, M) == "[1:1 3:1]"
 
 
-def test_subrep_from_bases_rejects_spans_that_are_not_submodules():
+def test_kernel_and_image_reject_blocks_that_are_not_natural():
     P = chain(2)
     M = projective(P, 0)
+    f = Morphism(M, M, [Mat.identity(QQ, 1), Mat.zero(QQ, 1, 1)])
     with pytest.raises(PosetarError):
-        _subrep_from_bases(M, [Mat.identity(QQ, 1), Mat.zero(QQ, 1, 0)])
+        f.kernel()
+    with pytest.raises(PosetarError):
+        f.image()
+
+
+def _module_bytes(M):
+    """The dimensions and the rows of every cover map, with each entry's type."""
+    return M.dims, [(c, M.maps[c].r, M.maps[c].c, repr(M.maps[c].rows)) for c in M.poset.covers]
+
+
+def _subrep_bytes(pair):
+    S, incl = pair
+    return _module_bytes(S), [(b.r, b.c, repr(b.rows)) for b in incl.blocks]
+
+
+@pytest.mark.parametrize("field", [QQ, Field(5)], ids=str)
+@pytest.mark.parametrize("cid", corpus_ids())
+def test_subrep_constructions_match_the_solve_per_cover_reference(cid, field):
+    """kernel, image, radical, socle and both pieces of the Fitting split
+    agree byte for byte with solving for every cover map on the same bases
+    (conftest.subrep_from_bases), on A = P(x) + P(x) + I(x) + S(x) for each
+    x and on the elements of its End basis and one generic combination."""
+    P = corpus_poset(cid)
+    split = 0
+    for x in P.elements():
+        A = direct_sum([projective(P, x, field), projective(P, x, field), injective(P, x, field), simple(P, x, field)])
+        rad = [span_basis(field, [v for w in P.covers_below(y) for v in A.maps[(w, y)].columns()], A.dims[y])
+               for y in P.elements()]
+        assert _subrep_bytes(radical(A)) == _subrep_bytes(subrep_from_bases(A, rad))
+        soc = []
+        for y in P.elements():
+            stacked = [row for z in P.covers_above(y) for row in A.maps[(y, z)].rows]
+            soc.append(Mat.from_columns(field, Mat(field, stacked, len(stacked), A.dims[y]).nullspace(), A.dims[y]))
+        assert _subrep_bytes(socle(A)) == _subrep_bytes(subrep_from_bases(A, soc))
+        basis = hom(A, A)
+        for f in basis + [linear_combination(basis, [field.of_int(i + 1) for i in range(len(basis))])]:
+            ker = [Mat.from_columns(field, b.nullspace(), b.c) for b in f.blocks]
+            assert _subrep_bytes(f.kernel()) == _subrep_bytes(subrep_from_bases(A, ker))
+            im = [span_basis(field, b.columns(), b.r) for b in f.blocks]
+            assert _subrep_bytes(f.image()) == _subrep_bytes(subrep_from_bases(A, im))
+            parts = _fitting_split(A, [b.rows for b in f.blocks])
+            if parts is None:
+                continue
+            g = f
+            for _ in range(max(A.dims).bit_length()):
+                g = g.compose(g)
+            im = [span_basis(field, b.columns(), b.r) for b in g.blocks]
+            ker = [Mat.from_columns(field, b.nullspace(), b.c) for b in g.blocks]
+            assert _module_bytes(parts[0]) == _module_bytes(subrep_from_bases(A, im)[0])
+            assert _module_bytes(parts[1]) == _module_bytes(subrep_from_bases(A, ker)[0])
+            split += 1
+    assert split
