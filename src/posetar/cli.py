@@ -200,7 +200,7 @@ def cmd_knit(args, out) -> None:
     for note in comp.notes:
         print(f"note: {note}", file=out)
     if args.dot:
-        Path(args.dot).write_text(comp.to_dot(embedding))
+        Path(args.dot).write_text(comp.to_dot())
     if args.json:
         import json
 

@@ -55,7 +55,7 @@ from __future__ import annotations
 from .errors import PosetarError
 from .linalg import Mat, _at, _cols, _dots, _mat, _null_from_echelon, _null_rows, _quotient_rows, _rref_rows, _unit_rows
 from .poset import Poset
-from .rep import Morphism, Representation, _kernel_rep, _quotient_rep, _rep, dualize
+from .rep import Morphism, Representation, _kernel_rep, _quotient_rep, _realize_layout, dualize
 
 
 class LabeledComplex:
@@ -138,17 +138,6 @@ def _extend_layout(lay, mask: int, ids) -> None:
 def realize_labels(P: Poset, field, kind: str, labels) -> Representation:
     """The labeled sum as a representation."""
     return _realize_layout(P, field, _layout(P, kind, labels))
-
-
-def _realize_layout(P: Poset, field, lay) -> Representation:
-    """The labeled sum with layout lay, read off it: on a cover x -> y summand j
-    at x goes to summand j at y, or to 0 when it vanishes there."""
-    z, o = field.zero, field.one
-    maps = {}
-    for (x, y) in P.covers:
-        rows = tuple([tuple([o if j == i else z for j in lay[x]]) for i in lay[y]])
-        maps[(x, y)] = _mat(field, rows, len(lay[y]), len(lay[x]))
-    return _rep(P, field, [len(js) for js in lay], maps)
 
 
 def realize_scalar_map(P: Poset, field, kind: str, src_labels, dst_labels, scalar: Mat) -> Morphism:

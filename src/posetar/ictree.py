@@ -413,7 +413,7 @@ def _check_distance_condition(T: TreeShape) -> None:
         for b in branch[i + 1:]:
             if dist[b] < 2:
                 raise BranchTooClose(
-                    f"branch vertices {a} and {b} are adjacent"
+                    f"branch vertices {T.labels.get(a, a)} and {T.labels.get(b, b)} are adjacent"
                 )
 
 
@@ -427,7 +427,7 @@ def tree_to_poset(T: TreeShape, p: int) -> Poset:
     node per vertex strictly between it and the mark.
     """
     if T.n > 1 and T.degree(p) != 1:
-        raise NotExtreme(f"vertex {p} is not a leaf")
+        raise NotExtreme(f"vertex {T.labels.get(p, p)} is not a leaf")
     _check_distance_condition(T)
 
     def go(tree: TreeShape, mark: int):
@@ -526,10 +526,14 @@ def parse_tree(text: str) -> tuple[TreeShape, dict[str, int]]:
                 if "-" not in tok:
                     raise ParseError(f"bad edge token {tok!r}")
                 a, b = tok.split("-", 1)
+                if a == b:
+                    raise ParseError(f"loop edge {tok!r}")
                 edges.append((a, b))
         elif parts[0] == "mark":
             if len(parts) != 2:
                 raise ParseError(f"a 'mark' line names exactly one vertex: {raw!r}")
+            if mark is not None:
+                raise ParseError(f"a second 'mark' line: {raw!r}")
             mark = parts[1]
         else:
             raise ParseError(f"unexpected tree line: {raw!r}")

@@ -33,7 +33,7 @@ from .homalg import (
     _scalar_blocks,
     tau_inverse,
 )
-from .linalg import Field, Mat, QQ, _cols, _dots, _quotient_rows, _reduce
+from .linalg import Field, QQ, _cols, _dots, _mat, _quotient_rows, _reduce
 from .poset import Poset
 from .rep import (
     Representation,
@@ -122,13 +122,13 @@ def ar_sequence_end(M: Representation, rng=None, check_indecomposable: bool = Tr
     if len(ends) > 1:
         for rv in end_radical_basis(tM, ends):
             r = linear_combination(ends, rv)
-            post = [
-                [z] * offs[j] + list(row) + [z] * (n1 - offs[j + 1])
+            post = tuple([
+                (z,) * offs[j] + row + (z,) * (n1 - offs[j + 1])
                 for j, y in enumerate(L1)
                 for row in r.block(y).rows
-            ]
-            rows += q.mul(Mat(field, post, n1, n1)).rows
-    sol = Mat(field, rows, len(rows), n1).nullspace()
+            ])
+            rows += q.mul(_mat(field, post, n1, n1)).rows
+    sol = _mat(field, tuple(rows), len(rows), n1).nullspace()
     f = next((v for v in sol if any(q.apply(v))), None)
     if f is None:
         raise PosetarError("socle of the extension space is trivial")
@@ -252,7 +252,7 @@ class ARComponent:
             "tau": [[v, u] for v, u in sorted(self.tau_map.items())],
         }
 
-    def to_dot(self, embedding=None) -> str:
+    def to_dot(self) -> str:
         P = self.poset
         lines = ["digraph ar {", "  rankdir=LR;"]
         for v in self.vertices:

@@ -59,17 +59,10 @@ traffic.  The bound keeps out what rarely repeats and would hold most of
 the memory.  The unit rows of k^n, for n * n <= `_MEMO_CELLS`, are built
 once, at import (`_unit_rows`).
 
-`Mat(field, rows, r, c)` copies any iterable of rows into a tuple of tuples
-and raises ValueError unless it has r rows of length c; every caller not
-named below gets that check.  The kernels here (zero, identity, from_columns,
-add, sub, scale, mul, transpose, hstack, vstack, rref and solve) fix the
-shape of their result by construction, build its rows as tuples, and store
-them with `_mat`, which neither copies nor checks.  So do the sites that wrap
-labelled rows whose shape they know: in `rep`, `direct_sum`, `hom`,
-`Morphism.image`, `Morphism.cokernel`, `radical`, `_quotient_projection`,
-`_quotient_rep`, `_kernel_rep` and `_image_rep`; in `homalg`,
-`_realize_layout`, `realize_scalar_map`, `projective_presentation`,
-`_resolution`, `min_injective_resolution` and `_hom_complex_map`.
+`Mat(field, rows, r, c)` is for rows from outside the package: it copies any
+iterable of rows into a tuple of tuples and raises ValueError unless it has
+r rows of length c.  Rows the package builds, as tuples of its own whose
+shape it knows, are stored with `_mat`, which neither copies nor checks.
 """
 
 from __future__ import annotations

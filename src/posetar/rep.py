@@ -4,6 +4,11 @@ A representation assigns a vector space to each element and a matrix to each
 Hasse cover, subject to path independence (all cover-paths between two
 comparable elements compose to the same map).  Morphisms, kernels, cokernels,
 images, Hom spaces, duality and (co)induction all live here.
+
+`Representation(poset, field, dims, maps)` is for modules from outside the
+package, and checks them.  Every module the package builds, with a map on
+every cover, is made by `_rep`, unchecked; thin ones, k_Q and the labeled
+sums of `homalg`, by `_realize_layout`.  Nothing is cached on a module.
 """
 
 from __future__ import annotations
@@ -16,22 +21,26 @@ from .poset import Poset, _mask
 class Representation:
     """Functor from the poset to finite-dimensional vector spaces."""
 
-    __slots__ = ("poset", "field", "dims", "maps", "_paths")
+    __slots__ = ("poset", "field", "dims", "maps")
 
-    def __init__(self, poset: Poset, field: Field, dims, maps, check: bool = True):
+    def __init__(self, poset: Poset, field: Field, dims, maps):
+        """A module from outside the package, checked: ValueError unless dims
+        has one natural number per element and maps is keyed by covers, each
+        a Mat over field of shape dims[y] x dims[x]; PosetarError unless it is
+        path independent.  A cover left out gets the zero map."""
         self.poset = poset
         self.field = field
         self.dims = tuple(dims)
         self.maps = dict(maps)
-        self._paths: dict[tuple[int, int], Mat] = {}
+        if len(self.dims) != poset.n or not all(isinstance(d, int) and d >= 0 for d in self.dims):
+            raise ValueError(f"dims {list(self.dims)} are not {poset.n} natural numbers")
+        if not self.maps.keys() <= set(poset.covers):
+            raise ValueError("a map is keyed by a pair that is not a cover")
         for (x, y) in poset.covers:
-            m = self.maps.get((x, y))
-            if m is None:
-                self.maps[(x, y)] = Mat.zero(field, self.dims[y], self.dims[x])
-            elif (m.r, m.c) != (self.dims[y], self.dims[x]):
-                raise ValueError(f"map shape mismatch on cover {x}->{y}")
-        if check:
-            self.assert_path_independent()
+            m = self.maps.setdefault((x, y), Mat.zero(field, self.dims[y], self.dims[x]))
+            if (m.field, m.r, m.c) != (field, self.dims[y], self.dims[x]):
+                raise ValueError(f"map on cover {x}->{y} is not a {self.dims[y]}x{self.dims[x]} matrix over {field}")
+        self.assert_path_independent()
 
     # -- structure -----------------------------------------------------------
 
@@ -49,36 +58,25 @@ class Representation:
         P = self.poset
         if x == y:
             return Mat.identity(self.field, self.dims[x])
-        key = (x, y)
-        got = self._paths.get(key)
-        if got is None:
-            for z in P.covers_below(y):
-                if P.leq(x, z):
-                    got = self.maps[(z, y)].mul(self.path_map(x, z))
-                    break
-            if got is None:
-                raise PosetarError(f"no path from {x} to {y}")
-            self._paths[key] = got
-        return got
+        for z in P.covers_below(y):
+            if P.leq(x, z):
+                return self.maps[(z, y)].mul(self.path_map(x, z))
+        raise PosetarError(f"no path from {x} to {y}")
 
     def assert_path_independent(self) -> None:
+        """PosetarError unless, from each x, the routes into each y > x
+        through its lower covers agree: one walk up the linear extension per
+        x, each cover map applied once to the map into its source."""
         P = self.poset
-        for y in P.elements():
-            lowers = P.covers_below(y)
-            for x in P.elements():
+        for x in P.elements():
+            at = {x: Mat.identity(self.field, self.dims[x])}
+            for y in P.linear_extension():
                 if not P.lt(x, y):
                     continue
-                routes = [
-                    self.maps[(z, y)].mul(self.path_map(x, z))
-                    for z in lowers
-                    if P.leq(x, z)
-                ]
-                first = routes[0]
-                for other in routes[1:]:
-                    if other != first:
-                        raise PosetarError(
-                            f"path independence fails between {P.names[x]} and {P.names[y]}"
-                        )
+                routes = [self.maps[(z, y)].mul(at[z]) for z in P.covers_below(y) if P.leq(x, z)]
+                if any(other != routes[0] for other in routes[1:]):
+                    raise PosetarError(f"path independence fails between {P.names[x]} and {P.names[y]}")
+                at[y] = routes[0]
 
     def is_thin_constant(self) -> bool:
         """True when this is (isomorphic to) k_Q for its support Q.
@@ -169,10 +167,23 @@ def _thin_forest(M: Representation):
 
 def _rep(poset: Poset, field: Field, dims, maps: dict) -> Representation:
     """A Representation holding maps as given: a Mat of shape dims[y] x dims[x]
-    on every cover x -> y, neither checked nor completed."""
+    on every cover x -> y, neither checked nor completed.  Every module the
+    package builds is made here."""
     M = object.__new__(Representation)
-    M.poset, M.field, M.dims, M.maps, M._paths = poset, field, tuple(dims), maps, {}
+    M.poset, M.field, M.dims, M.maps = poset, field, tuple(dims), maps
     return M
+
+
+def _realize_layout(P: Poset, field: Field, lay) -> Representation:
+    """The sum of thin summands with layout lay, lay[w] listing the summands
+    nonzero at w: on a cover x -> y summand j at x goes to summand j at y, or
+    to 0 when it vanishes there."""
+    z, o = field.zero, field.one
+    maps = {}
+    for (x, y) in P.covers:
+        rows = tuple([tuple([o if j == i else z for j in lay[x]]) for i in lay[y]])
+        maps[(x, y)] = _mat(field, rows, len(lay[y]), len(lay[x]))
+    return _rep(P, field, [len(js) for js in lay], maps)
 
 
 class Morphism:
@@ -335,17 +346,12 @@ def _image_rep(M: Representation, echelons) -> Representation:
 
 
 def constant_on(P: Poset, subset, field: Field = QQ) -> Representation:
-    """k_Q: one-dimensional on a convex subset, identity maps inside."""
+    """k_Q: one-dimensional on a convex subset, identity maps inside; the
+    layout of one summand."""
     subset = frozenset(subset)
     if not P.is_convex(subset):
         raise NotConvex("support is not convex")
-    dims = [1 if x in subset else 0 for x in P.elements()]
-    maps = {}
-    one = field.one
-    for (x, y) in P.covers:
-        if x in subset and y in subset:
-            maps[(x, y)] = Mat(field, [[one]], 1, 1)
-    return Representation(P, field, dims, maps, check=False)
+    return _realize_layout(P, field, [[0] if x in subset else [] for x in P.elements()])
 
 
 def projective(P: Poset, x: int, field: Field = QQ) -> Representation:
@@ -377,7 +383,7 @@ def direct_sum(reps: list[Representation]) -> Representation:
             rows += [(z,) * c0 + row + (z,) * (dims[x] - c0 - m.c) for row in m.rows]
             c0 += m.c
         maps[(x, y)] = _mat(field, tuple(rows), dims[y], dims[x])
-    return Representation(P, field, dims, maps, check=False)
+    return _rep(P, field, dims, maps)
 
 
 # -- radical / socle / top -----------------------------------------------------
@@ -429,7 +435,7 @@ def hom(M: Representation, N: Representation) -> list[Morphism]:
     if total == 0:
         return []
     if rows:
-        kernel = Mat(field, rows, len(rows), total).nullspace()
+        kernel = _mat(field, rows, len(rows), total).nullspace()
     else:
         z, o = field.zero, field.one
         kernel = [tuple(o if i == j else z for i in range(total)) for j in range(total)]
@@ -449,7 +455,7 @@ def hom_dim(M: Representation, N: Representation) -> int:
     _, total, rows = _hom_system(M, N)
     if not rows:
         return total
-    return total - Mat(M.field, rows, len(rows), total).rank()
+    return total - _mat(M.field, rows, len(rows), total).rank()
 
 
 def _hom_system(M: Representation, N: Representation):
@@ -463,10 +469,10 @@ def _hom_system(M: Representation, N: Representation):
     for x in P.elements():
         offsets.append(total)
         total += N.dims[x] * M.dims[x]
-    rows = []
     if total == 0:
-        return offsets, total, rows
+        return offsets, total, ()
     z, p = field.zero, field.p
+    rows = []
     for (x, y) in P.covers:
         A = N.maps[(x, y)].rows  # N(x)->N(y)
         B = M.maps[(x, y)].rows  # M(x)->M(y)
@@ -481,8 +487,8 @@ def _hom_system(M: Representation, N: Representation):
                 row = [z] * total
                 row[offsets[x] + j: offsets[x] + nx * mx: mx] = A[i]
                 row[fy: fy + my] = neg_cols[j]
-                rows.append(row)
-    return offsets, total, rows
+                rows.append(tuple(row))
+    return offsets, total, tuple(rows)
 
 
 def is_isomorphic(M: Representation, N: Representation) -> bool:
@@ -524,8 +530,7 @@ def restrict(M: Representation, subset) -> tuple[Representation, Poset, list[int
     maps = {}
     for (i, j) in sub.covers:
         maps[(i, j)] = M.path_map(ids[i], ids[j])
-    R = Representation(sub, M.field, dims, maps, check=False)
-    return R, sub, ids
+    return _rep(sub, M.field, dims, maps), sub, ids
 
 
 def dualize(M: Representation) -> tuple[Representation, Poset]:
@@ -552,4 +557,6 @@ def transport(M: Representation, target: Poset, ids: list[int]) -> Representatio
     for (x, y) in target.covers:
         if x in back and y in back:
             maps[(x, y)] = M.path_map(back[x], back[y])
-    return Representation(target, M.field, dims, maps, check=False)
+        else:
+            maps[(x, y)] = Mat.zero(M.field, dims[y], dims[x])
+    return _rep(target, M.field, dims, maps)

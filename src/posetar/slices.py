@@ -88,7 +88,7 @@ class SliceReport:
     def ok(self) -> bool:
         return self.hypothesis_ok and not self.ext_failures and not self.hom_mismatches
 
-    def describe(self, sl: SliceData | None = None) -> str:
+    def describe(self) -> str:
         lines = [
             f"support condition at the maximum: {'ok' if self.hypothesis_ok else 'FAIL'}",
             f"ext vanishing (degrees >= 1): "

@@ -6,9 +6,9 @@ from posetar.errors import NotIndecomposable, PosetarError
 from posetar.homalg import tau, tau_inverse
 from posetar.ictree import TreeShape, ic_decompose, realize_shape
 from posetar.knit import ar_sequence_end
-from posetar.linalg import QQ, _cols, _dots, _null_from_echelon, _rref_rows, _unit_rows
+from posetar.linalg import QQ, Mat, _cols, _dots, _null_from_echelon, _rref_rows, _unit_rows
 from posetar.poset import _bits
-from posetar.rep import Morphism, Representation, constant_on, is_isomorphic, radical, restrict, socle
+from posetar.rep import Morphism, _rep, constant_on, is_isomorphic, radical, restrict, socle
 from posetar.split import _canonical_order, group_isomorphic, is_indecomposable, split_indecomposables, split_once
 
 
@@ -147,8 +147,25 @@ def subrep_from_bases(M, bases):
             if m is None:
                 raise PosetarError("spans are not closed under the structure maps")
             maps[(x, y)] = m
-    S = Representation(P, M.field, [b.c for b in bases], maps, check=False)
+    S = _rep(P, M.field, [b.c for b in bases], maps)
     return S, Morphism(S, M, bases)
+
+
+def constant_on_reference(P, subset, field):
+    """The dims and cover maps of k_subset as constant_on built it with a
+    loop of its own: a checked 1 x 1 identity on every cover inside the
+    subset, then, as the constructor filled them in, the zero map on every
+    other cover.  The reference for constant_on through rep._realize_layout."""
+    dims = [1 if x in subset else 0 for x in P.elements()]
+    maps = {}
+    one = field.one
+    for (x, y) in P.covers:
+        if x in subset and y in subset:
+            maps[(x, y)] = Mat(field, [[one]], 1, 1)
+    for (x, y) in P.covers:
+        if (x, y) not in maps:
+            maps[(x, y)] = Mat.zero(field, dims[y], dims[x])
+    return dims, maps
 
 
 def quick_right_terminations(sl, budget=10):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -118,10 +119,14 @@ def test_knit_json(tmp_path, capsys):
 
 
 def test_knit_dot(tmp_path, capsys):
+    # sha256 of the whole file: shapes, labels, arrows and dashed tau edges
     target = tmp_path / "ar.dot"
     code, _, _ = run(capsys, "knit", "corpus:ex25-chain4", "--dot", str(target))
     assert code == 0
     assert target.read_text().startswith("digraph ar {")
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == (
+        "30c63510846a41fa992b9f6d2d6cd83f66a6cc0ae13e5243440c74eaa4ea1d11"
+    )
 
 
 @pytest.mark.parametrize("args, printed", [
@@ -282,12 +287,22 @@ def test_cli_contract_on_malformed_input(tmp_path, capsys):
         "vertices a b\nedges a-b\nmark\n",  # a mark line that names no vertex
         "vertices a b\nedges a-b\nmark a b\n",  # one that names two
         "vertices a b a\nedges a-b\nmark a\n",  # a vertex declared twice
+        "vertices a b c\nedges a-b b-c\nmark a\nmark b\n",  # a second mark line
+        "vertices a b\nedges a-a a-b\nmark a\n",  # a loop edge
     ):
         bad_tree.write_text(text)
         capsys.readouterr()
         assert exit_code(["fromtree", str(bad_tree)]) == 1, text
         err = capsys.readouterr().err
         assert err.startswith("error (parse-error)") and "Traceback" not in err, text
+    for text, named in (
+        ("vertices a b c\nedges a-b b-c\nmark b\n", "vertex b is not a leaf"),
+        ("vertices p q x y r s\nedges p-x q-x x-y y-r y-s\nmark p\n", "branch vertices x and y are adjacent"),
+    ):
+        bad_tree.write_text(text)
+        capsys.readouterr()
+        assert exit_code(["fromtree", str(bad_tree)]) == 1, text
+        assert named in capsys.readouterr().err, text
     capsys.readouterr()
 
 

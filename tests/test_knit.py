@@ -434,7 +434,7 @@ def _almost_split(M: Representation, cover: Morphism, tM: Representation) -> ARS
         a, b = tM.maps[(x, y)], P0rep.maps[(x, y)]
         rows = [r + (z,) * b.c for r in a.rows] + [(z,) * a.c + r for r in b.rows]
         maps[(x, y)] = Mat(field, rows, a.r + b.r, a.c + b.c)
-    S = Representation(M.poset, field, [s + t for s, t in zip(tM.dims, P0rep.dims)], maps, check=False)
+    S = Representation(M.poset, field, [s + t for s, t in zip(tM.dims, P0rep.dims)], maps)
     neg = field.of_int(-1)
     g = Morphism(K, S, [psi.block(x).vstack(incl.block(x).scale(neg)) for x in M.poset.elements()])
     E, _ = g.cokernel()

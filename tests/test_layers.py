@@ -62,3 +62,53 @@ def test_only_linalg_memoizes():
     uses = {path.stem: list(_memo_uses(path)) for path in sorted(pkg.glob("*.py"))}
     assert uses["linalg"]
     assert {stem: lines for stem, lines in uses.items() if lines and stem != "linalg"} == {}
+
+
+def _functions(tree, prefix=""):
+    """(qualified name, node) for every function and method in tree, nested ones too."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            name = prefix + node.name
+            if not isinstance(node, ast.ClassDef):
+                yield name, node
+            yield from _functions(node, name + ".")
+        else:
+            yield from _functions(node, prefix)
+
+
+def _sources():
+    pkg = Path(posetar.__file__).parent
+    return [(path.stem, ast.parse(path.read_text())) for path in sorted(pkg.glob("*.py"))]
+
+
+def _checked_calls(node):
+    """The names of the Mat(...) and Representation(...) calls under node, sorted."""
+    return sorted(n.func.id for n in ast.walk(node) if isinstance(n, ast.Call)
+                  and isinstance(n.func, ast.Name) and n.func.id in ("Mat", "Representation"))
+
+
+def test_checked_constructors_only_take_outside_input():
+    # Mat(...) and Representation(...) check what they are given; a module or
+    # matrix the package builds goes through rep._rep or linalg._mat instead
+    trees = dict(_sources())
+    from_json = dict(_functions(trees["rep"]))["Representation.from_json"]
+    calls = {stem: _checked_calls(tree) for stem, tree in trees.items()}
+    assert {stem: names for stem, names in calls.items() if names} == {"rep": _checked_calls(from_json)}
+    assert _checked_calls(from_json) == ["Mat", "Representation"]
+
+
+# parameters kept for callers outside the package (ROADMAP item 13)
+UNREAD_PARAMETERS = {("knit.ar_sequence_end", "rng"), ("witness.not_fcy_witness", "rng")}
+
+
+def test_every_parameter_is_read():
+    unread = set()
+    for stem, tree in _sources():
+        for name, fn in _functions(tree):
+            args = fn.args
+            params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+            params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+            params = [p for p in params if p not in ("self", "cls")]  # a method's receiver
+            loads = {n.id for n in ast.walk(fn) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            unread |= {(f"{stem}.{name}", p) for p in params if p not in loads}
+    assert unread == UNREAD_PARAMETERS

@@ -1,5 +1,5 @@
 import pytest
-from conftest import is_surjective, subrep_from_bases
+from conftest import constant_on_reference, is_surjective, subrep_from_bases
 
 from posetar.corpus import corpus_ids, corpus_poset
 from posetar.errors import NotConvex, PosetarError
@@ -212,7 +212,23 @@ def test_path_independence_rejects_bad_rep():
     from posetar.errors import PosetarError
 
     with pytest.raises(PosetarError):
-        Representation(P, QQ, [1, 1, 1, 1], maps, check=True)
+        Representation(P, QQ, [1, 1, 1, 1], maps)
+
+
+ONE = Mat(QQ, [[1]])
+
+
+@pytest.mark.parametrize("n, field, dims, maps", [
+    (2, QQ, [1, 1, 5], {}),
+    (2, QQ, [1], {}),
+    (2, QQ, [1, -1], {}),
+    (3, QQ, [1, 1, 1], {(0, 1): ONE, (1, 2): ONE, (0, 2): Mat(QQ, [[0]])}),
+    (3, QQ, [1, 1, 1], {(0, 1): ONE, (1, 2): ONE, (5, 7): ONE}),
+    (2, Field(5), [1, 1], {(0, 1): ONE}),
+], ids=["dims-too-long", "dims-too-short", "negative-dim", "map-off-the-covers", "map-off-the-poset", "map-over-another-field"])
+def test_the_constructor_rejects_malformed_modules(n, field, dims, maps):
+    with pytest.raises(ValueError):
+        Representation(chain(n), field, dims, maps)
 
 
 def test_json_roundtrip():
@@ -347,3 +363,19 @@ def test_subrep_constructions_match_the_solve_per_cover_reference(cid, field):
             assert _module_bytes(parts[1]) == _module_bytes(subrep_from_bases(A, ker)[0])
             split += 1
     assert split
+
+
+@pytest.mark.parametrize("field", [QQ, Field(5)], ids=str)
+@pytest.mark.parametrize("cid", corpus_ids())
+def test_constant_on_matches_the_per_cover_reference(cid, field):
+    """constant_on, a one-summand layout for rep._realize_layout, agrees byte
+    for byte with the loop it replaced (conftest.constant_on_reference) on
+    every closed interval, up-set and down-set: dims, keys and map rows."""
+    P = corpus_poset(cid)
+    subsets = {P.closed_interval(a, b) for a in P.elements() for b in P.elements() if P.leq(a, b)}
+    subsets |= {P.up_set(x) for x in P.elements()} | {P.down_set(x) for x in P.elements()}
+    for Q in subsets:
+        M = constant_on(P, Q, field)
+        dims, maps = constant_on_reference(P, Q, field)
+        assert M.maps.keys() == maps.keys() and {m.field for m in M.maps.values()} <= {field}
+        assert _module_bytes(M) == (tuple(dims), [(c, maps[c].r, maps[c].c, repr(maps[c].rows)) for c in P.covers])
