@@ -105,9 +105,7 @@ def cmd_tree(args, out) -> None:
 
 def cmd_fcy(args, out) -> None:
     P = _load_poset(args.poset)
-    decision = is_fractionally_cy(
-        P, assume_infinite_type=args.assume_infinite_type, field=args.field, mesh_budget=args.max_meshes
-    )
+    decision = is_fractionally_cy(P, field=args.field, mesh_budget=args.max_meshes)
     print(decision.render(), file=out)
 
 
@@ -212,12 +210,7 @@ def cmd_knit(args, out) -> None:
 
 def cmd_witness(args, out) -> None:
     P = _load_poset(args.poset)
-    w = not_fcy_witness(
-        P,
-        assume_infinite_type=args.assume_infinite_type,
-        field=args.field,
-        mesh_budget=args.max_meshes,
-    )
+    w = not_fcy_witness(P, field=args.field, mesh_budget=args.max_meshes)
     if w is None:
         print("no witness found within budget", file=out)
     else:
@@ -256,7 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
     add("tree", cmd_tree).add_argument("poset")
     p = add("fcy", cmd_fcy)
     p.add_argument("poset")
-    p.add_argument("--assume-infinite-type", action="store_true")
     p.add_argument("--max-meshes", type=_nonnegative, default=200)
     add("fintype", cmd_fintype).add_argument("poset")
     add("fromtree", cmd_fromtree).add_argument("treefile")
@@ -284,7 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json")
     p = add("witness", cmd_witness)
     p.add_argument("poset")
-    p.add_argument("--assume-infinite-type", action="store_true")
     p.add_argument("--max-meshes", type=_nonnegative, default=200)
     p = add("corpus", cmd_corpus)
     p.add_argument("--write")

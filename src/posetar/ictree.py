@@ -45,15 +45,6 @@ class ICNode:
             out |= ch.carrier()
         return frozenset(out)
 
-    @property
-    def depth(self) -> int:
-        """Minimal stage index for clamp/point witnesses."""
-        if self.kind == "point":
-            return 0
-        if self.kind == "clamp":
-            return 1 + max((ch.depth for ch in self.children), default=0)
-        raise PosetarError("depth is defined for point/clamp witnesses only")
-
     def uses_adjoin(self) -> bool:
         if self.kind in ("adjoin-min", "adjoin-max"):
             return True
@@ -324,7 +315,7 @@ def ic_plus_decompose(P: Poset) -> ICNode | None:
 # -- tree construction ----------------------------------------------------------
 
 
-def build_tree(node: ICNode, P: Poset | None = None) -> TreeShape:
+def build_tree(node: ICNode, P: Poset) -> TreeShape:
     """Derived tree of a decomposition witness.
 
     One vertex per poset element.  A clamp contributes a star: fresh center,
@@ -378,10 +369,9 @@ def build_tree(node: ICNode, P: Poset | None = None) -> TreeShape:
 
     marked = go(node)
     labels = {}
-    if P is not None:
-        for v, sup in supports.items():
-            ids = P.sorted_ids(sup)
-            labels[v] = "k{" + ",".join(P.names[x] for x in ids) + "}"
+    for v, sup in supports.items():
+        ids = P.sorted_ids(sup)
+        labels[v] = "k{" + ",".join(P.names[x] for x in ids) + "}"
     return TreeShape(counter[0], tuple(edges), marked, labels, supports, tuple(arrows))
 
 

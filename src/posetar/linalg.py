@@ -7,11 +7,15 @@ immutable; rows are tuples of field elements.  Over GF(p), p < 2^31, an
 element is a reduced int in [0, p).  Over the rationals it is a Python int
 when it is integral and a Fraction with denominator > 1 otherwise, never a
 float: nearly every entry the algebra layers meet is a small integer, and
-int arithmetic costs a fraction of Fraction's.  Every entry this module
-computes follows that contract: the results of rref, nullspace, solve, mul,
-apply, add, sub and scale, and the Field methods.  The constructor accepts
-any ints or Fractions, and re-indexing (transpose, hstack, vstack, column,
-columns, from_columns) keeps the entries it was given.  No `/` is
+int arithmetic costs a fraction of Fraction's.  Every Mat holds canonical
+entries: the constructor puts each entry from outside in that form (an int
+mod p, a Fraction a/b over GF(p) as a * b^-1, an integral Fraction over
+the rationals as an int) and raises ValueError on any other type or on a
+denominator that p divides; the results of rref, nullspace, solve, mul,
+apply, add, sub and scale, and the Field methods, are computed in it; and
+re-indexing (transpose, hstack, vstack, column, columns, from_columns) moves
+entries without checking them, so `from_columns` must be given canonical
+columns.  No `/` is
 applied between two entries: a quotient goes through `_div`, which returns
 `a // b` when b divides a and `Fraction(a, b)` otherwise, and sums and
 products that may come out integral are turned back into ints by `_canon`.
@@ -41,8 +45,7 @@ key is the content: the characteristic p as an int, the rows and c, plus
 dim for the projection; never a Mat, nor the Field, whose hash is a
 Python-level call.  A hit is sound because the reduced echelon form of a
 matrix is unique, so the stored result is the one a fresh elimination would
-compute; `Fraction(n, 1)` and `n` share a key and both give the canonical
-ints.  The memo stores tuples, which the labelled helpers of `rep`,
+compute.  The memo stores tuples, which the labelled helpers of `rep`,
 `homalg` and `knit` read as rows; the Mat methods wrap them, and nullspace
 hands out a fresh list.  It is process-wide, but most of the reuse is
 within one operation: tau_inverse asks the same small questions many times.
@@ -60,9 +63,10 @@ the memory.  The unit rows of k^n, for n * n <= `_MEMO_CELLS`, are built
 once, at import (`_unit_rows`).
 
 `Mat(field, rows, r, c)` is for rows from outside the package: it copies any
-iterable of rows into a tuple of tuples and raises ValueError unless it has
-r rows of length c.  Rows the package builds, as tuples of its own whose
-shape it knows, are stored with `_mat`, which neither copies nor checks.
+iterable of rows into a tuple of tuples of canonical entries and raises
+ValueError unless it has r rows of length c.  Rows the package builds, as
+tuples of its own whose shape it knows, are stored with `_mat`, which
+neither copies nor checks.
 """
 
 from __future__ import annotations
@@ -79,6 +83,17 @@ _MAX_P = 1 << 31  # GF(p) needs p below this, so that trial division takes at mo
 def _canon(v):
     """A rational as the contract stores it: an int when it is integral."""
     return v if v.__class__ is int or v.denominator != 1 else v.numerator
+
+
+def _entry(p: int, v):
+    """An entry from outside the package in canonical form over GF(p), or over
+    the rationals when p == 0; pow raises the ValueError when p divides the
+    denominator of a Fraction."""
+    if isinstance(v, int):
+        return int(v) % p if p else int(v)
+    if isinstance(v, Fraction):
+        return v.numerator * pow(v.denominator, -1, p) % p if p else _canon(v)
+    raise ValueError(f"matrix entry {v!r} is neither an int nor a Fraction")
 
 
 def _div(a: int, b: int):
@@ -173,7 +188,8 @@ class Mat:
     __slots__ = ("field", "r", "c", "rows")
 
     def __init__(self, field: Field, rows, r: int | None = None, c: int | None = None):
-        rows = tuple(map(tuple, rows))
+        p = field.p
+        rows = tuple([tuple([_entry(p, v) for v in row]) for row in rows])
         if r is None:
             r = len(rows)
         if c is None:

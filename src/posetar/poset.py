@@ -337,7 +337,5 @@ def parse_poset(text: str, name: str = "") -> Poset:
     return Poset(list(index), rels, name=pname)
 
 
-def chain(n: int, names: list[str] | None = None) -> Poset:
-    if names is None:
-        names = [str(i + 1) for i in range(n)]
-    return Poset(names, [(i, i + 1) for i in range(n - 1)])
+def chain(n: int) -> Poset:
+    return Poset([str(i + 1) for i in range(n)], [(i, i + 1) for i in range(n - 1)])

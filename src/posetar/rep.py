@@ -432,15 +432,8 @@ def hom(M: Representation, N: Representation) -> list[Morphism]:
     """Basis of the space of morphisms M -> N."""
     P, field = M.poset, M.field
     offsets, total, rows = _hom_system(M, N)
-    if total == 0:
-        return []
-    if rows:
-        kernel = _mat(field, rows, len(rows), total).nullspace()
-    else:
-        z, o = field.zero, field.one
-        kernel = [tuple(o if i == j else z for i in range(total)) for j in range(total)]
     out = []
-    for vec in kernel:
+    for vec in _mat(field, rows, len(rows), total).nullspace():
         blocks = []
         for x in P.elements():
             r, c = N.dims[x], M.dims[x]
@@ -453,8 +446,6 @@ def hom(M: Representation, N: Representation) -> list[Morphism]:
 def hom_dim(M: Representation, N: Representation) -> int:
     """dim Hom(M, N): the unknowns of hom's system minus its rank."""
     _, total, rows = _hom_system(M, N)
-    if not rows:
-        return total
     return total - _mat(M.field, rows, len(rows), total).rank()
 
 

@@ -3,9 +3,11 @@
 For posets with an iterated-clamping witness the decision is combinatorial:
 the derived tree is Dynkin or it is not.  Outside that class the fallback is
 a search over clamped intervals for a module whose almost split sequence has
-at least three middle terms and provably agrees with the derived mesh; such
-a witness rules out the fractional Calabi-Yau property whenever the algebra
-has infinite representation type.
+at least three middle terms and provably agrees with the derived mesh.  Such
+a witness rules out the fractional Calabi-Yau property only when the algebra
+has infinite representation type, which nothing here certifies, so a
+witness is conditional: `is_fractionally_cy` answers "yes" or "no" only
+from a derived tree, and "unknown" otherwise.
 """
 
 from __future__ import annotations
@@ -41,19 +43,19 @@ def derived_translate_is_module(M: Representation) -> bool:
 
 
 class Witness:
-    __slots__ = ("interval", "module_dims", "middle_count", "verdict")
+    """A certified mesh with at least three middle terms on a clamped interval.
 
-    def __init__(
-        self,
-        interval: Interval,
-        module_dims: dict[str, int],
-        middle_count: int,
-        verdict: str,  # 'no' | 'conditional'
-    ) -> None:
+    Its verdict is always "conditional": it rules out the fractional
+    Calabi-Yau property only if the algebra has infinite representation type.
+    """
+
+    __slots__ = ("interval", "module_dims", "middle_count")
+    verdict = "conditional"
+
+    def __init__(self, interval: Interval, module_dims: dict[str, int], middle_count: int) -> None:
         self.interval = interval
         self.module_dims = module_dims
         self.middle_count = middle_count
-        self.verdict = verdict
 
     def describe(self, P: Poset) -> str:
         return (
@@ -85,14 +87,12 @@ def _quotient_candidates(sub: Poset, field: Field) -> list[Representation]:
 
 def not_fcy_witness(
     P: Poset,
-    assume_infinite_type: bool = False,
     field: Field = QQ,
     mesh_budget: int = 200,
     rng=None,
 ) -> Witness | None:
     """Search clamped intervals for a certified >=3-middle mesh.  rng is
     ignored and kept for existing callers."""
-    verdict = "no" if assume_infinite_type else "conditional"
     for iv in enumerate_clamped(P):
         if iv.low == iv.high:
             continue
@@ -121,7 +121,7 @@ def not_fcy_witness(
                 dims = {
                     sub.names[x]: rep.dims[x] for x in sub.elements() if rep.dims[x]
                 }
-                return Witness(iv, dims, count, verdict)
+                return Witness(iv, dims, count)
     return None
 
 
@@ -146,21 +146,14 @@ class FCYDecision:
         return f"{self.verdict} ({self.reason})"
 
 
-def is_fractionally_cy(
-    P: Poset,
-    assume_infinite_type: bool = False,
-    field: Field = QQ,
-    mesh_budget: int = 200,
-) -> FCYDecision:
+def is_fractionally_cy(P: Poset, field: Field = QQ, mesh_budget: int = 200) -> FCYDecision:
     node = ic_plus_decompose(P)
     if node is not None:
         cls = classify_tree(build_tree(node, P))
         if cls.is_dynkin:
             return FCYDecision("yes", "derived tree is Dynkin", str(cls))
         return FCYDecision("no", "derived tree is not Dynkin", str(cls))
-    w = not_fcy_witness(P, assume_infinite_type, field, mesh_budget)
-    if w is not None and w.verdict == "no":
-        return FCYDecision("no", "many-middle mesh on a clamped interval", witness=w)
+    w = not_fcy_witness(P, field, mesh_budget)
     if w is not None:
         return FCYDecision(
             "unknown",

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import posetar
-from posetar.cli import main
+from posetar.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -161,11 +162,14 @@ def test_knit_deterministic(tmp_path, capsys):
 def test_witness_subcommand(capsys):
     code, out, _ = run(capsys, "witness", "corpus:ex33-poset1")
     assert code == 0
-    assert "conditional" in out
-    code, out, _ = run(
-        capsys, "witness", "corpus:ex33-poset1", "--assume-infinite-type"
-    )
-    assert "no:" in out
+    assert out == "conditional: interval [a,b]: mesh with 3 middle terms at module {'a': 1, '1': 1, '2': 1}\n"
+
+
+def test_fcy_without_a_derived_tree_is_unknown(capsys):
+    # the witness is conditional: nothing here certifies infinite representation type
+    code, out, _ = run(capsys, "fcy", "corpus:ex33-poset2")
+    assert code == 0
+    assert out == "unknown (witness found but infinite representation type not established)\n"
 
 
 def test_corpus_listing_and_write(tmp_path, capsys):
@@ -312,6 +316,48 @@ def test_deeply_nested_module_expression_is_a_parse_error(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error (parse-error)") and "nested too deeply" in err
     assert "Traceback" not in err
+
+
+OPTIONS = {  # every option string of each subcommand, --help aside
+    "parse": [],
+    "hasse": [],
+    "clamped": [],
+    "ic": [],
+    "tree": [],
+    "fcy": ["--max-meshes"],
+    "fintype": [],
+    "fromtree": [],
+    "resolve": [],
+    "ext": [],
+    "tau": [],
+    "mesh": [],
+    "slice": [],
+    "verify-slice": [],
+    "knit": ["--dot", "--json", "--max-dim", "--max-meshes"],
+    "witness": ["--max-meshes"],
+    "corpus": ["--write"],
+}
+
+
+def option_strings(parser):
+    return sorted(s for act in parser._actions for s in act.option_strings if s not in ("-h", "--help"))
+
+
+def test_each_subcommand_has_exactly_its_pinned_options():
+    ap = build_parser()
+    subs = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
+    assert option_strings(ap) == ["--field"]
+    assert {name: option_strings(p) for name, p in subs.choices.items()} == OPTIONS
+
+
+@pytest.mark.parametrize("argv", [
+    ["fcy", "corpus:ex33-poset2", "--assume-infinite-type"],
+    ["witness", "corpus:ex33-poset1", "--assume-infinite-type"],
+])
+def test_assume_infinite_type_is_a_usage_error(argv, capsys):
+    assert exit_code(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and "Traceback" not in err
 
 
 def test_seed_flag_is_a_usage_error(capsys):

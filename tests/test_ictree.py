@@ -41,7 +41,6 @@ def test_chain_decomposition_depth():
     assert node.kind == "clamp"
     assert len(node.children) == 1
     assert node.children[0].kind == "clamp"
-    assert node.depth == 2
 
 
 def test_sec4_nine_in_ic():

@@ -387,6 +387,29 @@ def test_constructor_still_checks_its_shape():
     assert Mat(QQ, [[1, 2], [3, 4]]).rows == ((1, 2), (3, 4))
 
 
+# -- the constructor stores canonical entries -----------------------------------
+
+
+@pytest.mark.parametrize("field, entry, stored", [
+    (Field(5), 5, 0),  # at or above p
+    (Field(5), 12, 2),
+    (Field(5), -3, 2),  # negative
+    (QQ, -3, -3),
+    (QQ, Fraction(3, 1), 3),  # an integral Fraction over Q
+    (Field(5), Fraction(1, 2), 3),  # a Fraction over GF(p): 1 * 2^-1
+    (Field(5), Fraction(-3, 4), 3),
+])
+def test_constructor_stores_canonical_entries(field, entry, stored):
+    (v,), = Mat(field, [[entry]]).rows
+    assert v == stored and v.__class__ is int
+
+
+@pytest.mark.parametrize("field, entry", [(QQ, 0.5), (Field(5), 0.5), (Field(5), Fraction(1, 5))])
+def test_constructor_rejects_what_is_not_an_entry(field, entry):
+    with pytest.raises(ValueError):
+        Mat(field, [[entry]])
+
+
 # -- the memo of the exact kernels ----------------------------------------------
 
 

@@ -125,6 +125,14 @@ def test_indecomposable_is_not_isomorphic_to_a_sum_with_its_dims():
     assert not is_isomorphic(S, M)
 
 
+def test_an_entry_equal_to_p_is_the_zero_map():
+    # over GF(5) the entry 5 is 0, so this is S(0) + S(1), not k on the chain
+    P, F5 = chain(2), Field(5)
+    M = Representation(P, F5, [1, 1], {(0, 1): Mat(F5, [[5]])})
+    assert not M.is_thin_constant()
+    assert not is_isomorphic(M, constant_on(P, {0, 1}, F5))
+
+
 @pytest.mark.parametrize("field", [QQ, Field(5)], ids=str)
 def test_rebased_indecomposable_is_isomorphic(field):
     """Conjugating every cover map by I + 2 E_{0,d-1} gives an isomorphic

@@ -37,8 +37,6 @@ def test_witness_on_diamond():
     assert w is not None
     assert w.middle_count == 3
     assert w.verdict == "conditional"
-    w2 = not_fcy_witness(P, assume_infinite_type=True)
-    assert w2.verdict == "no"
 
 
 def test_witness_on_two_boxes():
