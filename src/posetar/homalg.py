@@ -53,7 +53,7 @@ poset.  tau_inverse is Tr D and transpose_dual_tau is D Tr.
 from __future__ import annotations
 
 from .errors import PosetarError
-from .linalg import Mat, _at, _cols, _dots, _mat, _null_from_echelon, _null_rows, _quotient_rows, _rref_rows, _unit_rows
+from .linalg import Mat, _at, _cols, _dots, _from_columns, _mat, _null_from_echelon, _null_rows, _quotient_rows, _rref_rows, _unit_rows
 from .poset import Poset
 from .rep import Morphism, Representation, _kernel_rep, _quotient_rep, _realize_layout, dualize
 
@@ -207,7 +207,7 @@ def min_projective_resolution(M: Representation, max_length: int | None = None):
     global-dimension safety bound of |P| + 1.
     """
     C, cover = _resolution(M, max_length)
-    return C, Morphism(C.term(0), M, [Mat.from_columns(M.field, c, d) for c, d in zip(cover, M.dims)])
+    return C, Morphism(C.term(0), M, [_from_columns(M.field, c, d) for c, d in zip(cover, M.dims)])
 
 
 def _resolution(M: Representation, max_length: int | None = None):

@@ -10,7 +10,7 @@ ADE class answers the fractional Calabi-Yau and finite-type questions.
 from __future__ import annotations
 
 from .errors import BranchTooClose, NotExtreme, ParseError, PosetarError
-from .poset import Poset, _mask
+from .poset import Poset, _lines, _mask
 
 
 class ICNode:
@@ -185,22 +185,27 @@ class TreeClass:
         return f"{self.family}{self.index}"
 
 
-def _arm_lengths(T: TreeShape, b: int) -> list[int] | None:
-    """Edge lengths of the arms at b; None if an arm branches again."""
+def _arm_lengths(T: TreeShape, b: int) -> tuple[int, ...]:
+    """Edge lengths of the arms at b, sorted, when b is the only branch vertex:
+    every other vertex has degree at most 2, so each arm is a path."""
     arms = []
     for start in T.neighbors(b):
         length = 1
         prev, cur = b, start
-        while True:
-            nxt = [u for u in T.neighbors(cur) if u != prev]
-            if not nxt:
-                break
-            if len(nxt) > 1:
-                return None
-            prev, cur = cur, nxt[0]
+        while T.degree(cur) == 2:
+            prev, cur = cur, next(u for u in T.neighbors(cur) if u != prev)
             length += 1
         arms.append(length)
-    return sorted(arms)
+    return tuple(sorted(arms))
+
+
+# (family, index) of each star but D_{r+3}, by its sorted arm lengths;
+# a star that is not listed is wild
+_STARS = {
+    (1, 2, 2): ("E", 6), (1, 2, 3): ("E", 7), (1, 2, 4): ("E", 8),
+    (2, 2, 2): ("~E", 6), (1, 3, 3): ("~E", 7), (1, 2, 5): ("~E", 8),
+    (1, 1, 1, 1): ("~D", 4),
+}
 
 
 def classify_tree(T: TreeShape) -> TreeClass:
@@ -211,36 +216,14 @@ def classify_tree(T: TreeShape) -> TreeClass:
     if not branch:
         return TreeClass("A", n)
     if len(branch) == 1:
-        b = branch[0]
-        arms = _arm_lengths(T, b)
-        if arms is None:
-            raise PosetarError("inconsistent branch analysis")
-        if len(arms) == 3:
-            a1, a2, a3 = arms
-            if a1 == 1 and a2 == 1:
-                return TreeClass("D", a3 + 3)
-            if arms == [1, 2, 2]:
-                return TreeClass("E", 6)
-            if arms == [1, 2, 3]:
-                return TreeClass("E", 7)
-            if arms == [1, 2, 4]:
-                return TreeClass("E", 8)
-            if arms == [2, 2, 2]:
-                return TreeClass("~E", 6)
-            if arms == [1, 3, 3]:
-                return TreeClass("~E", 7)
-            if arms == [1, 2, 5]:
-                return TreeClass("~E", 8)
-            return TreeClass("wild")
-        if len(arms) == 4 and arms == [1, 1, 1, 1]:
-            return TreeClass("~D", 4)
-        return TreeClass("wild")
-    if len(branch) == 2 and all(T.degree(v) == 3 for v in branch):
-        # Euclidean D-type: both branch vertices carry two pendant leaves.
-        for b in branch:
-            others = [u for u in T.neighbors(b) if T.degree(u) == 1]
-            if len(others) != 2:
-                return TreeClass("wild")
+        arms = _arm_lengths(T, branch[0])
+        if len(arms) == 3 and arms[1] == 1:
+            return TreeClass("D", arms[2] + 3)
+        return TreeClass(*_STARS.get(arms, ("wild",)))
+    # Euclidean D-type: two branch vertices, each carrying two pendant leaves
+    if len(branch) == 2 and all(
+        T.degree(b) == 3 and sum(T.degree(u) == 1 for u in T.neighbors(b)) == 2 for b in branch
+    ):
         return TreeClass("~D", n - 1)
     return TreeClass("wild")
 
@@ -281,31 +264,20 @@ def ic_plus_decompose(P: Poset) -> ICNode | None:
             mins, maxs = _extrema_in(P, subset)
             if len(mins) == 1 and len(maxs) == 1:
                 lo, hi = mins[0], maxs[0]
-                interior = subset - {lo, hi}
                 kids = []
-                ok = True
-                for comp in P.connected_components(interior):
-                    node = go(comp)
-                    if node is None:
-                        ok = False
+                for comp in P.connected_components(subset - {lo, hi}):
+                    kids.append(go(comp))
+                    if kids[-1] is None:
                         break
-                    kids.append(node)
-                if ok:
+                else:
                     result = ICNode("clamp", lo, hi, tuple(kids))
-                if result is None:
-                    rest = subset - {lo}
-                    rmins, _ = _extrema_in(P, rest)
-                    if len(rmins) == 1:
+                # failing a clamp: the minimum (maximum) adjoined to a rest with a unique one
+                for kind, end, side in (("adjoin-min", lo, 0), ("adjoin-max", hi, 1)):
+                    rest = subset - {end}
+                    if result is None and len(_extrema_in(P, rest)[side]) == 1:
                         child = go(rest)
                         if child is not None:
-                            result = ICNode("adjoin-min", lo, hi, (child,))
-                if result is None:
-                    rest = subset - {hi}
-                    _, rmaxs = _extrema_in(P, rest)
-                    if len(rmaxs) == 1:
-                        child = go(rest)
-                        if child is not None:
-                            result = ICNode("adjoin-max", lo, hi, (child,))
+                            result = ICNode(kind, lo, hi, (child,))
         memo[subset] = result
         return result
 
@@ -497,15 +469,14 @@ def realize_shape(shape, prefix: str = "e") -> Poset:
 
 
 def parse_tree(text: str) -> tuple[TreeShape, dict[str, int]]:
-    """Parse `vertices ...` / `edges u-v ...` / `mark v` tree files."""
+    """Parse `vertices ...` / `edges u-v ...` / `mark v` tree files.
+
+    `#` starts a comment; blank lines are skipped, as in `.poset` files.
+    """
     vertices: list[str] = []
     edges: list[tuple[str, str]] = []
     mark: str | None = None
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+    for raw, parts in _lines(text):
         if parts[0] == "vertices":
             for nm in parts[1:]:
                 if nm in vertices:

@@ -8,17 +8,17 @@ element is a reduced int in [0, p).  Over the rationals it is a Python int
 when it is integral and a Fraction with denominator > 1 otherwise, never a
 float: nearly every entry the algebra layers meet is a small integer, and
 int arithmetic costs a fraction of Fraction's.  Every Mat holds canonical
-entries: the constructor puts each entry from outside in that form (an int
-mod p, a Fraction a/b over GF(p) as a * b^-1, an integral Fraction over
-the rationals as an int) and raises ValueError on any other type or on a
-denominator that p divides; the results of rref, nullspace, solve, mul,
-apply, add, sub and scale, and the Field methods, are computed in it; and
-re-indexing (transpose, hstack, vstack, column, columns, from_columns) moves
-entries without checking them, so `from_columns` must be given canonical
-columns.  No `/` is
-applied between two entries: a quotient goes through `_div`, which returns
-`a // b` when b divides a and `Fraction(a, b)` otherwise, and sums and
-products that may come out integral are turned back into ints by `_canon`.
+entries: the constructor and `from_columns` put each entry from outside in
+that form (an int mod p, a Fraction a/b over GF(p) as a * b^-1, an integral
+Fraction over the rationals as an int) and raise ValueError on any other
+type or on a denominator that p divides; the results of rref, nullspace,
+solve, mul, apply, add, sub and scale, and the Field methods, are computed
+in it; and re-indexing (transpose, hstack, vstack, column, columns, and
+`_from_columns` for the package's own columns) moves entries without
+checking them.  No `/` is applied between two entries: a quotient goes
+through `_div`, which returns `a // b` when b divides a and `Fraction(a, b)`
+otherwise, and sums and products that may come out integral are turned back
+into ints by `_canon`.
 
 The kernels make no Field method call and no Fraction comparison per entry:
 they skip zeros by truthiness and use plain `+`/`*`, reducing mod p once per
@@ -213,12 +213,10 @@ class Mat:
 
     @staticmethod
     def from_columns(field: Field, cols, nrows: int) -> "Mat":
-        if not cols:
-            return Mat.zero(field, nrows, 0)
-        rows = tuple(zip(*cols))
-        if len(rows) != nrows:
-            raise ValueError("column length differs from the row count")
-        return _mat(field, rows, nrows, len(cols))
+        """The nrows x len(cols) matrix with the given columns, each entry put
+        in canonical form as the constructor does."""
+        p = field.p
+        return _from_columns(field, [[_entry(p, v) for v in col] for col in cols], nrows)
 
     # -- basic algebra -----------------------------------------------------
 
@@ -325,6 +323,16 @@ def _mat(field: Field, rows: tuple, r: int, c: int) -> Mat:
     m.c = c
     m.rows = rows
     return m
+
+
+def _from_columns(field: Field, cols, nrows: int) -> Mat:
+    """The Mat with the given columns of canonical entries, unchecked."""
+    if not cols:
+        return Mat.zero(field, nrows, 0)
+    rows = tuple(zip(*cols))
+    if len(rows) != nrows:
+        raise ValueError("column length differs from the row count")
+    return _mat(field, rows, nrows, len(cols))
 
 
 def _eliminate(p: int, rows: tuple, c: int) -> tuple[tuple, tuple[int, ...]]:
@@ -504,6 +512,6 @@ def span_basis(field: Field, vectors, dim: int) -> Mat:
     """Column basis of the span of the given vectors inside k^dim."""
     if not vectors:
         return Mat.zero(field, dim, 0)
-    A = Mat.from_columns(field, list(vectors), dim)
+    A = _from_columns(field, list(vectors), dim)
     R, pivots = A.rref()
-    return Mat.from_columns(field, [A.column(j) for j in pivots], dim)
+    return _from_columns(field, [A.column(j) for j in pivots], dim)

@@ -1,6 +1,9 @@
 """Parser for module expressions used by the CLI.
 
 Grammar:  P(x) | I(x) | S(x) | K(a..b) | rad(E) | soc(E) | quot(E,F) | sum(E,F)
+
+An element name x, a or b is any run of characters without whitespace,
+parentheses, commas or `..`.
 """
 
 from __future__ import annotations
@@ -23,7 +26,9 @@ from .rep import (
     socle,
 )
 
-_TOKEN = re.compile(r"\s*([A-Za-z_0-9]+|\(|\)|,|\.\.)")
+_TOKEN = re.compile(r"\s*((?:[^\s(),.]|\.(?!\.))+|\(|\)|,|\.\.)")
+_POINTS = {"P": projective, "I": injective, "S": simple}
+_SUBMODULES = {"rad": radical, "soc": socle}
 
 
 def _tokenize(text: str) -> list[str]:
@@ -38,73 +43,6 @@ def _tokenize(text: str) -> list[str]:
     return out
 
 
-class _Parser:
-    def __init__(self, P: Poset, field: Field, tokens: list[str]):
-        self.P = P
-        self.field = field
-        self.toks = tokens
-        self.i = 0
-
-    def peek(self) -> str | None:
-        return self.toks[self.i] if self.i < len(self.toks) else None
-
-    def take(self, expected: str | None = None) -> str:
-        if self.i >= len(self.toks):
-            raise ParseError("unexpected end of module expression")
-        tok = self.toks[self.i]
-        if expected is not None and tok != expected:
-            raise ParseError(f"expected {expected!r}, found {tok!r}")
-        self.i += 1
-        return tok
-
-    def element(self) -> int:
-        return self.P.id_of(self.take())
-
-    def expr(self) -> Representation:
-        head = self.take()
-        if head in ("P", "I", "S"):
-            self.take("(")
-            x = self.element()
-            self.take(")")
-            if head == "P":
-                return projective(self.P, x, self.field)
-            if head == "I":
-                return injective(self.P, x, self.field)
-            return simple(self.P, x, self.field)
-        if head == "K":
-            self.take("(")
-            a = self.element()
-            self.take("..")
-            b = self.element()
-            self.take(")")
-            return constant_on(self.P, self.P.closed_interval(a, b), self.field)
-        if head == "rad":
-            self.take("(")
-            M = self.expr()
-            self.take(")")
-            return radical(M)[0]
-        if head == "soc":
-            self.take("(")
-            M = self.expr()
-            self.take(")")
-            return socle(M)[0]
-        if head == "sum":
-            self.take("(")
-            A = self.expr()
-            self.take(",")
-            B = self.expr()
-            self.take(")")
-            return direct_sum([A, B])
-        if head == "quot":
-            self.take("(")
-            A = self.expr()
-            self.take(",")
-            B = self.expr()
-            self.take(")")
-            return _quotient(A, B)
-        raise ParseError(f"unknown module constructor {head!r}")
-
-
 def _quotient(A: Representation, B: Representation) -> Representation:
     maps = hom(B, A)
     for f in maps:
@@ -115,13 +53,53 @@ def _quotient(A: Representation, B: Representation) -> Representation:
 
 
 def parse_module(P: Poset, text: str, field: Field = QQ) -> Representation:
-    parser = _Parser(P, field, _tokenize(text))
+    toks = _tokenize(text)
+    pos = 0
+
+    def take(expected: str | None = None) -> str:
+        nonlocal pos
+        if pos >= len(toks):
+            raise ParseError("unexpected end of module expression")
+        tok = toks[pos]
+        if expected is not None and tok != expected:
+            raise ParseError(f"expected {expected!r}, found {tok!r}")
+        pos += 1
+        return tok
+
+    def expr() -> Representation:
+        head = take()
+        if head in _POINTS:
+            take("(")
+            x = P.id_of(take())
+            take(")")
+            return _POINTS[head](P, x, field)
+        if head in _SUBMODULES:
+            take("(")
+            M = expr()
+            take(")")
+            return _SUBMODULES[head](M)[0]
+        if head == "K":
+            take("(")
+            a = P.id_of(take())
+            take("..")
+            b = P.id_of(take())
+            take(")")
+            return constant_on(P, P.closed_interval(a, b), field)
+        if head in ("sum", "quot"):
+            take("(")
+            A = expr()
+            take(",")
+            B = expr()
+            take(")")
+            return direct_sum([A, B]) if head == "sum" else _quotient(A, B)
+        raise ParseError(f"unknown module constructor {head!r}")
+
     try:
-        M = parser.expr()
+        M = expr()
     except RecursionError:
         raise ParseError("module expression is nested too deeply") from None
-    if parser.peek() is not None:
-        raise ParseError(f"trailing tokens in module expression: {parser.toks[parser.i:]}")
+    if pos < len(toks):
+        raise ParseError(f"trailing tokens in module expression: {toks[pos:]}")
     return M
 
 

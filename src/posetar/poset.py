@@ -287,6 +287,15 @@ def _cycle_pair(pred: list[list[int]], indeg: list[int]) -> tuple[int, int]:
     return cycle[0], cycle[1]
 
 
+def _lines(text: str):
+    """(raw, words) for each line of text that is not blank once its `#`
+    comment is cut."""
+    for raw in text.splitlines():
+        words = raw.split("#", 1)[0].split()
+        if words:
+            yield raw, words
+
+
 def parse_poset(text: str, name: str = "") -> Poset:
     """Parse the `.poset` text format.
 
@@ -300,11 +309,7 @@ def parse_poset(text: str, name: str = "") -> Poset:
     explicit_elements = False
     in_covers = False
     pname = name
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+    for raw, parts in _lines(text):
         if not in_covers:
             if parts[0] == "poset" and len(parts) >= 2:
                 pname = parts[1]

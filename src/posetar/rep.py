@@ -14,7 +14,7 @@ sums of `homalg`, by `_realize_layout`.  Nothing is cached on a module.
 from __future__ import annotations
 
 from .errors import NotConvex, PosetarError
-from .linalg import Field, Mat, QQ, _at, _cols, _dots, _mat, _null_rows, _quotient_rows, _rref_rows
+from .linalg import Field, Mat, QQ, _at, _cols, _dots, _from_columns, _mat, _null_rows, _quotient_rows, _rref_rows
 from .poset import Poset, _mask
 
 
@@ -323,7 +323,7 @@ def _null_submodule(M: Representation, null) -> tuple[Representation, Morphism]:
     """_kernel_rep inside M, whose structure maps carry the vectors, with the
     inclusion, whose block at x has the columns null[x]."""
     S = _kernel_rep(M.poset, M.field, null, lambda x, y, v: M.maps[(x, y)].apply(v))
-    return S, Morphism(S, M, [Mat.from_columns(M.field, vs, d) for vs, d in zip(null, M.dims)])
+    return S, Morphism(S, M, [_from_columns(M.field, vs, d) for vs, d in zip(null, M.dims)])
 
 
 def _image_rep(M: Representation, echelons) -> Representation:

@@ -38,7 +38,7 @@ from collections import Counter
 from fractions import Fraction
 
 from .errors import SplitFailure
-from .linalg import Mat, _canon, _cols, _dots, _mat, _null_from_echelon, _null_rows, _rref_rows, _unit_rows
+from .linalg import _canon, _cols, _dots, _from_columns, _mat, _null_from_echelon, _null_rows, _rref_rows, _unit_rows
 from .rep import (
     Morphism,
     Representation,
@@ -71,7 +71,7 @@ def end_radical_basis(M: Representation, basis: list[Morphism]) -> list[tuple]:
     flats = tuple([f.flat() for f in basis])
     transposed = [tuple(v for b in f.blocks for col in zip(*b.rows) for v in col) for f in basis]
     n, length = len(flats), len(flats[0])
-    return _mat(field, flats, n, length).mul(Mat.from_columns(field, transposed, length)).nullspace()
+    return _mat(field, flats, n, length).mul(_from_columns(field, transposed, length)).nullspace()
 
 
 def is_indecomposable(M: Representation) -> bool:

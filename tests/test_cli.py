@@ -140,6 +140,55 @@ def test_module_expressions_interval_injective_and_socle(capsys, args, printed):
     assert (code, out.strip()) == (0, printed)
 
 
+# (expression, exit code, stdout, stderr) of `resolve corpus:ex33-poset1 <expression>`,
+# on the diamond a < 1, 2 < b: each constructor, nesting, and malformed forms
+MODULE_EXPRESSIONS = [
+    ("P(a)", 0, "P(a)\n", ""),
+    ("I(b)", 0, "P(a)\n", ""),
+    ("S(1)", 0, "P(1) <- P(b)\n", ""),
+    ("K(a..b)", 0, "P(a)\n", ""),
+    ("K(1..b)", 0, "P(1)\n", ""),
+    ("rad(P(a))", 0, "P(1) + P(2) <- P(b)\n", ""),
+    ("soc(I(b))", 0, "P(b)\n", ""),
+    ("sum(S(1),S(2))", 0, "P(1) + P(2) <- P(b)^2\n", ""),
+    ("quot(P(a),S(b))", 0, "P(a) <- P(b)\n", ""),
+    (" rad( sum( P(1) , quot(I(b),S(b)) ) )", 0, "P(1) + P(2) + P(b) <- P(b)^2\n", ""),
+    ("soc(rad(P(a)))", 0, "P(b)\n", ""),
+    ("P(", 1, "", "error (parse-error): unexpected end of module expression\n"),
+    ("X(1)", 1, "", "error (parse-error): unknown module constructor 'X'\n"),
+    ("X", 1, "", "error (parse-error): unknown module constructor 'X'\n"),
+    (")", 1, "", "error (parse-error): unknown module constructor ')'\n"),
+    ("P(a) P", 1, "", "error (parse-error): trailing tokens in module expression: ['P']\n"),
+    ("rad(S(a)))", 1, "", "error (parse-error): trailing tokens in module expression: [')']\n"),
+    ("sum(S(a) S(b))", 1, "", "error (parse-error): expected ',', found 'S'\n"),
+    ("sum(S(a))", 1, "", "error (parse-error): expected ',', found ')'\n"),
+    ("rad(S(a)", 1, "", "error (parse-error): unexpected end of module expression\n"),
+    ("", 1, "", "error (parse-error): unexpected end of module expression\n"),
+    ("P a", 1, "", "error (parse-error): expected '(', found 'a'\n"),
+    ("S(1,2)", 1, "", "error (parse-error): expected ')', found ','\n"),
+    ("K(a,b)", 1, "", "error (parse-error): expected '..', found ','\n"),
+    ("K(1..2)", 1, "", "error (not-comparable): '1' is not below '2'\n"),
+    ("K(b..a)", 1, "", "error (not-comparable): 'b' is not below 'a'\n"),
+    ("P(c)", 1, "", "error (unknown-element): unknown element 'c'\n"),
+    ("quot(S(a),S(b))", 1, "",
+     "error (parse-error): quot(E,F) needs F to embed into E along a hom basis vector\n"),
+]
+
+
+@pytest.mark.parametrize("expression, code, out, err", MODULE_EXPRESSIONS)
+def test_module_expression_table(expression, code, out, err, capsys):
+    assert run(capsys, "resolve", "corpus:ex33-poset1", expression) == (code, out, err)
+
+
+def test_module_expressions_name_elements_with_any_characters_but_delimiters(tmp_path, capsys):
+    # a name may hold any character but whitespace, parentheses, commas and `..`
+    f = tmp_path / "f.poset"
+    f.write_text("elements x-1 y.2\ncovers\nx-1 < y.2\n")
+    assert run(capsys, "tau", str(f), "S(x-1)") == (0, "P(y.2)\n", "")
+    assert run(capsys, "resolve", str(f), "K(x-1..y.2)") == (0, "P(x-1)\n", "")
+    assert run(capsys, "resolve", str(f), "sum(S(x-1),P(y.2))") == (0, "P(x-1) + P(y.2) <- P(y.2)\n", "")
+
+
 def test_a_field_of_a_huge_prime_is_a_usage_error():
     """The characteristic is capped below 2^31, so --field fails at once
     instead of trial-dividing up to the square root of a 61-bit prime; the

@@ -183,9 +183,14 @@ def spectral_class(T: TreeShape) -> str:
 
 
 def test_classification_against_spectral_oracle():
-    trees = []
-    for n in range(1, 9):
-        trees.append(path_tree(n))
+    """Every tree with at most 10 vertices (up to isomorphism, so ~E8 among
+    them) and some larger stars: the family against the spectral radius, and
+    the index against the vertex count, n for Dynkin and n - 1 for Euclidean."""
+    import networkx as nx
+
+    trees = [TreeShape(1, (), 0)]
+    for n in range(2, 11):
+        trees.extend(TreeShape(n, tuple(G.edges()), 0) for G in nx.nonisomorphic_trees(n))
     for arms in itertools.product(range(1, 5), repeat=3):
         trees.append(star_tree(*arms))
     for arms in itertools.product(range(1, 4), repeat=4):
@@ -205,9 +210,9 @@ def test_classification_against_spectral_oracle():
         got = classify_tree(T)
         want = spectral_class(T)
         if want == "dynkin":
-            assert got.is_dynkin, (T.edges, str(got))
+            assert got.is_dynkin and got.index == T.n, (T.edges, str(got))
         elif want == "euclidean":
-            assert got.family in ("~D", "~E"), (T.edges, str(got))
+            assert got.family in ("~D", "~E") and got.index == T.n - 1, (T.edges, str(got))
         else:
             assert got.family == "wild", (T.edges, str(got))
 
@@ -305,6 +310,25 @@ def test_parse_tree_roundtrip():
     assert T.n == 4
     assert T.marked == idx["d"]
     assert classify_tree(T).family == "D"
+
+
+def test_parse_tree_skips_comments_blank_lines_and_tabs():
+    text = (
+        "# a tree file\n"
+        "\n"
+        "vertices\ta b   # two of four\n"
+        "  \t \n"
+        "vertices c\td#e\n"
+        "\t# an indented comment-only line\n"
+        "edges a-b\tb-c  # trailing comment\n"
+        "edges b-d\n"
+        "mark\td # the leaf\n"
+        "\n"
+    )
+    T, idx = parse_tree(text)
+    assert idx == {"a": 0, "b": 1, "c": 2, "d": 3}
+    assert (T.edges, T.marked, T.labels) == (((0, 1), (1, 2), (1, 3)), 3, {0: "a", 1: "b", 2: "c", 3: "d"})
+    assert str(classify_tree(T)) == "D4"
 
 
 def test_lattice_property_of_realized_shapes():

@@ -1,6 +1,7 @@
 """Every module of posetar imports only from the layers below its own."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import posetar
@@ -112,3 +113,42 @@ def test_every_parameter_is_read():
             loads = {n.id for n in ast.walk(fn) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
             unread |= {(f"{stem}.{name}", p) for p in params if p not in loads}
     assert unread == UNREAD_PARAMETERS
+
+
+def _private_definitions(tree):
+    """(name, node) for each module-level function, class or assignment of
+    tree whose name starts with one underscore."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        yield from ((name, node) for name in names if name.startswith("_") and not name.startswith("__"))
+
+
+def _names_read(tree):
+    """Each name read under tree, once per read: loads, attributes and imported names."""
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            yield n.id
+        elif isinstance(n, ast.Attribute):
+            yield n.attr
+        elif isinstance(n, ast.alias):
+            yield n.name
+
+
+def test_every_private_helper_is_used():
+    # a private name read only inside its own definition is a helper a
+    # refactor left behind
+    sources = _sources()
+    reads = Counter(name for _, tree in sources for name in _names_read(tree))
+    unused = [
+        f"{stem}.{name}"
+        for stem, tree in sources
+        for name, node in _private_definitions(tree)
+        if reads[name] == Counter(_names_read(node))[name]
+    ]
+    assert unused == []

@@ -390,6 +390,14 @@ def test_constructor_still_checks_its_shape():
 # -- the constructor stores canonical entries -----------------------------------
 
 
+# the two public constructors, each given the single entry v
+ONE_ENTRY = {
+    "Mat": lambda field, v: Mat(field, [[v]]),
+    "from_columns": lambda field, v: Mat.from_columns(field, [(v,)], 1),
+}
+
+
+@pytest.mark.parametrize("build", ONE_ENTRY.values(), ids=ONE_ENTRY)
 @pytest.mark.parametrize("field, entry, stored", [
     (Field(5), 5, 0),  # at or above p
     (Field(5), 12, 2),
@@ -399,15 +407,18 @@ def test_constructor_still_checks_its_shape():
     (Field(5), Fraction(1, 2), 3),  # a Fraction over GF(p): 1 * 2^-1
     (Field(5), Fraction(-3, 4), 3),
 ])
-def test_constructor_stores_canonical_entries(field, entry, stored):
-    (v,), = Mat(field, [[entry]]).rows
+def test_constructor_stores_canonical_entries(field, entry, stored, build):
+    M = build(field, entry)
+    (v,), = M.rows
     assert v == stored and v.__class__ is int
+    assert M.is_zero() == (stored == 0)
 
 
+@pytest.mark.parametrize("build", ONE_ENTRY.values(), ids=ONE_ENTRY)
 @pytest.mark.parametrize("field, entry", [(QQ, 0.5), (Field(5), 0.5), (Field(5), Fraction(1, 5))])
-def test_constructor_rejects_what_is_not_an_entry(field, entry):
+def test_constructor_rejects_what_is_not_an_entry(field, entry, build):
     with pytest.raises(ValueError):
-        Mat(field, [[entry]])
+        build(field, entry)
 
 
 # -- the memo of the exact kernels ----------------------------------------------

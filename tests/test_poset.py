@@ -116,6 +116,25 @@ def test_opposite_is_built_once_and_named():
     assert chain(3).opposite().name == ""
 
 
+def test_parse_skips_comments_blank_lines_and_tabs():
+    text = (
+        "# a commented header\n"
+        "\n"
+        "poset\tspaced   # a trailing comment\n"
+        "   \t\n"
+        "elements\ta b\n"
+        "elements c#d\n"
+        "  # an indented comment-only line\n"
+        "covers\t# relations follow\n"
+        "a\t<\tb   # trailing\n"
+        "\n"
+        "b < c\n"
+        "a < c\n"
+    )
+    P = parse_poset(text)
+    assert (P.name, P.names, P.covers) == ("spaced", ("a", "b", "c"), ((0, 1), (1, 2)))
+
+
 def test_roundtrip_text():
     P = parse_poset(EX57_TEXT)
     Q = parse_poset(P.to_text())
