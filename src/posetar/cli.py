@@ -3,7 +3,8 @@
 Poset arguments accept a file path or `corpus:<id>` for a bundled example.
 Output depends only on the input and the version: no subcommand draws on a
 seed or reads an environment variable.
-Exit codes: 0 success, 1 domain error, 2 usage error.
+Exit codes: 0 success, 1 domain error (an input too deep for the recursion
+limit among them), 2 usage error.
 """
 
 from __future__ import annotations
@@ -186,7 +187,7 @@ def cmd_knit(args, out) -> None:
     node = ic_plus_decompose(P)
     if node is not None:
         try:
-            embedding = embed_in_ZT(comp, standard_slice(P, node, args.field))
+            embedding = embed_in_ZT(comp, build_tree(node, P))
         except PosetarError:
             embedding = None
     if embedding is not None:
@@ -292,6 +293,9 @@ def main(argv=None) -> int:
         return 1
     except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except RecursionError:
+        print("error: input nested too deeply for the recursion limit", file=sys.stderr)
         return 1
     return 0
 

@@ -19,15 +19,20 @@ class ICNode:
     kind 'point': a single element (low == high).
     kind 'clamp': children are the components of the open interval (low, high).
     kind 'adjoin-min'/'adjoin-max': one extremal element added to the child.
-    Two witnesses are equal when their kinds, ends and children are.
+    subset is the set of elements the node was built from: its ends and the
+    subsets of its children.  Two witnesses are equal when their kinds, ends
+    and children are.
     """
 
-    __slots__ = ("kind", "low", "high", "children")
+    __slots__ = ("kind", "low", "high", "subset", "children")
 
-    def __init__(self, kind: str, low: int, high: int, children: tuple["ICNode", ...] = ()) -> None:
+    def __init__(
+        self, kind: str, low: int, high: int, subset: frozenset[int], children: tuple["ICNode", ...] = ()
+    ) -> None:
         self.kind = kind
         self.low = low
         self.high = high
+        self.subset = subset
         self.children = children
 
     def _key(self) -> tuple:
@@ -38,12 +43,6 @@ class ICNode:
 
     def __hash__(self) -> int:
         return hash(self._key())
-
-    def carrier(self) -> frozenset[int]:
-        out = {self.low, self.high}
-        for ch in self.children:
-            out |= ch.carrier()
-        return frozenset(out)
 
     def uses_adjoin(self) -> bool:
         if self.kind in ("adjoin-min", "adjoin-max"):
@@ -255,11 +254,10 @@ def ic_plus_decompose(P: Poset) -> ICNode | None:
     def go(subset: frozenset[int]) -> ICNode | None:
         if subset in memo:
             return memo[subset]
-        memo[subset] = None  # guards recursion; overwritten below
         result: ICNode | None = None
         if len(subset) == 1:
             x = next(iter(subset))
-            result = ICNode("point", x, x)
+            result = ICNode("point", x, x, subset)
         else:
             mins, maxs = _extrema_in(P, subset)
             if len(mins) == 1 and len(maxs) == 1:
@@ -270,14 +268,14 @@ def ic_plus_decompose(P: Poset) -> ICNode | None:
                     if kids[-1] is None:
                         break
                 else:
-                    result = ICNode("clamp", lo, hi, tuple(kids))
+                    result = ICNode("clamp", lo, hi, subset, tuple(kids))
                 # failing a clamp: the minimum (maximum) adjoined to a rest with a unique one
                 for kind, end, side in (("adjoin-min", lo, 0), ("adjoin-max", hi, 1)):
                     rest = subset - {end}
                     if result is None and len(_extrema_in(P, rest)[side]) == 1:
                         child = go(rest)
                         if child is not None:
-                            result = ICNode(kind, lo, hi, (child,))
+                            result = ICNode(kind, lo, hi, subset, (child,))
         memo[subset] = result
         return result
 
@@ -295,27 +293,21 @@ def build_tree(node: ICNode, P: Poset) -> TreeShape:
     vertex.  An adjunction grows one edge at the marked vertex and moves the
     mark to the new leaf.
     """
-    counter = [0]
     edges: list[tuple[int, int]] = []
-    supports: dict[int, frozenset[int]] = {}
+    supports: dict[int, frozenset[int]] = {}  # every vertex gets its support when made
     arrows: list[tuple[int, int]] = []
 
-    def fresh() -> int:
-        counter[0] += 1
-        return counter[0] - 1
-
     def go(nd: ICNode) -> int:
-        carrier = nd.carrier()
         if nd.kind == "point":
-            v = fresh()
-            supports[v] = carrier
+            v = len(supports)
+            supports[v] = nd.subset
             return v
         if nd.kind == "clamp":
             child_marks = [go(ch) for ch in nd.children]
-            center = fresh()
-            mark = fresh()
-            supports[center] = carrier - {nd.high}
-            supports[mark] = carrier
+            center = len(supports)
+            supports[center] = nd.subset - {nd.high}
+            mark = len(supports)
+            supports[mark] = nd.subset
             edges.append((mark, center))
             arrows.append((mark, center))
             for cm in child_marks:
@@ -324,18 +316,14 @@ def build_tree(node: ICNode, P: Poset) -> TreeShape:
             return mark
         # adjunctions: one new leaf at the old mark, which becomes the mark
         child_mark = go(nd.children[0])
-        mark = fresh()
+        mark = len(supports)
+        supports[mark] = nd.subset
         edges.append((mark, child_mark))
-        supports[mark] = carrier
         if nd.kind == "adjoin-min":
             # the old mark's module moves one translate forward, so every
             # slice arrow at that vertex reverses
-            supports[child_mark] = carrier - {nd.high}
-            for i, (a, b) in enumerate(arrows):
-                if a == child_mark:
-                    arrows[i] = (b, a)
-                elif b == child_mark:
-                    arrows[i] = (b, a)
+            supports[child_mark] = nd.subset - {nd.high}
+            arrows[:] = [(b, a) if child_mark in (a, b) else (a, b) for a, b in arrows]
         arrows.append((mark, child_mark))
         return mark
 
@@ -344,7 +332,7 @@ def build_tree(node: ICNode, P: Poset) -> TreeShape:
     for v, sup in supports.items():
         ids = P.sorted_ids(sup)
         labels[v] = "k{" + ",".join(P.names[x] for x in ids) + "}"
-    return TreeShape(counter[0], tuple(edges), marked, labels, supports, tuple(arrows))
+    return TreeShape(len(supports), tuple(edges), marked, labels, supports, tuple(arrows))
 
 
 def finite_type_criterion(P: Poset) -> tuple[str, str]:

@@ -31,19 +31,21 @@ from .homalg import (
     _resolution,
     _rows,
     _scalar_blocks,
+    realize_labels,
     tau_inverse,
 )
-from .linalg import Field, QQ, _cols, _dots, _mat, _quotient_rows, _reduce
+from .ictree import TreeShape
+from .linalg import Field, QQ, _cols, _mat, _reduce
 from .poset import Poset
 from .rep import (
+    Morphism,
     Representation,
     _quotient_projection,
-    _quotient_rep,
     cone_label,
     constant_on,
+    direct_sum,
     linear_combination,
 )
-from .slices import SliceData
 from .split import _thin_indecomposable, end_basis, end_radical_basis, is_indecomposable, split_indecomposables
 
 
@@ -134,23 +136,15 @@ def ar_sequence_end(M: Representation, rng=None, check_indecomposable: bool = Tr
         raise PosetarError("socle of the extension space is trivial")
 
     # E = coker(P1 -> tM + P0).  The basis of the sum at w lists tM(w) before
-    # P0(w); the f-block sends generator j of P1 to f_j in tM(y_j).  On a
-    # cover x -> y the sum's structure map is tM's beside the 0/1 one of P0.
+    # P0(w); the f-block sends generator j of P1 to f_j in tM(y_j).
     lay1, lay0 = _layout(P, "proj", L1), _layout(P, "proj", L0)
     gens = [(y, f[offs[j]: offs[j + 1]]) for j, y in enumerate(L1)]
     f_cols = _blocks_from_generators(P, field, gens, _rows(tM), tM.dims, lay1)
     d_rows = _scalar_blocks(P, L1, L0, lay1, lay0, _reduce(field.p, [[-v for v in row] for row in d]))
-    quots = [_quotient_rows(field.p, _cols(fc, t) + dr, len(js), t + len(dr))
-             for fc, dr, js, t in zip(f_cols, d_rows, lay1, tM.dims)]
-    pos = [{j: t + k for k, j in enumerate(js)} for js, t in zip(lay0, tM.dims)]
-
-    def along(x, y, q_y):
-        t, m = tM.dims[y], tM.maps[(x, y)]
-        cols = _cols(m.rows, m.c)
-        at = [pos[y][j] for j in lay0[x]]
-        return tuple([_dots(row[:t], cols, field) + tuple([row[k] for k in at]) for row in q_y])
-
-    E = _quotient_rep(P, field, quots, along)
+    blocks = [_mat(field, _cols(fc, t) + dr, t + len(dr), len(js))
+              for fc, dr, js, t in zip(f_cols, d_rows, lay1, tM.dims)]
+    P1, P0 = realize_labels(P, field, "proj", L1), realize_labels(P, field, "proj", L0)
+    E = Morphism(P1, direct_sum([tM, P0]), blocks).cokernel()[0]
     middles = split_indecomposables(E)
     seq = ARSequence(tM, middles, M)
     if seq.middle_dims() != tuple(
@@ -379,39 +373,46 @@ class Embedding:
         return (self.coords[vids[0]][1], self.coords[vids[-1]][1])
 
 
-def embed_in_ZT(comp: ARComponent, sl: SliceData) -> Embedding:
-    """Assign (orbit, level) coordinates relative to the slice."""
+def embed_in_ZT(comp: ARComponent, T: TreeShape) -> Embedding:
+    """Assign (orbit, level) coordinates relative to the derived tree T.
+
+    Orbit v is the tau-orbit of the module k on T.supports[v], which sits at
+    level 0; each orbit is listed in level order as tau and tau^-1 walk it.
+    NotEmbeddable unless the orbits are disjoint, cover the component, and
+    every arrow joins adjacent orbits as the orientation T.arrows prescribes.
+    """
     P = comp.poset
-    coords: dict[int, tuple[int, int]] = {}
     by_support = {}
     for v in comp.vertices:
         sup = v.thin_support
         if sup is not None and sup not in by_support:
             by_support[sup] = v.vid
     tau_inv = comp.tau_inv_map()
-    for tv in range(sl.tree.n):
-        sup = sl.tree.supports[tv]
-        vid = by_support.get(frozenset(sup))
+    coords: dict[int, tuple[int, int]] = {}
+    orbits: dict[int, list[int]] = {}
+    for tv in range(T.n):
+        sup = T.supports[tv]
+        vid = by_support.get(sup)
         if vid is None:
             raise NotEmbeddable(
                 f"slice module on {{{','.join(P.names[x] for x in P.sorted_ids(sup))}}} missing"
             )
-        coords[vid] = (tv, 0)
-        cur, lvl = vid, 0
-        while cur in comp.tau_map:
-            cur = comp.tau_map[cur]
-            lvl -= 1
-            coords[cur] = (tv, lvl)
-        cur, lvl = vid, 0
-        while cur in tau_inv:
-            cur = tau_inv[cur]
-            lvl += 1
-            coords[cur] = (tv, lvl)
+        orbit = [vid]
+        while orbit[0] in comp.tau_map:
+            orbit.insert(0, comp.tau_map[orbit[0]])
+        low = 1 - len(orbit)
+        while orbit[-1] in tau_inv:
+            orbit.append(tau_inv[orbit[-1]])
+        orbits[tv] = orbit
+        for lvl, u in enumerate(orbit, low):
+            if u in coords:
+                raise NotEmbeddable(f"tree vertices {coords[u][0]} and {tv} lie on one tau-orbit")
+            coords[u] = (tv, lvl)
     unplaced = [v.vid for v in comp.vertices if v.vid not in coords]
     if unplaced:
         raise NotEmbeddable(f"{len(unplaced)} vertices outside the slice orbits")
-    edges = {tuple(e) for e in sl.tree.edges}
-    orientation = {(a, b) for a, b in (sl.tree.arrows or ())}
+    edges = set(T.edges)
+    orientation = set(T.arrows)
     for a, b in comp.arrows:
         (oa, la), (ob, lb) = coords[a], coords[b]
         if tuple(sorted((oa, ob))) not in edges:
@@ -422,28 +423,19 @@ def embed_in_ZT(comp: ARComponent, sl: SliceData) -> Embedding:
             ok = lb == la + 1
         if not ok:
             raise NotEmbeddable("arrow breaks the translation structure")
-    orbits: dict[int, list[int]] = {}
-    for vid, (o, l) in coords.items():
-        orbits.setdefault(o, []).append(vid)
-    for o, vids in orbits.items():
-        vids.sort(key=lambda v: coords[v][1])
-        levels = [coords[v][1] for v in vids]
-        if levels != list(range(levels[0], levels[0] + len(levels))):
-            raise NotEmbeddable("orbit levels are not an interval")
     return Embedding(coords, orbits)
 
 
-def wing_window(sl: SliceData) -> dict[int, tuple[int, int]]:
-    """Level window per orbit of the slice sections through the marked vertex."""
-    tree = sl.tree
-    orientation = {(a, b) for a, b in (tree.arrows or ())}
-    window = {tree.marked: (0, 0)}
-    frontier = [tree.marked]
+def wing_window(T: TreeShape) -> dict[int, tuple[int, int]]:
+    """Level window per orbit of the slice sections through the marked vertex of T."""
+    orientation = set(T.arrows)
+    window = {T.marked: (0, 0)}
+    frontier = [T.marked]
     while frontier:
         nxt = []
         for u in frontier:
             lo_u, hi_u = window[u]
-            for w in tree.neighbors(u):
+            for w in T.neighbors(u):
                 if w in window:
                     continue
                 if (u, w) in orientation:
@@ -453,4 +445,3 @@ def wing_window(sl: SliceData) -> dict[int, tuple[int, int]]:
                 nxt.append(w)
         frontier = nxt
     return window
-

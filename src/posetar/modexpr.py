@@ -26,21 +26,10 @@ from .rep import (
     socle,
 )
 
+# every character but whitespace starts a token, so findall skips only whitespace
 _TOKEN = re.compile(r"\s*((?:[^\s(),.]|\.(?!\.))+|\(|\)|,|\.\.)")
 _POINTS = {"P": projective, "I": injective, "S": simple}
 _SUBMODULES = {"rad": radical, "soc": socle}
-
-
-def _tokenize(text: str) -> list[str]:
-    out = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            raise ParseError(f"bad module expression near {text[pos:]!r}")
-        out.append(m.group(1))
-        pos = m.end()
-    return out
 
 
 def _quotient(A: Representation, B: Representation) -> Representation:
@@ -53,7 +42,7 @@ def _quotient(A: Representation, B: Representation) -> Representation:
 
 
 def parse_module(P: Poset, text: str, field: Field = QQ) -> Representation:
-    toks = _tokenize(text)
+    toks = _TOKEN.findall(text)
     pos = 0
 
     def take(expected: str | None = None) -> str:
@@ -66,11 +55,17 @@ def parse_module(P: Poset, text: str, field: Field = QQ) -> Representation:
         pos += 1
         return tok
 
+    def element() -> int:
+        tok = take()
+        if tok in ("(", ")", ",", ".."):
+            raise ParseError(f"expected an element name, found {tok!r}")
+        return P.id_of(tok)
+
     def expr() -> Representation:
         head = take()
         if head in _POINTS:
             take("(")
-            x = P.id_of(take())
+            x = element()
             take(")")
             return _POINTS[head](P, x, field)
         if head in _SUBMODULES:
@@ -80,9 +75,9 @@ def parse_module(P: Poset, text: str, field: Field = QQ) -> Representation:
             return _SUBMODULES[head](M)[0]
         if head == "K":
             take("(")
-            a = P.id_of(take())
+            a = element()
             take("..")
-            b = P.id_of(take())
+            b = element()
             take(")")
             return constant_on(P, P.closed_interval(a, b), field)
         if head in ("sum", "quot"):

@@ -54,14 +54,17 @@ class Representation:
         return all(d == 0 for d in self.dims)
 
     def path_map(self, x: int, y: int) -> Mat:
-        """The canonical map M(x) -> M(y) for x <= y (any cover path)."""
+        """The canonical map M(x) -> M(y) for x <= y, composed along one walk
+        up the covers (any cover path gives it)."""
         P = self.poset
-        if x == y:
-            return Mat.identity(self.field, self.dims[x])
-        for z in P.covers_below(y):
-            if P.leq(x, z):
-                return self.maps[(z, y)].mul(self.path_map(x, z))
-        raise PosetarError(f"no path from {x} to {y}")
+        if not P.leq(x, y):
+            raise PosetarError(f"no path from {x} to {y}")
+        out = Mat.identity(self.field, self.dims[x])
+        while x != y:
+            z = next(z for z in P.covers_above(x) if P.leq(z, y))
+            out = self.maps[(x, z)].mul(out)
+            x = z
+        return out
 
     def assert_path_independent(self) -> None:
         """PosetarError unless, from each x, the routes into each y > x
@@ -518,9 +521,8 @@ def restrict(M: Representation, subset) -> tuple[Representation, Poset, list[int
         raise NotConvex("restriction requires a convex subset")
     sub, ids = P.induced(subset)
     dims = [M.dims[x] for x in ids]
-    maps = {}
-    for (i, j) in sub.covers:
-        maps[(i, j)] = M.path_map(ids[i], ids[j])
+    # a cover of a convex subposet is a cover of P
+    maps = {(i, j): M.maps[(ids[i], ids[j])] for (i, j) in sub.covers}
     return _rep(sub, M.field, dims, maps), sub, ids
 
 
@@ -536,8 +538,8 @@ def dualize(M: Representation) -> tuple[Representation, Poset]:
 def transport(M: Representation, target: Poset, ids: list[int]) -> Representation:
     """Regard a module over a convex subposet as a module of the big poset.
 
-    ids[i] is the ambient id of subposet element i; all ambient covers inside
-    the subset are paths of the subposet, so path maps transport the structure.
+    ids[i] is the ambient id of subposet element i; an ambient cover inside
+    the subset is a cover of the induced subposet, whose map it takes.
     """
     sub = M.poset
     back = {amb: i for i, amb in enumerate(ids)}
@@ -547,7 +549,7 @@ def transport(M: Representation, target: Poset, ids: list[int]) -> Representatio
     maps = {}
     for (x, y) in target.covers:
         if x in back and y in back:
-            maps[(x, y)] = M.path_map(back[x], back[y])
+            maps[(x, y)] = M.maps[(back[x], back[y])]
         else:
             maps[(x, y)] = Mat.zero(M.field, dims[y], dims[x])
     return _rep(target, M.field, dims, maps)

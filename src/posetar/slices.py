@@ -60,14 +60,12 @@ def _path_counts(tree: TreeShape) -> dict[tuple[int, int], int]:
     for a, b in tree.arrows or ():
         adj[a].append(b)
     counts: dict[tuple[int, int], int] = {}
-
-    def walk(src: int, v: int) -> None:
-        counts[(src, v)] = counts.get((src, v), 0) + 1
-        for w in adj[v]:
-            walk(src, w)
-
-    for v in range(tree.n):
-        walk(v, v)
+    for src in range(tree.n):
+        stack = [src]  # one entry per directed path from src, in depth-first order
+        while stack:
+            v = stack.pop()
+            counts[(src, v)] = counts.get((src, v), 0) + 1
+            stack += reversed(adj[v])
     return counts
 
 

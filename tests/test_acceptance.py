@@ -263,7 +263,7 @@ def test_criterion_6():
         if v.inj is not None:
             assert v.rep.dims[alpha] == 1
     sl = standard_slice(P, ic_decompose(P))
-    emb = embed_in_ZT(comp, sl)
+    emb = embed_in_ZT(comp, sl.tree)
     by_support = {
         frozenset(sl.tree.supports[tv]): tv for tv in range(sl.tree.n)
     }
@@ -341,7 +341,7 @@ def test_criterion_8():
         comp = knit(P, max_meshes=600)
         assert comp.status == "complete", cid
         sl = standard_slice(P, node)
-        emb = embed_in_ZT(comp, sl)
+        emb = embed_in_ZT(comp, sl.tree)
         by_support = {frozenset(sl.tree.supports[v]): v for v in range(sl.tree.n)}
         boxed = {by_support[s] for s in _boxed_supports(P, boxed_specs)}
         lengths = {o: len(vids) for o, vids in emb.orbits.items()}
@@ -463,8 +463,8 @@ def test_criterion_9():
 
         if comp.status == "complete":
             completes += 1
-            emb = embed_in_ZT(comp, sl)  # raises unless orbits are intervals
-            window = wing_window(sl)
+            emb = embed_in_ZT(comp, sl.tree)  # raises unless the orbits are disjoint
+            window = wing_window(sl.tree)
             placed = {coord: vid for vid, coord in emb.coords.items()}
             for orbit, (lo, hi) in window.items():
                 for lvl in range(lo, hi + 1):

@@ -172,6 +172,10 @@ MODULE_EXPRESSIONS = [
     ("P(c)", 1, "", "error (unknown-element): unknown element 'c'\n"),
     ("quot(S(a),S(b))", 1, "",
      "error (parse-error): quot(E,F) needs F to embed into E along a hom basis vector\n"),
+    ("S(a) ", 0, "P(a) <- P(1) + P(2) <- P(b)\n", ""),
+    ("   ", 1, "", "error (parse-error): unexpected end of module expression\n"),
+    ("S()", 1, "", "error (parse-error): expected an element name, found ')'\n"),
+    ("K(..b)", 1, "", "error (parse-error): expected an element name, found '..'\n"),
 ]
 
 
@@ -187,6 +191,58 @@ def test_module_expressions_name_elements_with_any_characters_but_delimiters(tmp
     assert run(capsys, "tau", str(f), "S(x-1)") == (0, "P(y.2)\n", "")
     assert run(capsys, "resolve", str(f), "K(x-1..y.2)") == (0, "P(x-1)\n", "")
     assert run(capsys, "resolve", str(f), "sum(S(x-1),P(y.2))") == (0, "P(x-1) + P(y.2) <- P(y.2)\n", "")
+
+
+@pytest.mark.parametrize("args, printed", [
+    (("resolve", "corpus:ex25-chain4", "rad(S(1))"), "0\n"),
+    (("fcy", "corpus:ex33-poset3", "--max-meshes", "0"),
+     "unknown (no decomposition witness and no mesh witness found)\n"),
+    (("knit", "corpus:ex25-chain4", "--max-dim", "0"),
+     "status: truncated\nvertices: 2  meshes: 0\nprojectives: 2  injectives: 0\n"
+     "note: stopped before a mesh exceeding the dimension cap\n"),
+])
+def test_outputs_at_the_edges(capsys, args, printed):
+    # a zero module, a witness search with no mesh budget, a dimension cap below the first mesh
+    assert run(capsys, *args) == (0, printed, "")
+
+
+def test_knit_places_orbits_without_the_slice_modules(monkeypatch, capsys):
+    # the embedding reads the derived tree; no slice module is built for it
+    def refuse(*args):
+        raise AssertionError("standard_slice called")
+
+    monkeypatch.setattr(posetar.slices, "standard_slice", refuse)
+    monkeypatch.setattr(posetar.cli, "standard_slice", refuse)
+    code, out, _ = run(capsys, "knit", "corpus:ex57")
+    assert code == 0
+    assert "orbit 9 levels [0,0] f: 1\n" in out
+
+
+def _chain_file(path, n):
+    path.write_text(f"elements {' '.join(f'e{i}' for i in range(n))}\ncovers\n"
+                    + "".join(f"e{i} < e{i + 1}\n" for i in range(n - 1)))
+    return str(path)
+
+
+@pytest.mark.parametrize("n, argv", [
+    (1000, ["ic"]), (1000, ["tree"]), (1000, ["fcy"]), (1000, ["fintype"]),
+    (1200, ["knit", "--max-meshes", "3"]), (1200, ["slice"]),
+    (1200, ["ext", "K(e0..e1100)", "I(e1199)", "1"]),
+])
+def test_deep_chains_end_without_a_traceback(tmp_path, n, argv):
+    """On a long chain each command answers or exits 1 with one error line;
+    the recursion limit of a fresh process is what a user meets."""
+    src = str(Path(posetar.__file__).resolve().parents[1])
+    cmd, rest = argv[0], argv[1:]
+    proc = subprocess.run(
+        [sys.executable, "-m", "posetar.cli", cmd, _chain_file(tmp_path / "c.poset", n), *rest],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode in (0, 1) and "Traceback" not in proc.stderr, proc.stderr[-300:]
+    if cmd == "ext":
+        assert (proc.returncode, proc.stdout) == (0, "0\n")
+    if proc.returncode:
+        assert proc.stderr.startswith("error") and proc.stderr.count("\n") == 1
 
 
 def test_a_field_of_a_huge_prime_is_a_usage_error():

@@ -43,6 +43,30 @@ def test_chain_decomposition_depth():
     assert node.children[0].kind == "clamp"
 
 
+def test_decomposition_visits_each_subset_once(monkeypatch):
+    # sec2-left has no witness, and between two chains every way of peeling
+    # their ends off by adjunctions reaches it again; the memo keeps the count
+    # of _extrema_in calls at 532 where the bare recursion is exponential
+    import posetar.ictree as ictree
+
+    S, k = corpus_poset("sec2-left"), 12
+    low, high = [(i, i + 1) for i in range(k - 1)], [(k + S.n + i, k + S.n + i + 1) for i in range(k - 1)]
+    middle = [(k + x, k + y) for x, y in S.covers]
+    ends = [(k - 1, k + x) for x in S.minimal_elements()] + [(k + x, k + S.n) for x in S.maximal_elements()]
+    P = Poset([f"l{i}" for i in range(k)] + list(S.names) + [f"h{i}" for i in range(k)], low + middle + high + ends)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        assert len(calls) <= 1000, "a subset is decomposed more than once"
+        return extrema_in(*args)
+
+    extrema_in = ictree._extrema_in
+    monkeypatch.setattr(ictree, "_extrema_in", counted)
+    assert ic_plus_decompose(P) is None
+    assert len(calls) <= 1000
+
+
 def test_sec4_nine_in_ic():
     P = corpus_poset("sec4-nine")
     assert ic_decompose(P) is not None
@@ -343,7 +367,7 @@ def _ic_decompose_reference(P):
     def go(subset):
         if len(subset) == 1:
             x = next(iter(subset))
-            return ICNode("point", x, x)
+            return ICNode("point", x, x, subset)
         mins = [x for x in subset if not any(P.lt(y, x) for y in subset)]
         maxs = [x for x in subset if not any(P.lt(x, y) for y in subset)]
         if len(mins) != 1 or len(maxs) != 1:
@@ -355,7 +379,7 @@ def _ic_decompose_reference(P):
             if node is None:
                 return None
             kids.append(node)
-        return ICNode("clamp", lo, hi, tuple(kids))
+        return ICNode("clamp", lo, hi, subset, tuple(kids))
 
     return go(frozenset(P.elements()))
 

@@ -7,9 +7,9 @@ import pytest
 from conftest import glue_meshes_check
 
 from posetar.corpus import corpus_ids, corpus_poset, star_poset
-from posetar.errors import IsProjective, MeshMismatch, NotIndecomposable, PosetarError, SplitFailure
+from posetar.errors import IsProjective, MeshMismatch, NotEmbeddable, NotIndecomposable, PosetarError, SplitFailure
 from posetar.homalg import min_projective_resolution, tau
-from posetar.ictree import ic_decompose
+from posetar.ictree import TreeShape, build_tree, ic_decompose
 from posetar.knit import (
     ARComponent,
     ARSequence,
@@ -35,11 +35,10 @@ from posetar.rep import (
     socle,
 )
 from posetar.split import end_basis, end_radical_basis, is_indecomposable, split_indecomposables
-from posetar.slices import standard_slice
 
 
-def slice_of(P):
-    return standard_slice(P, ic_decompose(P))
+def tree_of(P):
+    return build_tree(ic_decompose(P), P)
 
 
 def test_ar_sequence_chain2():
@@ -141,7 +140,7 @@ def test_knit_oracle_middles_match():
 def test_embed_chain4():
     P = chain(4)
     comp = knit(P)
-    emb = embed_in_ZT(comp, slice_of(P))
+    emb = embed_in_ZT(comp, tree_of(P))
     assert len(emb.coords) == len(comp.vertices)
     # four orbits, omega-side ones longest
     lengths = sorted(len(vids) for vids in emb.orbits.values())
@@ -153,16 +152,24 @@ def test_embed_p12():
     P = star_poset(1, 2)
     comp = knit(P)
     assert comp.status == "complete"
-    emb = embed_in_ZT(comp, slice_of(P))
+    emb = embed_in_ZT(comp, tree_of(P))
     assert len(emb.coords) == len(comp.vertices)
+
+
+def test_embedding_rejects_two_tree_vertices_on_one_orbit():
+    # on the chain 1 < 2, tau S(1) = S(2): one orbit holds the modules of both vertices
+    P = chain(2)
+    T = TreeShape(2, ((0, 1),), 0, supports={0: frozenset({1}), 1: frozenset({0})}, arrows=((0, 1),))
+    with pytest.raises(NotEmbeddable, match="tree vertices 0 and 1 lie on one tau-orbit"):
+        embed_in_ZT(knit(P), T)
 
 
 def test_wing_exists_and_boundaries():
     P = star_poset(1, 2)
     comp = knit(P)
-    sl = slice_of(P)
-    emb = embed_in_ZT(comp, sl)
-    window = wing_window(sl)
+    T = tree_of(P)
+    emb = embed_in_ZT(comp, T)
+    window = wing_window(T)
     placed = {coord: vid for vid, coord in emb.coords.items()}
     for orbit, (lo, hi) in window.items():
         for lvl in range(lo, hi + 1):
@@ -214,7 +221,7 @@ def test_knit_ex58_poset1():
     for v in comp.vertices:
         if v.proj is not None:
             assert v.fomega == 1
-    emb = embed_in_ZT(comp, slice_of(P))
+    emb = embed_in_ZT(comp, tree_of(P))
     lengths = {o: len(vids) for o, vids in emb.orbits.items()}
     assert sum(lengths.values()) == len(comp.vertices)
 
@@ -228,7 +235,7 @@ def test_single_point_component():
     assert len(comp.vertices) == 1
     v = comp.vertex(0)
     assert v.proj is not None and v.inj is not None
-    emb = embed_in_ZT(comp, slice_of(P))
+    emb = embed_in_ZT(comp, tree_of(P))
     assert emb.coords[0] == (0, 0)
 
 

@@ -152,3 +152,40 @@ def test_every_private_helper_is_used():
         if reads[name] == Counter(_names_read(node))[name]
     ]
     assert unused == []
+
+
+def _calls_itself(fn):
+    """Whether fn calls its own name, or, as a method, calls itself on self
+    or on a child drawn from self.children."""
+    receivers = {"self"} if fn.args.args and fn.args.args[0].arg == "self" else set()
+    if receivers:
+        receivers |= {
+            loop.target.id for loop in ast.walk(fn)
+            if isinstance(loop, (ast.For, ast.comprehension)) and isinstance(loop.target, ast.Name)
+            and ast.unparse(loop.iter) == "self.children"
+        }
+    for call in ast.walk(fn):
+        if not isinstance(call, ast.Call):
+            continue
+        f = call.func
+        if not receivers and isinstance(f, ast.Name) and f.id == fn.name:
+            return True
+        if (isinstance(f, ast.Attribute) and f.attr == fn.name
+                and isinstance(f.value, ast.Name) and f.value.id in receivers):
+            return True
+    return False
+
+
+# a recursion runs one frame per level, so it fails on a deep enough input;
+# each of these recurses along a decomposition witness, a derived tree or a
+# module expression
+RECURSIVE = {
+    "ictree.ICNode.uses_adjoin", "ictree.ICNode.render", "ictree.ic_plus_decompose.go",
+    "ictree.build_tree.go", "ictree.tree_to_poset.go", "ictree.realize_shape.go",
+    "modexpr.parse_module.expr",
+}
+
+
+def test_recursive_functions_are_pinned():
+    found = {f"{stem}.{name}" for stem, tree in _sources() for name, fn in _functions(tree) if _calls_itself(fn)}
+    assert found == RECURSIVE

@@ -116,6 +116,14 @@ def test_simples_not_isomorphic():
     assert not is_isomorphic(simple(P, 0), simple(P, 1))
 
 
+def test_zero_modules_are_isomorphic_and_print_as_0():
+    P = chain(2)
+    Z = radical(simple(P, 0))[0]
+    assert Z.is_zero()
+    assert is_isomorphic(Z, radical(simple(P, 1))[0])
+    assert describe_module(P, Z) == "0"
+
+
 def test_indecomposable_is_not_isomorphic_to_a_sum_with_its_dims():
     P = chain(2)
     S = direct_sum([simple(P, 0), simple(P, 1)])
