@@ -160,7 +160,7 @@ def cmd_slice(args, out) -> None:
     P = _load_poset(args.poset)
     sl = standard_slice(P, _decompose(P), args.field)
     for v in range(sl.tree.n):
-        mark = " *" if v == sl.marked else ""
+        mark = " *" if v == sl.tree.marked else ""
         print(f"{v}: {describe_module(P, sl.modules[v])}{mark}", file=out)
 
 

@@ -119,11 +119,7 @@ def _layout(P: Poset, kind: str, labels) -> list[list[int]]:
     cones = P.up if kind == "proj" else P.down
     lay: list[list[int]] = [[] for _ in P.elements()]
     for j, x in enumerate(labels):
-        m = cones[x]
-        while m:
-            low = m & -m
-            lay[low.bit_length() - 1].append(j)
-            m ^= low
+        _extend_layout(lay, cones[x], (j,))
     return lay
 
 

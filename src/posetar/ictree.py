@@ -20,11 +20,12 @@ class ICNode:
     kind 'clamp': children are the components of the open interval (low, high).
     kind 'adjoin-min'/'adjoin-max': one extremal element added to the child.
     subset is the set of elements the node was built from: its ends and the
-    subsets of its children.  Two witnesses are equal when their kinds, ends
-    and children are.
+    subsets of its children.  adjoins says whether the node or a node below it
+    is an adjunction.  Two witnesses are equal when their kinds, ends and
+    children are.
     """
 
-    __slots__ = ("kind", "low", "high", "subset", "children")
+    __slots__ = ("kind", "low", "high", "subset", "children", "adjoins")
 
     def __init__(
         self, kind: str, low: int, high: int, subset: frozenset[int], children: tuple["ICNode", ...] = ()
@@ -34,6 +35,7 @@ class ICNode:
         self.high = high
         self.subset = subset
         self.children = children
+        self.adjoins = kind in ("adjoin-min", "adjoin-max") or any(ch.adjoins for ch in children)
 
     def _key(self) -> tuple:
         return (self.kind, self.low, self.high, self.children)
@@ -45,23 +47,20 @@ class ICNode:
         return hash(self._key())
 
     def uses_adjoin(self) -> bool:
-        if self.kind in ("adjoin-min", "adjoin-max"):
-            return True
-        return any(ch.uses_adjoin() for ch in self.children)
+        return self.adjoins
 
-    def render(self, P: Poset, indent: int = 0) -> str:
-        pad = "  " * indent
-        if self.kind == "point":
-            head = f"{pad}point {P.names[self.low]}"
-        elif self.kind == "clamp":
-            head = f"{pad}clamp [{P.names[self.low]}, {P.names[self.high]}]"
-        elif self.kind == "adjoin-min":
-            head = f"{pad}adjoin-min {P.names[self.low]}"
-        else:
-            head = f"{pad}adjoin-max {P.names[self.high]}"
-        lines = [head]
-        for ch in self.children:
-            lines.append(ch.render(P, indent + 1))
+    def render(self, P: Poset) -> str:
+        """One line per node in pre-order, indented two spaces per level."""
+        lines = []
+        stack = [(self, 0)]
+        while stack:
+            nd, depth = stack.pop()
+            if nd.kind == "clamp":
+                ends = f"[{P.names[nd.low]}, {P.names[nd.high]}]"
+            else:
+                ends = P.names[nd.high if nd.kind == "adjoin-max" else nd.low]
+            lines.append(f"{'  ' * depth}{nd.kind} {ends}")
+            stack += [(ch, depth + 1) for ch in reversed(nd.children)]
         return "\n".join(lines)
 
 
@@ -113,10 +112,6 @@ class TreeShape:
                         nxt.append(w)
             frontier = nxt
         return dist
-
-    def without_marked(self) -> list["TreeShape"]:
-        """Connected components after deleting the marked vertex."""
-        return self.without_vertices({self.marked})
 
     def without_vertices(self, kill: set[int]) -> list["TreeShape"]:
         comps: list[TreeShape] = []
@@ -296,14 +291,24 @@ def build_tree(node: ICNode, P: Poset) -> TreeShape:
     edges: list[tuple[int, int]] = []
     supports: dict[int, frozenset[int]] = {}  # every vertex gets its support when made
     arrows: list[tuple[int, int]] = []
-
-    def go(nd: ICNode) -> int:
+    # post-order: a node is finished after its children, which leave their
+    # marks on top of the stack in order, so vertices are numbered as a
+    # depth-first walk finishes them
+    stack = [(node, False)]
+    marks: list[int] = []
+    while stack:
+        nd, expanded = stack.pop()
+        if nd.children and not expanded:
+            stack.append((nd, True))
+            stack += [(ch, False) for ch in reversed(nd.children)]
+            continue
+        split = len(marks) - len(nd.children)
+        child_marks = marks[split:]
+        del marks[split:]
         if nd.kind == "point":
-            v = len(supports)
-            supports[v] = nd.subset
-            return v
-        if nd.kind == "clamp":
-            child_marks = [go(ch) for ch in nd.children]
+            mark = len(supports)
+            supports[mark] = nd.subset
+        elif nd.kind == "clamp":
             center = len(supports)
             supports[center] = nd.subset - {nd.high}
             mark = len(supports)
@@ -313,21 +318,21 @@ def build_tree(node: ICNode, P: Poset) -> TreeShape:
             for cm in child_marks:
                 edges.append((cm, center))
                 arrows.append((cm, center))
-            return mark
-        # adjunctions: one new leaf at the old mark, which becomes the mark
-        child_mark = go(nd.children[0])
-        mark = len(supports)
-        supports[mark] = nd.subset
-        edges.append((mark, child_mark))
-        if nd.kind == "adjoin-min":
-            # the old mark's module moves one translate forward, so every
-            # slice arrow at that vertex reverses
-            supports[child_mark] = nd.subset - {nd.high}
-            arrows[:] = [(b, a) if child_mark in (a, b) else (a, b) for a, b in arrows]
-        arrows.append((mark, child_mark))
-        return mark
+        else:
+            # adjunctions: one new leaf at the old mark, which becomes the mark
+            (child_mark,) = child_marks
+            mark = len(supports)
+            supports[mark] = nd.subset
+            edges.append((mark, child_mark))
+            if nd.kind == "adjoin-min":
+                # the old mark's module moves one translate forward, so every
+                # slice arrow at that vertex reverses
+                supports[child_mark] = nd.subset - {nd.high}
+                arrows[:] = [(b, a) if child_mark in (a, b) else (a, b) for a, b in arrows]
+            arrows.append((mark, child_mark))
+        marks.append(mark)
 
-    marked = go(node)
+    (marked,) = marks
     labels = {}
     for v, sup in supports.items():
         ids = P.sorted_ids(sup)
@@ -345,7 +350,7 @@ def finite_type_criterion(P: Poset) -> tuple[str, str]:
     if node is None:
         return "inconclusive", "poset has no pure iterated-clamping witness"
     T = build_tree(node, P)
-    classes = [classify_tree(c) for c in T.without_marked()]
+    classes = [classify_tree(c) for c in T.without_vertices({T.marked})]
     if all(c.is_dynkin for c in classes):
         residual = ", ".join(str(c) for c in classes) or "empty"
         return "finite", f"residual tree after removing the marked vertex: {residual}"
@@ -357,49 +362,47 @@ def finite_type_criterion(P: Poset) -> tuple[str, str]:
 
 
 def _check_distance_condition(T: TreeShape) -> None:
-    branch = [v for v in range(T.n) if T.degree(v) >= 3]
-    for i, a in enumerate(branch):
-        dist = T.distances_from(a)
-        for b in branch[i + 1:]:
-            if dist[b] < 2:
-                raise BranchTooClose(
-                    f"branch vertices {T.labels.get(a, a)} and {T.labels.get(b, b)} are adjacent"
-                )
+    """BranchTooClose on the first edge, in sorted order, joining two branch vertices."""
+    for a, b in sorted(T.edges):
+        if T.degree(a) >= 3 and T.degree(b) >= 3:
+            raise BranchTooClose(
+                f"branch vertices {T.labels.get(a, a)} and {T.labels.get(b, b)} are adjacent"
+            )
 
 
 def tree_to_poset(T: TreeShape, p: int) -> Poset:
     """Lattice whose decomposition tree is (T, p), named 'fromtree'.
 
-    Requires branch vertices pairwise at distance >= 2 and p a leaf.  The
-    recursion emits a shape for realize_shape: a path is a point under
-    adjoin-max nodes (a chain); otherwise the branch vertex nearest the mark
-    clamps the shapes of its subtrees away from the mark, under one adjoin-min
-    node per vertex strictly between it and the mark.
+    Requires branch vertices pairwise at distance >= 2 and p a leaf.  A walk
+    from p emits a shape for realize_shape.  It follows the unbranched path
+    ahead of it: a path ending at a leaf is a point under one adjoin-max node
+    per edge (a chain); a path ending at a branch vertex is a clamp of the
+    walks that leave that vertex, under one adjoin-min node per vertex
+    strictly between it and the path's start.  So the walk recurses once per
+    branch vertex and no subtree is rebuilt.
     """
     if T.n > 1 and T.degree(p) != 1:
         raise NotExtreme(f"vertex {T.labels.get(p, p)} is not a leaf")
     _check_distance_condition(T)
 
-    def go(tree: TreeShape, mark: int):
-        branch = [v for v in range(tree.n) if tree.degree(v) >= 3]
-        if not branch:
-            shape = ("point",)
-            for _ in range(tree.n - 1):
-                shape = ("adjoin-max", shape)
-            return shape
-        dist_to_p = tree.distances_from(mark)
-        x = min(branch, key=lambda v: (dist_to_p[v], v))
-        kids = []
-        for u in tree.neighbors(x):
-            if dist_to_p[u] > dist_to_p[x]:
-                sub, back = tree.induced(tree.component(u, {x}))
-                kids.append(go(sub, back[u]))
-        shape = ("clamp", kids)
-        for _ in range(dist_to_p[x] - 1):
+    def go(v: int, prev: int | None):
+        """The shape of the walk that enters v from prev."""
+        steps = 0  # edges walked from the start to v
+        while T.degree(v) < 3:
+            ahead = [u for u in T.neighbors(v) if u != prev]
+            if not ahead:
+                shape = ("point",)
+                for _ in range(steps):
+                    shape = ("adjoin-max", shape)
+                return shape
+            prev, v = v, ahead[0]
+            steps += 1
+        shape = ("clamp", [go(u, v) for u in T.neighbors(v) if u != prev])
+        for _ in range(steps - 1):
             shape = ("adjoin-min", shape)
         return shape
 
-    P = realize_shape(go(T, p))
+    P = realize_shape(go(p, None))
     P.name = "fromtree"
     return P
 

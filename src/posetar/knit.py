@@ -283,20 +283,17 @@ def knit(
         raise PosetarError("knitting requires a unique minimum and maximum")
     _, omega = mm
 
-    rad_support = {
-        x: P.strict_up(x) for x in P.elements() if x != omega
-    }
-    attach_by_support: dict[frozenset[int], list[int]] = {}
-    for x, sup in rad_support.items():
-        attach_by_support.setdefault(sup, []).append(x)
-    for xs in attach_by_support.values():
-        xs.sort(key=P.sort_key)
+    # the projectives still to attach, grouped by their radical's support,
+    # each group in linear-extension order
+    unattached: dict[frozenset[int], list[int]] = {}
+    for x in P.linear_extension():
+        if x != omega:
+            unattached.setdefault(P.strict_up(x), []).append(x)
 
     vertices: list[KnitVertex] = []
     in_srcs: dict[int, list[int]] = {}
     tau_map: dict[int, int] = {}
     tau_inv: dict[int, int] = {}
-    attached: set[int] = set()
     notes: list[str] = []
 
     def add_vertex(rep: Representation, srcs: list[int]) -> int:
@@ -308,7 +305,6 @@ def knit(
 
     # seed: the simple projective at the maximum
     add_vertex(constant_on(P, {omega}, field), [])
-    attached.add(omega)
 
     # walk the vertices in creation order; each mesh appends to the list
     u = 0
@@ -320,14 +316,8 @@ def knit(
             break
         urep = vertices[u].rep
         outs = [tau_inv[w] for w in in_srcs[u] if vertices[w].inj is None]
-        sup = vertices[u].thin_support
-        if sup is not None and sup in attach_by_support:
-            for x in attach_by_support[sup]:
-                if x in attached:
-                    continue
-                pv = add_vertex(constant_on(P, P.up_set(x), field), [u])
-                attached.add(x)
-                outs.append(pv)
+        for x in unattached.pop(vertices[u].thin_support, ()):
+            outs.append(add_vertex(constant_on(P, P.up_set(x), field), [u]))
         predicted = [-v for v in urep.dims]
         for o in outs:
             predicted = [a + b for a, b in zip(predicted, vertices[o].rep.dims)]
@@ -348,7 +338,7 @@ def knit(
         u += 1
 
     status = "complete" if u == len(vertices) else "truncated"
-    missing = [P.names[x] for x in P.elements() if x not in attached]
+    missing = [P.names[x] for x in sorted(x for xs in unattached.values() for x in xs)]
     if missing and status == "complete":
         notes.append("projectives never attached: " + ", ".join(missing))
     return ARComponent(P, field, vertices, in_srcs, tau_map, status, notes)
@@ -427,21 +417,17 @@ def embed_in_ZT(comp: ARComponent, T: TreeShape) -> Embedding:
 
 
 def wing_window(T: TreeShape) -> dict[int, tuple[int, int]]:
-    """Level window per orbit of the slice sections through the marked vertex of T."""
+    """Level window per orbit of the slice sections through the marked vertex of T.
+
+    Each vertex widens the window of its neighbor one step nearer the mark,
+    read in the breadth-first order of the distances from the mark.
+    """
+    dist = T.distances_from(T.marked)
     orientation = set(T.arrows)
     window = {T.marked: (0, 0)}
-    frontier = [T.marked]
-    while frontier:
-        nxt = []
-        for u in frontier:
+    for w, d in dist.items():
+        if d:
+            u = next(u for u in T.neighbors(w) if dist[u] == d - 1)
             lo_u, hi_u = window[u]
-            for w in T.neighbors(u):
-                if w in window:
-                    continue
-                if (u, w) in orientation:
-                    window[w] = (lo_u - 1, hi_u)
-                else:
-                    window[w] = (lo_u, hi_u + 1)
-                nxt.append(w)
-        frontier = nxt
+            window[w] = (lo_u - 1, hi_u) if (u, w) in orientation else (lo_u, hi_u + 1)
     return window

@@ -19,15 +19,12 @@ from .rep import Representation, constant_on
 
 
 class SliceData:
-    __slots__ = ("poset", "tree", "modules", "marked")
+    __slots__ = ("poset", "tree", "modules")
 
-    def __init__(
-        self, poset: Poset, tree: TreeShape, modules: dict[int, Representation], marked: int
-    ) -> None:
+    def __init__(self, poset: Poset, tree: TreeShape, modules: dict[int, Representation]) -> None:
         self.poset = poset
         self.tree = tree
         self.modules = modules
-        self.marked = marked
 
 
 def standard_slice(P: Poset, node: ICNode, field: Field = QQ) -> SliceData:
@@ -36,7 +33,7 @@ def standard_slice(P: Poset, node: ICNode, field: Field = QQ) -> SliceData:
         v: constant_on(P, sup, field)
         for v, sup in tree.supports.items()
     }
-    return SliceData(P, tree, modules, tree.marked)
+    return SliceData(P, tree, modules)
 
 
 def check_hypothesis_41(P: Poset, sl: SliceData) -> bool:
@@ -47,9 +44,9 @@ def check_hypothesis_41(P: Poset, sl: SliceData) -> bool:
     _, omega = mm
     for v, M in sl.modules.items():
         has_max = omega in M.support()
-        if v == sl.marked and not has_max:
+        if v == sl.tree.marked and not has_max:
             return False
-        if v != sl.marked and has_max:
+        if v != sl.tree.marked and has_max:
             return False
     return True
 

@@ -2,9 +2,10 @@ import random
 from dataclasses import dataclass
 
 from posetar.clamped import is_clamped
-from posetar.errors import NotIndecomposable, PosetarError
+from posetar.corpus import corpus_ids, corpus_poset
+from posetar.errors import BranchTooClose, NotExtreme, NotIndecomposable, PosetarError
 from posetar.homalg import tau, tau_inverse
-from posetar.ictree import TreeShape, ic_decompose, realize_shape
+from posetar.ictree import TreeShape, build_tree, ic_decompose, ic_plus_decompose, realize_shape
 from posetar.knit import ar_sequence_end
 from posetar.linalg import QQ, Mat, _cols, _dots, _null_from_echelon, _rref_rows, _unit_rows
 from posetar.poset import _bits
@@ -97,6 +98,14 @@ def random_ic_family(seed: int = 20240, count: int = 22, max_size: int = 12):
         P.name = f"random-ic-{i}"
         out.append(P)
     return out
+
+
+def derived_trees():
+    """The derived tree of every corpus poset that has one, then of each
+    poset of random_ic_family."""
+    posets = [corpus_poset(cid) for cid in corpus_ids()] + random_ic_family()
+    nodes = [(P, ic_plus_decompose(P)) for P in posets]
+    return [build_tree(node, P) for P, node in nodes if node is not None]
 
 
 # -- oracles: the paper's clamping results and other test-only checks ----------
@@ -352,3 +361,82 @@ def two_walk_presentation(P, field, dims, maps):
             col[j] = a
         cols.append(col)
     return L0, cover, tuple(x for x, _ in gens1), tuple(zip(*cols))
+
+
+# -- references: earlier implementations that the current walks must match ------
+
+
+def tree_to_poset_reference(T, p):
+    """tree_to_poset as a recursion over induced subtrees: the branch vertex
+    nearest the mark clamps the subtrees away from it, each rebuilt as a
+    TreeShape marked where it meets that vertex, and the distance condition
+    runs one breadth-first search per branch vertex."""
+    if T.n > 1 and T.degree(p) != 1:
+        raise NotExtreme(f"vertex {T.labels.get(p, p)} is not a leaf")
+    branch = [v for v in range(T.n) if T.degree(v) >= 3]
+    for i, a in enumerate(branch):
+        dist = T.distances_from(a)
+        for b in branch[i + 1:]:
+            if dist[b] < 2:
+                raise BranchTooClose(
+                    f"branch vertices {T.labels.get(a, a)} and {T.labels.get(b, b)} are adjacent"
+                )
+
+    def go(tree, mark):
+        branch = [v for v in range(tree.n) if tree.degree(v) >= 3]
+        if not branch:
+            shape = ("point",)
+            for _ in range(tree.n - 1):
+                shape = ("adjoin-max", shape)
+            return shape
+        dist_to_p = tree.distances_from(mark)
+        x = min(branch, key=lambda v: (dist_to_p[v], v))
+        kids = []
+        for u in tree.neighbors(x):
+            if dist_to_p[u] > dist_to_p[x]:
+                sub, back = tree.induced(tree.component(u, {x}))
+                kids.append(go(sub, back[u]))
+        shape = ("clamp", kids)
+        for _ in range(dist_to_p[x] - 1):
+            shape = ("adjoin-min", shape)
+        return shape
+
+    P = realize_shape(go(T, p))
+    P.name = "fromtree"
+    return P
+
+
+def wing_window_reference(T):
+    """wing_window as a frontier loop out from the marked vertex."""
+    orientation = set(T.arrows)
+    window = {T.marked: (0, 0)}
+    frontier = [T.marked]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            lo_u, hi_u = window[u]
+            for w in T.neighbors(u):
+                if w in window:
+                    continue
+                if (u, w) in orientation:
+                    window[w] = (lo_u - 1, hi_u)
+                else:
+                    window[w] = (lo_u, hi_u + 1)
+                nxt.append(w)
+        frontier = nxt
+    return window
+
+
+def random_tree(rng: random.Random, n: int):
+    """Random tree on n shuffled vertices, each edge oriented at random, marked
+    at a leaf (at any vertex one time in five) and, half the time, labelled v<i>.
+    Each vertex hangs from the one made before it half the time, so long
+    unbranched paths are common."""
+    order = list(range(n))
+    rng.shuffle(order)
+    edges = [(order[i], order[i - 1 if rng.random() < 0.5 else rng.randrange(i)]) for i in range(1, n)]
+    arrows = tuple(e if rng.random() < 0.5 else e[::-1] for e in edges)
+    leaves = [v for v in range(n) if sum(v in e for e in edges) <= 1]
+    marked = rng.choice(leaves) if rng.random() < 0.8 else rng.randrange(n)
+    labels = {v: f"v{v}" for v in range(n)} if rng.random() < 0.5 else None
+    return TreeShape(n, tuple(edges), marked, labels, arrows=arrows)

@@ -224,23 +224,30 @@ def _chain_file(path, n):
     return str(path)
 
 
-@pytest.mark.parametrize("n, argv", [
-    (1000, ["ic"]), (1000, ["tree"]), (1000, ["fcy"]), (1000, ["fintype"]),
-    (1200, ["knit", "--max-meshes", "3"]), (1200, ["slice"]),
-    (1200, ["ext", "K(e0..e1100)", "I(e1199)", "1"]),
+@pytest.mark.parametrize("n, argv, code, first", [
+    (1000, ["ic"], 0, "IC decomposition:"),
+    (1000, ["tree"], 0, "graph tree {"),
+    (1000, ["fcy"], 0, "yes (A1000)"),
+    (1000, ["fintype"], 0, "finite (residual tree after removing the marked vertex: A999)"),
+    (1200, ["knit", "--max-meshes", "3"], 0, "status: truncated"),
+    (1200, ["slice"], 0, "0: S(e599)"),
+    (1200, ["ext", "K(e0..e1100)", "I(e1199)", "1"], 0, "0"),
+    (2000, ["ic"], 1, ""),
 ])
-def test_deep_chains_end_without_a_traceback(tmp_path, n, argv):
-    """On a long chain each command answers or exits 1 with one error line;
-    the recursion limit of a fresh process is what a user meets."""
+def test_deep_chains_end_without_a_traceback(tmp_path, n, argv, code, first):
+    """On a long chain each command answers; on a chain deep enough for the
+    decomposition search's recursion it exits 1 with one error line.  The
+    recursion limit of a fresh process is what a user meets."""
     src = str(Path(posetar.__file__).resolve().parents[1])
     cmd, rest = argv[0], argv[1:]
     proc = subprocess.run(
         [sys.executable, "-m", "posetar.cli", cmd, _chain_file(tmp_path / "c.poset", n), *rest],
         env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
     )
-    assert proc.returncode in (0, 1) and "Traceback" not in proc.stderr, proc.stderr[-300:]
+    assert "Traceback" not in proc.stderr, proc.stderr[-300:]
+    assert (proc.returncode, proc.stdout.split("\n")[0]) == (code, first), proc.stderr[-300:]
     if cmd == "ext":
-        assert (proc.returncode, proc.stdout) == (0, "0\n")
+        assert proc.stdout == "0\n"
     if proc.returncode:
         assert proc.stderr.startswith("error") and proc.stderr.count("\n") == 1
 

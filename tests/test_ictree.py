@@ -26,11 +26,14 @@ from posetar.poset import Poset, chain
 from conftest import (
     admissible_marked_trees,
     canonical_marked,
+    derived_trees,
     is_lattice,
     path_tree,
     random_ic_family,
     random_ic_shape,
+    random_tree,
     star_tree,
+    tree_to_poset_reference,
 )
 
 
@@ -280,6 +283,48 @@ def test_tree_to_poset_text_is_pinned():
         count += 1
     assert count == 122
     assert h.hexdigest() == FROMTREE_DIGEST
+
+
+def _fromtree_outcome(fn, T, leaf):
+    """The poset text fn makes of (T, leaf), or the type and message of what it raises."""
+    try:
+        return fn(T, leaf).to_text()
+    except (BranchTooClose, NotExtreme) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_tree_to_poset_matches_the_subtree_recursion_on_random_trees():
+    rng = random.Random(3434)
+    kinds = set()
+    for _ in range(2000):
+        T = random_tree(rng, rng.randint(1, 16))
+        want = _fromtree_outcome(tree_to_poset_reference, T, T.marked)
+        assert _fromtree_outcome(tree_to_poset, T, T.marked) == want, (T.edges, T.marked)
+        kinds.add(want[0] if isinstance(want, tuple) else "poset")
+    assert kinds == {"poset", "BranchTooClose", "NotExtreme"}
+
+
+def test_tree_to_poset_matches_the_subtree_recursion_on_derived_trees():
+    trees = derived_trees()
+    assert len(trees) == 22 + len(random_ic_family())
+    for T in trees:
+        for leaf in range(T.n):
+            want = _fromtree_outcome(tree_to_poset_reference, T, leaf)
+            assert _fromtree_outcome(tree_to_poset, T, leaf) == want, (T.edges, leaf)
+
+
+# sha256 over tree_to_poset(T, 0).to_text() for the 800-vertex caterpillar
+# below, recorded from the recursion over induced subtrees
+CATERPILLAR_DIGEST = "a58745e50f1d96d463af215ab25cd7d4d74861b97a13630beb56c6c112236dbb"
+
+
+def test_tree_to_poset_text_of_a_long_caterpillar_is_pinned():
+    # a 600-vertex path with a leaf hung at every other vertex from 1 to 399:
+    # 200 branch vertices, each nested inside the one before
+    T = path_tree(600, marked=0, pendants=range(1, 400, 2))
+    assert T.n == 800
+    text = tree_to_poset(T, 0).to_text()
+    assert hashlib.sha256(text.encode()).hexdigest() == CATERPILLAR_DIGEST
 
 
 def test_realize_shape_takes_chains_deeper_than_the_recursion_limit():

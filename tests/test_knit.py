@@ -4,7 +4,7 @@ import json
 import random
 
 import pytest
-from conftest import glue_meshes_check
+from conftest import derived_trees, glue_meshes_check, random_tree, wing_window_reference
 
 from posetar.corpus import corpus_ids, corpus_poset, star_poset
 from posetar.errors import IsProjective, MeshMismatch, NotEmbeddable, NotIndecomposable, PosetarError, SplitFailure
@@ -180,6 +180,15 @@ def test_wing_exists_and_boundaries():
                 assert lvl == lo
             if v.inj is not None:
                 assert lvl == hi
+
+
+def test_wing_window_matches_the_frontier_loop():
+    # random trees with random orientations, then every derived tree of the
+    # corpus and the family; the window's order is compared too
+    rng = random.Random(2718)
+    trees = [random_tree(rng, rng.randint(1, 16)) for _ in range(2000)] + derived_trees()
+    for T in trees:
+        assert list(wing_window(T).items()) == list(wing_window_reference(T).items()), (T.edges, T.arrows)
 
 
 def test_glue_meshes_chain4():

@@ -177,11 +177,11 @@ def _calls_itself(fn):
 
 
 # a recursion runs one frame per level, so it fails on a deep enough input;
-# each of these recurses along a decomposition witness, a derived tree or a
-# module expression
+# these recurse along the decomposition search, the branch vertices of a
+# derived tree, the clamps of a shape and a module expression.  Witnesses and
+# derived trees are otherwise walked in loops, so any other recursion fails here
 RECURSIVE = {
-    "ictree.ICNode.uses_adjoin", "ictree.ICNode.render", "ictree.ic_plus_decompose.go",
-    "ictree.build_tree.go", "ictree.tree_to_poset.go", "ictree.realize_shape.go",
+    "ictree.ic_plus_decompose.go", "ictree.tree_to_poset.go", "ictree.realize_shape.go",
     "modexpr.parse_module.expr",
 }
 

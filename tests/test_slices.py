@@ -20,7 +20,7 @@ def test_chain2_slice_modules():
     sl = make_slice(P)
     mods = sorted(tuple(m.dims) for m in sl.modules.values())
     assert mods == [(1, 0), (1, 1)]
-    assert is_isomorphic(sl.modules[sl.marked], projective(P, 0))
+    assert is_isomorphic(sl.modules[sl.tree.marked], projective(P, 0))
 
 
 def test_slice_size_matches_poset():
@@ -35,7 +35,7 @@ def test_marked_module_is_largest_projective():
         P = corpus_poset(cid)
         a, _ = P.unique_min_max()
         sl = make_slice(P)
-        assert is_isomorphic(sl.modules[sl.marked], projective(P, a))
+        assert is_isomorphic(sl.modules[sl.tree.marked], projective(P, a))
 
 
 def test_hypothesis_support_condition():
@@ -76,7 +76,7 @@ def test_negative_control_wrong_module():
     P = star_poset(1, 2)
     sl = make_slice(P)
     # swap in a wrong module at a non-marked vertex: the report must object
-    victim = next(v for v in range(sl.tree.n) if v != sl.marked)
+    victim = next(v for v in range(sl.tree.n) if v != sl.tree.marked)
     a, w = P.unique_min_max()
     sl.modules[victim] = constant_on(P, {w})
     report = verify_slice(sl)
@@ -97,7 +97,7 @@ def test_slice_with_adjoin():
     report = verify_slice(sl)
     assert report.ok, report.describe()
     a, _ = P.unique_min_max()
-    assert is_isomorphic(sl.modules[sl.marked], projective(P, a))
+    assert is_isomorphic(sl.modules[sl.tree.marked], projective(P, a))
 
 
 @pytest.mark.parametrize("field", [QQ, Field(5)], ids=str)
