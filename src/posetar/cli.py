@@ -27,7 +27,7 @@ from .ictree import (
 )
 from .knit import ar_sequence_end, embed_in_ZT, knit
 from .linalg import Field, QQ
-from .modexpr import describe_module, parse_module
+from .modexpr import describe_module, describe_support, parse_module
 from .poset import Poset, parse_poset
 from .slices import standard_slice, verify_slice
 from .split import is_indecomposable
@@ -158,10 +158,10 @@ def cmd_mesh(args, out) -> None:
 
 def cmd_slice(args, out) -> None:
     P = _load_poset(args.poset)
-    sl = standard_slice(P, _decompose(P), args.field)
-    for v in range(sl.tree.n):
-        mark = " *" if v == sl.tree.marked else ""
-        print(f"{v}: {describe_module(P, sl.modules[v])}{mark}", file=out)
+    T = build_tree(_decompose(P), P)
+    for v in range(T.n):
+        mark = " *" if v == T.marked else ""
+        print(f"{v}: {describe_support(P, T.supports[v])}{mark}", file=out)
 
 
 def cmd_verify_slice(args, out) -> None:

@@ -37,14 +37,20 @@ class ICNode:
         self.children = children
         self.adjoins = kind in ("adjoin-min", "adjoin-max") or any(ch.adjoins for ch in children)
 
-    def _key(self) -> tuple:
-        return (self.kind, self.low, self.high, self.children)
-
     def __eq__(self, other) -> bool:
-        return isinstance(other, ICNode) and self._key() == other._key()
+        pairs = [(self, other)]  # nodes in the same position of both witnesses
+        while pairs:
+            a, b = pairs.pop()
+            if not isinstance(b, ICNode) or (a.kind, a.low, a.high, len(a.children)) != (
+                b.kind, b.low, b.high, len(b.children)
+            ):
+                return False
+            pairs += zip(a.children, b.children)
+        return True
 
     def __hash__(self) -> int:
-        return hash(self._key())
+        # equal witnesses were built from equal subsets
+        return hash((self.kind, self.low, self.high, self.subset))
 
     def uses_adjoin(self) -> bool:
         return self.adjoins

@@ -98,20 +98,23 @@ def parse_module(P: Poset, text: str, field: Field = QQ) -> Representation:
     return M
 
 
+def describe_support(P: Poset, sup: frozenset[int]) -> str:
+    """The name of the thin constant module k_sup on a nonempty convex support."""
+    for kind, sym in (("proj", "P"), ("inj", "I")):
+        x = cone_label(P, kind, sup)
+        if x is not None:
+            return f"{sym}({P.names[x]})"
+    if len(sup) == 1:
+        return f"S({P.names[next(iter(sup))]})"
+    return "k{" + ",".join(P.names[x] for x in P.sorted_ids(sup)) + "}"
+
+
 def describe_module(P: Poset, M: Representation) -> str:
     """Readable rendering: named thin constants, else the dimension vector."""
     if M.is_zero():
         return "0"
-    sup = M.support()
     if M.is_thin_constant():
-        for kind, sym in (("proj", "P"), ("inj", "I")):
-            x = cone_label(P, kind, sup)
-            if x is not None:
-                return f"{sym}({P.names[x]})"
-        if len(sup) == 1:
-            return f"S({P.names[next(iter(sup))]})"
-        body = ",".join(P.names[x] for x in P.sorted_ids(sup))
-        return "k{" + body + "}"
+        return describe_support(P, M.support())
     dims = " ".join(
         f"{P.names[x]}:{M.dims[x]}" for x in P.linear_extension() if M.dims[x]
     )

@@ -1,12 +1,12 @@
 """Standard slices of the quiver component containing the largest projective.
 
-The decomposition witness yields one module per tree vertex, every one a
-constant module on a convex subset: the marked vertex carries the largest
-projective, each clamp center carries that projective modulo its socle, and
-the recursion supplies the rest.  verify_slice checks the three facts the
-construction rests on: the support condition at the maximum, Ext-vanishing
-between slice members, and the Hom matrix matching path counts of the
-oriented tree.
+A slice is the derived tree of a decomposition witness: every tree vertex
+carries a convex support Q, and its slice module is the constant module k_Q.
+The marked vertex carries the largest projective and each clamp center
+carries that projective modulo its socle.  verify_slice realizes the
+supports and checks the three facts the construction rests on: the support
+condition at the maximum, Ext-vanishing between slice members, and the Hom
+matrix matching path counts of the oriented tree.
 """
 
 from __future__ import annotations
@@ -15,40 +15,28 @@ from .homalg import _ext_dims, _resolution
 from .ictree import ICNode, TreeShape, build_tree
 from .linalg import Field, QQ
 from .poset import Poset
-from .rep import Representation, constant_on
+from .rep import constant_on
 
 
 class SliceData:
-    __slots__ = ("poset", "tree", "modules")
+    __slots__ = ("poset", "tree", "field")
 
-    def __init__(self, poset: Poset, tree: TreeShape, modules: dict[int, Representation]) -> None:
+    def __init__(self, poset: Poset, tree: TreeShape, field: Field) -> None:
         self.poset = poset
         self.tree = tree
-        self.modules = modules
+        self.field = field
 
 
 def standard_slice(P: Poset, node: ICNode, field: Field = QQ) -> SliceData:
-    tree = build_tree(node, P)
-    modules = {
-        v: constant_on(P, sup, field)
-        for v, sup in tree.supports.items()
-    }
-    return SliceData(P, tree, modules)
+    return SliceData(P, build_tree(node, P), field)
 
 
-def check_hypothesis_41(P: Poset, sl: SliceData) -> bool:
-    """Only the marked module may contain the maximum in its support."""
-    mm = P.unique_min_max()
-    if mm is None:
-        return False
-    _, omega = mm
-    for v, M in sl.modules.items():
-        has_max = omega in M.support()
-        if v == sl.tree.marked and not has_max:
-            return False
-        if v != sl.tree.marked and has_max:
-            return False
-    return True
+def check_hypothesis_41(sl: SliceData) -> bool:
+    """Only the marked vertex's support may contain the maximum, and it does."""
+    mm = sl.poset.unique_min_max()
+    return mm is not None and all(
+        (mm[1] in sup) == (v == sl.tree.marked) for v, sup in sl.tree.supports.items()
+    )
 
 
 def _path_counts(tree: TreeShape) -> dict[tuple[int, int], int]:
@@ -97,26 +85,28 @@ class SliceReport:
 def verify_slice(sl: SliceData) -> SliceReport:
     """The support condition, Ext-vanishing and the Hom matrix of the slice.
 
-    For each slice module M_v one projective resolution C_v gives every
+    Each vertex's support is realized once as its slice module M_v, and
+    one projective resolution C_v of M_v gives every
     Ext^i(M_v, M_w), with each map of the Hom complex Hom(C_v, M_w) ranked
     once (homalg._ext_dims): Ext^i for i >= 1 must vanish, and
     Hom(M_v, M_w) = Ext^0 = dim Hom(P_0, M_w) - rank(d_0) must be the
     number of paths from v to w in the oriented tree.
     """
     n = sl.tree.n
+    modules = [constant_on(sl.poset, sl.tree.supports[v], sl.field) for v in range(n)]
     counts = _path_counts(sl.tree)
     ext_failures = []
     hom_mismatches = []
     for v in range(n):
-        C = _resolution(sl.modules[v])[0]
+        C = _resolution(modules[v])[0]
         for w in range(n):
-            ext = _ext_dims(C, sl.modules[w])
+            ext = _ext_dims(C, modules[w])
             ext_failures += [(v, w, i) for i in range(1, len(ext)) if ext[i]]
             want = counts.get((v, w), 0)
             if ext[0] != want:
                 hom_mismatches.append((v, w, ext[0], want))
     return SliceReport(
-        check_hypothesis_41(sl.poset, sl),
+        check_hypothesis_41(sl),
         tuple(ext_failures),
         tuple(hom_mismatches),
     )

@@ -182,7 +182,7 @@ def quick_right_terminations(sl, budget=10):
     the slice, or None when none is reached within the budget."""
     out = {}
     for v in range(sl.tree.n):
-        cur, out[v] = sl.modules[v], None
+        cur, out[v] = constant_on(sl.poset, sl.tree.supports[v], sl.field), None
         for steps in range(budget + 1):
             cur = tau_inverse(cur)
             if cur is None:

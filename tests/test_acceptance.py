@@ -377,7 +377,7 @@ def test_criterion_9():
         # Yoneda pair on a sample of slice modules
         verts = list(range(sl.tree.n))
         for v in verts[:: max(1, len(verts) // 3)]:
-            M = sl.modules[v]
+            M = constant_on(P, sl.tree.supports[v])
             M.assert_path_independent()
             for x in (a, w, P.n // 2):
                 assert hom_dim(projective(P, x), M) == M.dims[x]

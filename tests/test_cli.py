@@ -107,6 +107,33 @@ def test_slice_and_verify(capsys):
     assert "ok" in out
 
 
+# sha256 of the exit code and stdout of `slice` and `verify-slice` on every corpus id
+SLICE_DIGEST = "ee54a8ae1ca97854b507a8be2962b38bf9170f196c1615aa73f731ea53f35a31"
+
+
+def test_slice_outputs_are_pinned(capsys):
+    from posetar.corpus import corpus_ids
+
+    h = hashlib.sha256()
+    for cid in corpus_ids():
+        for cmd in ("slice", "verify-slice"):
+            code, out, _ = run(capsys, cmd, f"corpus:{cid}")
+            h.update(f"{cmd} {cid} {code}\n{out}".encode())
+    assert h.hexdigest() == SLICE_DIGEST
+
+
+def test_slice_names_the_supports_without_building_a_module(monkeypatch, capsys):
+    # the slice is the derived tree: each vertex is named from its support
+    def refuse(*args):
+        raise AssertionError("a module was built")
+
+    monkeypatch.setattr(posetar.rep, "_realize_layout", refuse)
+    monkeypatch.setattr(posetar.rep, "_rep", refuse)
+    assert run(capsys, "slice", "corpus:p-1-2") == (0, (
+        "0: S(c1_1)\n1: S(c2_1)\n2: k{c2_1,c2_2}\n3: k{alpha,c1_1,c2_1,c2_2}\n4: P(alpha) *\n"
+    ), "")
+
+
 def test_knit_json(tmp_path, capsys):
     target = tmp_path / "out.json"
     code, out, _ = run(capsys, "knit", "corpus:ex25-chain4", "--json", str(target))

@@ -429,6 +429,21 @@ def _ic_decompose_reference(P):
     return go(frozenset(P.elements()))
 
 
+def test_witness_of_a_long_chain_compares_and_hashes_in_a_loop():
+    # one clamp per nesting level: equality pairs the nodes in a loop, and the
+    # hash reads the node's own kind, ends and subset, not its children
+    P = chain(1000)
+    node = ic_plus_decompose(P)
+    again = ic_plus_decompose(P)
+    assert node is not again
+    assert node == again and hash(node) == hash(again)
+    assert len({node, again}) == 1
+    # the same chain but for 499 and 500 side by side: witnesses part 250 levels down
+    rels = [(i, i + 1) for i in range(999) if i not in (498, 499, 500)]
+    Q = Poset(P.names, rels + [(498, 499), (498, 500), (499, 501), (500, 501)])
+    assert node != ic_plus_decompose(Q)
+
+
 def _random_shape_with_adjunctions(rng, size):
     if size >= 2 and rng.random() < 0.3:
         return (rng.choice(["adjoin-min", "adjoin-max"]), _random_shape_with_adjunctions(rng, size - 1))

@@ -98,7 +98,7 @@ def test_checked_constructors_only_take_outside_input():
     assert _checked_calls(from_json) == ["Mat", "Representation"]
 
 
-# parameters kept for callers outside the package (ROADMAP item 13)
+# parameters kept for callers outside the package (ROADMAP item 15)
 UNREAD_PARAMETERS = {("knit.ar_sequence_end", "rng"), ("witness.not_fcy_witness", "rng")}
 
 

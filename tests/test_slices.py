@@ -15,19 +15,23 @@ def make_slice(P):
     return standard_slice(P, node)
 
 
+def slice_module(sl, v):
+    return constant_on(sl.poset, sl.tree.supports[v], sl.field)
+
+
 def test_chain2_slice_modules():
     P = chain(2)
     sl = make_slice(P)
-    mods = sorted(tuple(m.dims) for m in sl.modules.values())
+    mods = sorted(tuple(slice_module(sl, v).dims) for v in range(sl.tree.n))
     assert mods == [(1, 0), (1, 1)]
-    assert is_isomorphic(sl.modules[sl.tree.marked], projective(P, 0))
+    assert is_isomorphic(slice_module(sl, sl.tree.marked), projective(P, 0))
 
 
 def test_slice_size_matches_poset():
     for cid in ("ex57", "ex58-poset1", "sec4-nine", "p-1-2"):
         P = corpus_poset(cid)
         sl = make_slice(P)
-        assert len(sl.modules) == P.n
+        assert sl.tree.n == len(sl.tree.supports) == P.n
 
 
 def test_marked_module_is_largest_projective():
@@ -35,14 +39,14 @@ def test_marked_module_is_largest_projective():
         P = corpus_poset(cid)
         a, _ = P.unique_min_max()
         sl = make_slice(P)
-        assert is_isomorphic(sl.modules[sl.tree.marked], projective(P, a))
+        assert is_isomorphic(slice_module(sl, sl.tree.marked), projective(P, a))
 
 
 def test_hypothesis_support_condition():
     for cid in ("ex57", "ex58-poset1", "star-2-2"):
         P = corpus_poset(cid)
         sl = make_slice(P)
-        assert check_hypothesis_41(P, sl)
+        assert check_hypothesis_41(sl)
 
 
 def test_verify_slice_p12():
@@ -58,7 +62,7 @@ def test_verify_slice_chain4_hom_matrix():
     assert report.ok
     # A4 path counts: hom dims are 0/1 along the zigzag orientation
     total = sum(
-        hom_dim(sl.modules[v], sl.modules[w])
+        hom_dim(slice_module(sl, v), slice_module(sl, w))
         for v in range(sl.tree.n)
         for w in range(sl.tree.n)
     )
@@ -75,12 +79,13 @@ def test_verify_slice_ex58():
 def test_negative_control_wrong_module():
     P = star_poset(1, 2)
     sl = make_slice(P)
-    # swap in a wrong module at a non-marked vertex: the report must object
+    # swap in a wrong support at a non-marked vertex: the report must object
     victim = next(v for v in range(sl.tree.n) if v != sl.tree.marked)
-    a, w = P.unique_min_max()
-    sl.modules[victim] = constant_on(P, {w})
+    _, omega = P.unique_min_max()
+    sl.tree.supports[victim] = frozenset({omega})
     report = verify_slice(sl)
     assert not report.ok
+    assert not report.hypothesis_ok
 
 
 def test_ex57_slice_verification():
@@ -97,7 +102,7 @@ def test_slice_with_adjoin():
     report = verify_slice(sl)
     assert report.ok, report.describe()
     a, _ = P.unique_min_max()
-    assert is_isomorphic(sl.modules[sl.tree.marked], projective(P, a))
+    assert is_isomorphic(slice_module(sl, sl.tree.marked), projective(P, a))
 
 
 @pytest.mark.parametrize("field", [QQ, Field(5)], ids=str)
@@ -116,10 +121,10 @@ def test_slice_hom_dims_from_one_rank_per_map_match_hom_dim(field):
         counts = _path_counts(sl.tree)
         want = []
         for v in range(sl.tree.n):
-            Mv = sl.modules[v]
+            Mv = slice_module(sl, v)
             C = _resolution(Mv)[0]
             for w in range(sl.tree.n):
-                Mw = sl.modules[w]
+                Mw = slice_module(sl, w)
                 dims = _ext_dims(C, Mw)
                 assert dims[0] == hom_dim(Mv, Mw), (cid, v, w)
                 assert dims == [ext(Mv, Mw, i) for i in range(len(dims))], (cid, v, w)
